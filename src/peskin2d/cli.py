@@ -12,11 +12,11 @@ geometry; 3 a certificate or verification check failed.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -70,6 +70,17 @@ def _check_keys(cfg):
             )
 
 
+@contextlib.contextmanager
+def _section(name):
+    """Report a value the section's constructors reject as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("%s: %s" % (name, exc)) from exc
+
+
 def load_config(path):
     """Parse and validate a JSON run configuration."""
     with open(path) as fh:
@@ -88,48 +99,58 @@ def load_config(path):
         raise ConfigError(
             "physics: give either (mu1, mu2, k0) or (a_mu, a_e), not both"
         )
-    if contrast:
-        params = force.PhysicsParams.from_contrast(phys["a_mu"], phys["a_e"])
-    elif named == {"mu1", "mu2", "k0"}:
-        params = force.PhysicsParams(phys["mu1"], phys["mu2"], phys["k0"])
-    else:
-        raise ConfigError("physics: need (mu1, mu2, k0) or (a_mu, a_e)")
+    with _section("physics"):
+        if contrast:
+            params = force.PhysicsParams.from_contrast(phys["a_mu"], phys["a_e"])
+        elif named == {"mu1", "mu2", "k0"}:
+            params = force.PhysicsParams(phys["mu1"], phys["mu2"], phys["k0"])
+        else:
+            raise ConfigError("physics: need (mu1, mu2, k0) or (a_mu, a_e)")
 
-    disc = cfg.get("discretization", {})
-    m = int(disc.get("max_mode", 16))
-    n = int(disc.get("grid_size", 4 * m))
+    with _section("discretization"):
+        disc = cfg.get("discretization", {})
+        m = int(disc.get("max_mode", 16))
+        n = int(disc.get("grid_size", 4 * m))
+        if m < 1 or n < 2 * m + 1:
+            raise ConfigError(
+                "discretization: need max_mode >= 1 and grid_size >= "
+                "2*max_mode+1, got max_mode %d, grid_size %d" % (m, n)
+            )
 
-    init = cfg.get("initial", {})
-    circ = init.get("circle", {})
-    base = spectral.circle_curve(
-        circ.get("a", 1.0), circ.get("b", 0.0),
-        circ.get("c", 0.0), circ.get("d", 0.0),
-        max_mode=m, grid_size=n,
-    )
-    coeffs = base.coeffs.copy()
-    for row in init.get("modes", []):
-        if len(row) != 5:
-            raise ConfigError("initial.modes rows must be [k, re1, im1, re2, im2]")
-        k = int(row[0])
-        if abs(k) > m:
-            raise ConfigError("initial.modes: |k| = %d exceeds max_mode %d"
-                              % (abs(k), m))
-        add = np.array([row[1] + 1j * row[2], row[3] + 1j * row[4]])
-        coeffs[k + m] += add
-        if k != 0:
-            coeffs[-k + m] += np.conj(add)
-    curve = spectral.FourierCurve(coeffs, n)
+    with _section("initial"):
+        init = cfg.get("initial", {})
+        circ = init.get("circle", {})
+        base = spectral.circle_curve(
+            circ.get("a", 1.0), circ.get("b", 0.0),
+            circ.get("c", 0.0), circ.get("d", 0.0),
+            max_mode=m, grid_size=n,
+        )
+        coeffs = base.coeffs.copy()
+        for row in init.get("modes", []):
+            if len(row) != 5:
+                raise ConfigError(
+                    "initial.modes rows must be [k, re1, im1, re2, im2]")
+            k = int(row[0])
+            if abs(k) > m:
+                raise ConfigError("initial.modes: |k| = %d exceeds max_mode %d"
+                                  % (abs(k), m))
+            add = np.array([row[1] + 1j * row[2], row[3] + 1j * row[4]])
+            coeffs[k + m] += add
+            if k != 0:
+                coeffs[-k + m] += np.conj(add)
+        curve = spectral.FourierCurve(coeffs, n)
 
-    st = cfg.get("stepping", {})
-    stepper = evolution.StepperConfig(
-        dt=float(st.get("dt", 1e-3)),
-        t_final=float(st.get("t_final", 1.0)),
-        scheme=st.get("scheme", "exponential-euler"),
-        record_every=int(st.get("record_every", 10)),
-        nu_max=float(st.get("nu_max", 0.0)),
-        arc_chord_floor=float(st.get("arc_chord_floor", 0.05)),
-        force_method=st.get("force_method", "direct"),
-    )
+    with _section("stepping"):
+        st = cfg.get("stepping", {})
+        stepper = evolution.StepperConfig(
+            dt=float(st.get("dt", 1e-3)),
+            t_final=float(st.get("t_final", 1.0)),
+            scheme=st.get("scheme", "exponential-euler"),
+            record_every=int(st.get("record_every", 10)),
+            nu_max=float(st.get("nu_max", 0.0)),
+            arc_chord_floor=float(st.get("arc_chord_floor", 0.05)),
+            force_method=st.get("force_method", "direct"),
+        )
     return params, curve, stepper
 
 
@@ -159,9 +180,7 @@ def cmd_simulate(args):
 
 def cmd_kcurve(args):
     grid = np.linspace(args.amin, args.amax, args.points)
-    workers = max(1, args.threads)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(k_threshold, grid))
+    results = [k_threshold(a) for a in grid]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "kcurve.csv")
     with open(path, "w") as fh:
@@ -172,7 +191,9 @@ def cmd_kcurve(args):
     worst = max(r["residual"] for r in results)
     print("wrote %s (%d points, worst residual %.2e)" % (path, len(grid), worst))
     if bad:
-        print("threshold fell below its closed-form lower bound at %s" % bad)
+        print("threshold fell below its closed-form lower bound at %d of %d "
+              "points, a_mu in [%.4g, %.4g]"
+              % (len(bad), len(grid), min(bad), max(bad)))
         return 3
     return 0
 
@@ -199,9 +220,7 @@ def cmd_lemma_check(args):
         quad = multipliers.integral_Sn_quadrature(ks)
         return k, ks, num, exact, abs(exact - quad), bound - abs(num)
 
-    workers = max(1, args.threads)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(one, tuples))
+    rows = [one(item) for item in tuples]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "lemma_check.csv")
     ok = True
@@ -283,7 +302,6 @@ def build_parser():
     s.add_argument("--points", type=int, default=50)
     s.add_argument("--amin", type=float, default=-0.95)
     s.add_argument("--amax", type=float, default=0.95)
-    s.add_argument("--threads", type=int, default=1)
     s.set_defaults(func=cmd_kcurve)
 
     s = sub.add_parser("lemma-check", help="random multiplier-integral audit")
@@ -292,7 +310,6 @@ def build_parser():
     s.add_argument("--nmax", type=int, default=3)
     s.add_argument("--kmax", type=int, default=20)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threads", type=int, default=1)
     s.set_defaults(func=cmd_lemma_check)
 
     s = sub.add_parser("constants", help="evaluate the constants chain")

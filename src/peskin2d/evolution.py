@@ -26,26 +26,24 @@ component of mode one) are handled without any stiffness penalty, and the
 enclosed area is conserved up to the accuracy of the nonlinear terms.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .force import solve_force
+from .force import _grid_tables, _pair_geometry, solve_force
 from .kernels import log_convolve
 from .spectral import (
-    CirclePart,
     CurveDegenerateError,
     FourierCurve,
     analyze,
-    apply_multiplier,
     circle_decompose,
     fnorm,
     from_Y,
     geometry_diagnostics,
     hermitize,
-    synthesize,
-    theta_grid,
     to_Y,
 )
 
@@ -55,44 +53,27 @@ CSV_HEADER = (
 )
 
 
-def velocity_on_curve(curve, force, arc_chord_floor=1e-8):
+def velocity_on_curve(curve, force, arc_chord_floor=1e-8, geometry=None):
     """Fluid velocity on the interface itself, (N, 2) samples.
 
     Trapezoid on the regularized Stokeslet plus the exact log convolution.
+    `geometry` is the curve's `_pair_geometry` when the caller already has
+    it; otherwise it is built here, behind the same degeneracy guard.
     """
-    xs = synthesize(curve)
-    ds = synthesize(apply_multiplier(curve, "derivative"))
-    n = xs.shape[0]
-    th = theta_grid(n)
-    diff = xs[:, None, :] - xs[None, :, :]
-    chord2 = np.sum(diff**2, axis=2)
-    dth = th[:, None] - th[None, :]
-    sinfac = 2.0 * np.abs(np.sin(0.5 * dth))
-    off = ~np.eye(n, dtype=bool)
-    if np.any(chord2[off] == 0.0):
-        raise CurveDegenerateError("distinct nodes coincide in the plane")
-    ratio = np.sqrt(chord2[off]) / (2.0 * np.sin(0.5 * np.abs(
-        np.mod(dth[off] + np.pi, 2 * np.pi) - np.pi)))
-    if not (np.min(ratio) > arc_chord_floor):
-        raise CurveDegenerateError(
-            "grid arc-chord ratio %.3e below floor %.3e"
-            % (float(np.min(ratio)), arc_chord_floor)
-        )
-    logterm = np.zeros((n, n))
-    logterm[off] = -0.5 * np.log(chord2[off] / sinfac[off] ** 2)
-    outer = diff[..., :, None] * diff[..., None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        outer = outer / chord2[..., None, None]
-    blocks = logterm[..., None, None] * np.eye(2) + outer
-    # diagonal limit
-    speed2 = np.sum(ds**2, axis=1)
-    dblocks = (-0.5 * np.log(speed2))[:, None, None] * np.eye(2) + (
-        ds[:, :, None] * ds[:, None, :]
-    ) / speed2[:, None, None]
-    idx = np.arange(n)
-    blocks[idx, idx] = dblocks
+    g = geometry if geometry is not None else _pair_geometry(curve, arc_chord_floor)
+    n = g.n
     fs = force.samples if hasattr(force, "samples") else np.asarray(force)
-    u_reg = np.einsum("teij,ej->ti", blocks, fs) / (4.0 * np.pi) * (2.0 * np.pi / n)
+    speed2 = np.sum(g.ds**2, axis=1)
+    # -log(|dX| / 2|sin(dtheta/2)|) I, diagonal limit -log|X'| I
+    logterm = -0.5 * np.log(g.chord2 / _grid_tables(n)[1])
+    np.fill_diagonal(logterm, -0.5 * np.log(speed2))
+    # (dX ox dX / |dX|^2) F = dX q with q = (dX . F) / |dX|^2; the diagonal
+    # of q is zero, and its limit X' (X' . F) / |X'|^2 is added separately
+    q = (g.dx * fs[:, 0] + g.dy * fs[:, 1]) / g.chord2
+    qd = np.sum(g.ds * fs, axis=1) / speed2
+    outer = np.stack([np.einsum("te,te->t", g.dx, q),
+                      np.einsum("te,te->t", g.dy, q)], axis=1)
+    u_reg = (logterm @ fs + outer + qd[:, None] * g.ds) / (2.0 * n)
     return u_reg + log_convolve(force, n)
 
 
@@ -114,11 +95,14 @@ def rhs_nonlinear(curve, params, force=None, force_method="direct",
 
     L annihilates the circle family (its mode-(+-1) coefficients are in
     the kernel of L(+-1)), so xhat may be the full curve's coefficients.
+    The curve's pair geometry is built once, behind the degeneracy guard,
+    and shared by the force solve and the velocity quadrature.
     """
+    geometry = _pair_geometry(curve, arc_chord_floor)
     if force is None:
         force = solve_force(curve, params, method=force_method,
-                            arc_chord_floor=arc_chord_floor)
-    u = velocity_on_curve(curve, force, arc_chord_floor=arc_chord_floor)
+                            geometry=geometry)
+    u = velocity_on_curve(curve, force, geometry=geometry)
     uhat = analyze(u, curve.max_mode).coeffs
     nhat = uhat + 0.5 * params.a_e * _l_action(curve.coeffs, curve.ks)
     return curve.with_coeffs(hermitize(nhat))
@@ -126,16 +110,27 @@ def rhs_nonlinear(curve, params, force=None, force_method="direct",
 
 @dataclass(frozen=True)
 class SimulationState:
+    """Time, curve and parameters; the circle split is made on first read."""
+
     t: float
     curve: FourierCurve
     params: object
-    circle: CirclePart
-    deviation: FourierCurve
 
     @classmethod
     def make(cls, t, curve, params):
-        circle, dev = circle_decompose(curve)
-        return cls(float(t), curve, params, circle, dev)
+        return cls(float(t), curve, params)
+
+    @cached_property
+    def _split(self):
+        return circle_decompose(self.curve)
+
+    @property
+    def circle(self):
+        return self._split[0]
+
+    @property
+    def deviation(self):
+        return self._split[1]
 
 
 @dataclass(frozen=True)
@@ -150,10 +145,12 @@ class StepperConfig:
     refine_diagnostics: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_final <= 0:
-            raise ValueError("dt and t_final must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.t_final < math.inf):
+            raise ValueError("dt and t_final must be positive and finite")
         if self.scheme not in ("exponential-euler", "etdrk2"):
             raise ValueError("scheme must be 'exponential-euler' or 'etdrk2'")
+        if self.force_method not in ("direct", "picard"):
+            raise ValueError("force_method must be 'direct' or 'picard'")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -188,19 +185,20 @@ def _rates(ks, a_e):
     return lam
 
 
-def step(state, cfg, nonlinearity=None):
+def step(state, cfg, nonlinearity=None, h=None):
     """One step of exponential Euler or ETDRK2 in the diagonal frame.
 
     `nonlinearity` may be injected (signature (curve, params) -> coefficient
     container) to validate the linear part in isolation; default is
-    rhs_nonlinear.
+    rhs_nonlinear.  `h` overrides the step length cfg.dt (the schemes
+    integrate the stiff factor exactly for any h).
     """
     nl = nonlinearity if nonlinearity is not None else (
         lambda c, p: rhs_nonlinear(c, p, force_method=cfg.force_method,
                                    arc_chord_floor=cfg.arc_chord_floor)
     )
     curve, params = state.curve, state.params
-    h = cfg.dt
+    h = cfg.dt if h is None else h
     lam = _rates(curve.ks, params.a_e)
     decay = np.exp(h * lam)
     phi1 = _phi1(h * lam)
@@ -255,7 +253,8 @@ class TrajectoryRecord:
 
 
 def run(curve, params, cfg):
-    """Integrate to t_final, recording diagnostics every `record_every` steps.
+    """Integrate to t_final, recording diagnostics every `record_every` steps
+    and at t_final.
 
     A degenerate geometry (arc-chord collapse) stops the run early and is
     reported in `failure` rather than raised, so partial data stays usable.
@@ -306,14 +305,21 @@ def run(curve, params, cfg):
              st.circle.c, st.circle.d, lhs, x0)
         )
 
+    # whole steps, then one partial step if t_final is not a multiple of dt
+    n_steps = math.floor(cfg.t_final / cfg.dt + 1e-9)
+    rest = cfg.t_final - n_steps * cfg.dt
+    if rest <= 1e-9 * cfg.dt:
+        rest = 0.0
     failure = None
     try:
         record(state)
-        n_steps = int(round(cfg.t_final / cfg.dt))
         for i in range(1, n_steps + 1):
             state = step(state, cfg)
-            if i % cfg.record_every == 0 or i == n_steps:
+            if i % cfg.record_every == 0 or (i == n_steps and not rest):
                 record(state)
+        if rest:
+            state = step(state, cfg, h=rest)
+            record(state)
     except CurveDegenerateError as exc:
         failure = str(exc)
 

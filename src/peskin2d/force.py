@@ -19,7 +19,9 @@ so plain trapezoid quadrature is spectrally accurate (and exact on circles,
 where the integrand is a trigonometric polynomial of degree two).
 """
 
-from dataclasses import dataclass, replace
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,56 +122,91 @@ def elastic_force(curve, params=None):
     return ForceDensity(k0 * synthesize(dd), k0 * dd.coeffs)
 
 
-def _curve_frames(curve):
-    """Grid samples of X, X', X'' plus X'^perp (perp = CCW rotation)."""
+@functools.lru_cache(maxsize=4)
+def _grid_tables(n):
+    """Read-only (N, N) tables that depend on the grid alone.
+
+    inv_sep2 = 1/d(theta_t, theta_e)^2 with d the distance on the circle
+    (inf on the diagonal), and sin2 = (2 sin(|theta_t - theta_e|/2))^2
+    (1 on the diagonal).
+    """
+    th = theta_grid(n)
+    dth = th[:, None] - th[None, :]
+    sep = np.abs(np.mod(dth + np.pi, 2.0 * np.pi) - np.pi)
+    with np.errstate(divide="ignore"):
+        inv_sep2 = 1.0 / sep**2
+    sin2 = (2.0 * np.sin(0.5 * dth)) ** 2
+    np.fill_diagonal(sin2, 1.0)
+    for table in (inv_sep2, sin2):
+        table.flags.writeable = False
+    return inv_sep2, sin2
+
+
+@dataclass(frozen=True, eq=False)
+class _PairGeometry:
+    """One curve on its grid: samples of X', X'' and the pair tables
+    dx, dy = X(theta_t) - X(theta_e) and chord2 = dx^2 + dy^2 (whose
+    diagonal is set to 1 so it can divide)."""
+
+    ds: np.ndarray
+    dds: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    chord2: np.ndarray
+
+    @property
+    def n(self):
+        return self.ds.shape[0]
+
+
+def _pair_geometry(curve, arc_chord_floor=1e-8):
+    """Synthesize X, X', X'' and the pair tables once, behind the one
+    degeneracy guard of the force and velocity quadratures.
+
+    Raises CurveDegenerateError unless the grid arc-chord ratio
+    min |X(theta_t) - X(theta_e)| / d(theta_t, theta_e) over distinct
+    nodes (d = distance on the circle) lies above `arc_chord_floor`.
+    """
     xp = apply_multiplier(curve, "derivative")
-    xpp = apply_multiplier(xp, "derivative")
     xs = synthesize(curve)
     ds = synthesize(xp)
-    dds = synthesize(xpp)
-    perp = np.stack([-ds[:, 1], ds[:, 0]], axis=1)
-    return xs, ds, dds, perp
-
-
-def _grid_arc_chord(xs, n):
-    """Cheap arc-chord estimate straight from the pairwise chord table."""
-    th = theta_grid(n)
-    dth = np.abs(np.mod(th[:, None] - th[None, :] + np.pi, 2 * np.pi) - np.pi)
-    diff = xs[:, None, :] - xs[None, :, :]
-    chord = np.sqrt(np.sum(diff**2, axis=2))
-    off = ~np.eye(n, dtype=bool)
-    return float(np.min(chord[off] / dth[off])), diff, chord
-
-
-def s_operator_matrix(curve, *, arc_chord_floor=1e-8):
-    """Dense (2N, 2N) matrix realizing F |-> S(F, X) including quadrature weight.
-
-    Raises CurveDegenerateError if the grid arc-chord ratio drops below the
-    floor (distinct nodes coinciding in the plane).
-    """
-    xs, ds, dds, perp = _curve_frames(curve)
+    dds = synthesize(apply_multiplier(xp, "derivative"))
     n = xs.shape[0]
-    ratio, diff, chord = _grid_arc_chord(xs, n)
+    dx = xs[:, 0, None] - xs[None, :, 0]
+    dy = xs[:, 1, None] - xs[None, :, 1]
+    chord2 = dx * dx + dy * dy
+    np.fill_diagonal(chord2, 1.0)
+    ratio = math.sqrt(np.min(chord2 * _grid_tables(n)[0]))
     if not (ratio > arc_chord_floor):
         raise CurveDegenerateError(
             "grid arc-chord ratio %.3e below floor %.3e" % (ratio, arc_chord_floor)
         )
-    # off-diagonal blocks: (1/pi) (dX . perp_i) dX ox dX / |dX|^4
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dot = np.einsum("tej,tj->te", diff, perp)
-        scale = dot / (np.pi * chord**4)
-        blocks = scale[..., None, None] * (
-            diff[..., :, None] * diff[..., None, :]
-        )
-    # diagonal limit: -(1/2pi) (X''. perp) X' ox X' / |X'|^4
-    speed2 = np.sum(ds**2, axis=1)
-    ddot = np.einsum("tj,tj->t", dds, perp)
-    dscale = -ddot / (2.0 * np.pi * speed2**2)
-    dblocks = dscale[:, None, None] * (ds[:, :, None] * ds[:, None, :])
+    return _PairGeometry(ds, dds, dx, dy, chord2)
+
+
+def s_operator_matrix(curve, *, arc_chord_floor=1e-8, geometry=None):
+    """Dense (2N, 2N) matrix realizing F |-> S(F, X) including quadrature weight.
+
+    `geometry` is the curve's `_pair_geometry` when the caller already has
+    it; otherwise it is built here, which raises CurveDegenerateError if
+    the grid arc-chord ratio drops below the floor.
+    """
+    g = geometry if geometry is not None else _pair_geometry(curve, arc_chord_floor)
+    n = g.n
+    px, py = -g.ds[:, 1], g.ds[:, 0]  # X'^perp
+    # off-diagonal: (2pi/n) (1/pi) (dX . X'^perp(theta)) dX ox dX / |dX|^4
+    w = (2.0 / n) * (g.dx * px[:, None] + g.dy * py[:, None]) / g.chord2**2
+    wx, wy = w * g.dx, w * g.dy
+    mat = np.empty((n, 2, n, 2))
+    mat[:, 0, :, 0] = wx * g.dx
+    mat[:, 0, :, 1] = mat[:, 1, :, 0] = wx * g.dy
+    mat[:, 1, :, 1] = wy * g.dy
+    # diagonal limit: (2pi/n) (-1/2pi) (X'' . X'^perp) X' ox X' / |X'|^4
+    speed2 = np.sum(g.ds**2, axis=1)
+    wd = -(g.dds[:, 0] * px + g.dds[:, 1] * py) / (n * speed2**2)
     idx = np.arange(n)
-    blocks[idx, idx] = dblocks
-    mat = blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
-    return (2.0 * np.pi / n) * mat
+    mat[idx, :, idx, :] = wd[:, None, None] * (g.ds[:, :, None] * g.ds[:, None, :])
+    return mat.reshape(2 * n, 2 * n)
 
 
 def apply_S(curve, force, *, arc_chord_floor=1e-8):
@@ -186,23 +223,29 @@ def _band_of(curve, force):
 
 
 def solve_force(curve, params, method="direct", tol=1e-12, max_iter=500,
-                arc_chord_floor=1e-8):
+                arc_chord_floor=1e-8, geometry=None):
     """Solve (I - 2 a_mu S) F = 2 a_e X'' for the force density.
 
     method='direct' factors the dense system; method='picard' iterates
     F <- rhs + 2 a_mu S F, which converges for moderate |a_mu| and serves
-    as an independent cross-check of the direct path.
+    as an independent cross-check of the direct path.  `geometry` is the
+    curve's `_pair_geometry` when the caller already has it.
     """
     a_mu, a_e = params.a_mu, params.a_e
-    rhs = 2.0 * a_e * synthesize(
-        apply_multiplier(apply_multiplier(curve, "derivative"), "derivative")
-    )
+    if geometry is not None:
+        xpp = geometry.dds
+    else:
+        xpp = synthesize(
+            apply_multiplier(apply_multiplier(curve, "derivative"), "derivative")
+        )
+    rhs = 2.0 * a_e * xpp
     n = rhs.shape[0]
     b = rhs.reshape(-1)
     if a_mu == 0.0:
         f = b.copy()
     else:
-        mat = s_operator_matrix(curve, arc_chord_floor=arc_chord_floor)
+        mat = s_operator_matrix(curve, arc_chord_floor=arc_chord_floor,
+                                geometry=geometry)
         system = np.eye(2 * n) - 2.0 * a_mu * mat
         if method == "direct":
             f = np.linalg.solve(system, b)

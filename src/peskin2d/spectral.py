@@ -318,11 +318,18 @@ class LinearSymbol:
         return cls(int(k), l_matrix(k), p_matrix(k), p_inverse(k), d_matrix(k))
 
 
-def _frame_tensor(ks, inverse):
-    """Stack of P(k) or P(k)^{-1} over a vector of modes, shape (K, 2, 2)."""
-    out = np.empty((len(ks), 2, 2), dtype=complex)
-    for i, k in enumerate(ks):
-        out[i] = p_inverse(k) if inverse else p_matrix(k)
+def _frame(coeffs, ks, sign):
+    """Rowwise P(k)^{-1} c_k (sign=+1) or P(k) y_k (sign=-1).
+
+    For k != 0 both are (1/sqrt2) [[a, 1], [1, a]] with a = sign*i*sgn k;
+    at k = 0 they swap the two components, scaled by sqrt2 or 1/sqrt2.
+    """
+    r = 1.0 / _SQRT2
+    a = (sign * r * 1j) * np.sign(ks)
+    c1, c2 = coeffs[:, 0], coeffs[:, 1]
+    out = np.stack([a * c1 + r * c2, r * c1 + a * c2], axis=1)
+    zero = ks == 0
+    out[zero] = (_SQRT2 if sign > 0 else r) * coeffs[zero, ::-1]
     return out
 
 
@@ -333,14 +340,12 @@ def to_Y(curve):
     maps conjugate-symmetric data to conjugate-symmetric data because
     P(-k) = conj(P(k))).
     """
-    ys = np.einsum("kij,kj->ki", _frame_tensor(curve.ks, True), curve.coeffs)
-    return curve.with_coeffs(hermitize(ys))
+    return curve.with_coeffs(hermitize(_frame(curve.coeffs, curve.ks, 1)))
 
 
 def from_Y(ycurve):
     """Inverse of to_Y: c_k = P(k) y_k."""
-    cs = np.einsum("kij,kj->ki", _frame_tensor(ycurve.ks, False), ycurve.coeffs)
-    return ycurve.with_coeffs(hermitize(cs))
+    return ycurve.with_coeffs(hermitize(_frame(ycurve.coeffs, ycurve.ks, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +436,6 @@ def radius_from_constraint(curve):
     return math.sqrt(r2) if r2 > 0.0 else float("nan")
 
 
-def _torus_dist(dth):
-    return np.abs(np.mod(dth + np.pi, 2.0 * np.pi) - np.pi)
-
-
 def _chord_ratio(curve, s, d):
     """|X(s + d/2) - X(s - d/2)| / d for arrays s, d (d in (0, pi])."""
     p = evaluate(curve, np.atleast_1d(s + 0.5 * d))
@@ -446,28 +447,32 @@ def _chord_ratio(curve, s, d):
 def arc_chord_constant(curve, refine=True):
     """inf over pairs of |X(t) - X(s)| / d(t, s), d = distance on the circle.
 
-    Sampled on a 4N x 4N pair grid (which contains the antipodal separation
-    d = pi exactly), then optionally polished with one guarded Newton step
-    in (midpoint, separation) coordinates.
+    Sampled on the pairs of a 4N-point grid, scanned by grid offset: node i
+    against node i + d for d = 1..2N, so every pair is seen at its exact
+    separation 2 pi d / 4N (the antipodal separation d = pi included).  The
+    minimum is then optionally polished with one guarded Newton step in
+    (midpoint, separation) coordinates.
     """
     n = 4 * curve.grid_size
+    half = n // 2
     th = theta_grid(n)
     pts = evaluate(curve, th)
-    diff = pts[:, None, :] - pts[None, :, :]
-    chord = np.sqrt(np.sum(diff**2, axis=2))
-    dth = _torus_dist(th[:, None] - th[None, :])
-    iu = np.triu_indices(n, k=1)
-    ratios = chord[iu] / dth[iu]
-    j = int(np.argmin(ratios))
-    best = float(ratios[j])
-    if not (best > 0.0) and not refine:
-        return best
+    # row i, column d-1 pairs node i with node i + d (wrapping around)
+    ext = np.concatenate([pts, pts[:half]])
+    ahead = np.lib.stride_tricks.sliding_window_view(ext, half, axis=0)[1:]
+    dx = ahead[:, 0, :] - pts[:, 0, None]
+    dy = ahead[:, 1, :] - pts[:, 1, None]
+    seps = 2.0 * np.pi * np.arange(1, half + 1) / n
+    ratios = np.sqrt(dx * dx + dy * dy) / seps
+    i0, j = np.unravel_index(int(np.argmin(ratios)), ratios.shape)
+    best = float(ratios[i0, j])
     if refine:
-        i0, j0 = iu[0][j], iu[1][j]
-        raw = th[i0] - th[j0]
-        d0 = float(_torus_dist(raw))
-        # midpoint consistent with the wrapped separation
-        s0 = float(th[j0] + 0.5 * (np.mod(raw + np.pi, 2 * np.pi) - np.pi))
+        # Newton start: separation and midpoint of the pair, measured from
+        # its higher-numbered node (for an antipodal pair this fixes which
+        # of its two midpoints the polish starts from)
+        lo, hi = sorted((i0, (i0 + j + 1) % n))
+        wrapped = float(np.mod(th[lo] - th[hi] + np.pi, 2.0 * np.pi) - np.pi)
+        d0, s0 = abs(wrapped), float(th[hi]) + 0.5 * wrapped
         h = (2.0 * np.pi / n) / 8.0
         s, d = s0, d0
         for _ in range(2):  # a couple of damped Newton steps suffice

@@ -73,6 +73,25 @@ def test_config_builds_conjugate_pair(tmp_path):
     assert stepper.dt == 1e-3
 
 
+@pytest.mark.parametrize("section, key, value, match", [
+    ("physics", "a_mu", 1.5, "physics: a_mu must lie in"),
+    ("discretization", "grid_size", 10, "grid_size >= 2\\*max_mode\\+1"),
+    ("stepping", "scheme", "rk4", "stepping: scheme must be"),
+    ("stepping", "dt", float("nan"), "stepping: dt and t_final"),
+])
+def test_bad_values_are_config_errors(tmp_path, capsys, section, key, value,
+                                      match):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg[section][key] = value
+    path = write_config(tmp_path, cfg)   # json writes NaN for float("nan")
+    with pytest.raises(cli.ConfigError, match=match):
+        cli.load_config(path)
+    code = cli.main(["simulate", "--config", path,
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 # -------------------------------------------------------------- subcommands
 
 
@@ -126,6 +145,8 @@ def test_kcurve_writes_table_and_flags_bound(tmp_path, capsys):
     # an upper bound for it; the command reports that honestly as a failure
     assert all(k < lb for _, k, lb in rows)
     assert code == 3
+    assert ("below its closed-form lower bound at 3 of 3 points, "
+            "a_mu in [-0.3, 0.3]") in capsys.readouterr().out
 
 
 def test_lemma_check_small(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import peskin2d as pk
 from peskin2d.evolution import _phi1, _phi2
@@ -35,6 +37,50 @@ def test_velocity_translation_invariance():
     u0 = pk.velocity_on_curve(c0, pk.solve_force(c0, p))
     u1 = pk.velocity_on_curve(c1, pk.solve_force(c1, p))
     assert np.max(np.abs(u0 - u1)) < 1e-12
+
+
+def dense_velocity_reference(curve, force):
+    """Velocity with the regularized Stokeslet assembled as (N, N, 2, 2)
+    blocks through einsum, as a reference."""
+    xs = pk.synthesize(curve)
+    ds = pk.synthesize(pk.apply_multiplier(curve, "derivative"))
+    n = xs.shape[0]
+    th = pk.theta_grid(n)
+    diff = xs[:, None, :] - xs[None, :, :]
+    chord2 = np.sum(diff**2, axis=2)
+    sinfac = 2.0 * np.abs(np.sin(0.5 * (th[:, None] - th[None, :])))
+    off = ~np.eye(n, dtype=bool)
+    logterm = np.zeros((n, n))
+    logterm[off] = -0.5 * np.log(chord2[off] / sinfac[off] ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        outer = (diff[..., :, None] * diff[..., None, :]) / chord2[..., None, None]
+    blocks = logterm[..., None, None] * np.eye(2) + outer
+    speed2 = np.sum(ds**2, axis=1)
+    idx = np.arange(n)
+    blocks[idx, idx] = (-0.5 * np.log(speed2))[:, None, None] * np.eye(2) + (
+        ds[:, :, None] * ds[:, None, :]) / speed2[:, None, None]
+    u_reg = np.einsum("teij,ej->ti", blocks, force.samples) / (2.0 * n)
+    return u_reg + pk.log_convolve(force, n)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([32, 48, 64, 96, 128]),
+       st.floats(1e-3, 0.2))
+def test_velocity_matches_dense_reference(seed, n, eps):
+    rng = np.random.default_rng(seed)
+    m = n // 4
+    c = pk.circle_curve(max_mode=m, grid_size=n).coeffs.copy()
+    for k in range(2, 6):
+        v = eps * (rng.normal(size=2) + 1j * rng.normal(size=2)) / k
+        c[m + k] += v
+        c[m - k] += np.conj(v)
+    curve = pk.FourierCurve(c, n)
+    fc = np.zeros((2 * m + 1, 2), complex)
+    fc[m - 6:m + 7] = rng.normal(size=(13, 2)) + 1j * rng.normal(size=(13, 2))
+    force = pk.ForceDensity.from_coeffs(hermitize(fc), n)
+    ref = dense_velocity_reference(curve, force)
+    u = pk.velocity_on_curve(curve, force)
+    assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_phi_functions_match_series_and_exact():
@@ -107,6 +153,52 @@ def test_run_conserves_area_and_radius():
     assert np.max(np.abs(rec.area - a0)) < 1e-8 * a0
     # radius column tracks the constraint radius of the full curve
     assert np.max(np.abs(rec.radius - rec.radius[0])) < 1e-6
+
+
+def test_run_ends_exactly_at_t_final():
+    """dt = 0.003 does not divide t_final = 0.01: three whole steps, then
+    one of length 0.001, recorded as the last row."""
+    p = pk.PhysicsParams.from_contrast(0.5, 1.0)
+    c = small_deviation_curve(1e-5)
+    cfg = pk.StepperConfig(dt=0.003, t_final=0.01, record_every=2)
+    rec = pk.run(c, p, cfg)
+    assert rec.t == pytest.approx([0.0, 0.006, 0.01], abs=1e-15)
+    assert rec.final_state.t == pytest.approx(0.01, abs=1e-15)
+    state = pk.SimulationState.make(0.0, c, p)
+    for _ in range(3):
+        state = pk.step(state, cfg)
+    state = pk.step(state, cfg, h=0.01 - 3 * 0.003)
+    assert np.array_equal(rec.final_state.curve.coeffs, state.curve.coeffs)
+
+
+def test_run_multiple_of_dt_takes_whole_steps_only():
+    p = pk.PhysicsParams.from_contrast(0.0, 1.0)
+    c = small_deviation_curve(1e-4)
+    cfg = pk.StepperConfig(dt=1e-2, t_final=0.1, record_every=3)
+    rec = pk.run(c, p, cfg)
+    assert rec.t == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1], abs=1e-15)
+    state = pk.SimulationState.make(0.0, c, p)
+    for _ in range(10):
+        state = pk.step(state, cfg)
+    assert np.array_equal(rec.final_state.curve.coeffs, state.curve.coeffs)
+
+
+def test_stepper_config_rejects_nan_and_unknown_method():
+    with pytest.raises(ValueError):
+        pk.StepperConfig(dt=float("nan"), t_final=1.0)
+    with pytest.raises(ValueError):
+        pk.StepperConfig(dt=1e-3, t_final=float("inf"))
+    with pytest.raises(ValueError):
+        pk.StepperConfig(dt=1e-3, t_final=1.0, force_method="gmres")
+
+
+def test_simulation_state_splits_circle_lazily():
+    c = small_deviation_curve(1e-3)
+    state = pk.SimulationState.make(0.0, c, pk.PhysicsParams.from_contrast(0.0, 1.0))
+    assert "_split" not in vars(state)
+    circle, dev = pk.circle_decompose(c)
+    assert state.circle == circle
+    assert np.array_equal(state.deviation.coeffs, dev.coeffs)
 
 
 def test_radius_sandwich():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import peskin2d as pk
 from peskin2d.spectral import hermitize
@@ -94,6 +96,48 @@ def test_s_operator_degenerate_curve():
     c = pk.FourierCurve(coeffs, 32)
     with pytest.raises(pk.CurveDegenerateError):
         pk.s_operator_matrix(c, arc_chord_floor=0.1)
+
+
+def dense_s_reference(curve):
+    """S assembled as (N, N, 2, 2) blocks through einsum, as a reference."""
+    xp = pk.apply_multiplier(curve, "derivative")
+    xs, ds = pk.synthesize(curve), pk.synthesize(xp)
+    dds = pk.synthesize(pk.apply_multiplier(xp, "derivative"))
+    perp = np.stack([-ds[:, 1], ds[:, 0]], axis=1)
+    n = xs.shape[0]
+    diff = xs[:, None, :] - xs[None, :, :]
+    chord = np.sqrt(np.sum(diff**2, axis=2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.einsum("tej,tj->te", diff, perp) / (np.pi * chord**4)
+        blocks = scale[..., None, None] * (diff[..., :, None] * diff[..., None, :])
+    speed2 = np.sum(ds**2, axis=1)
+    dscale = -np.einsum("tj,tj->t", dds, perp) / (2.0 * np.pi * speed2**2)
+    idx = np.arange(n)
+    blocks[idx, idx] = dscale[:, None, None] * (ds[:, :, None] * ds[:, None, :])
+    return (2.0 * np.pi / n) * blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([32, 48, 64, 96, 128]),
+       st.floats(1e-3, 0.2))
+def test_s_operator_matches_dense_reference(seed, n, eps):
+    c = perturbed_circle(eps, seed=seed, max_mode=n // 4, grid_size=n)
+    ref = dense_s_reference(c)
+    mat = pk.s_operator_matrix(c)
+    assert np.max(np.abs(mat - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_rhs_nonlinear_guards_figure_eight():
+    """The one guard covers a_mu = 0 too, where S is never assembled."""
+    m = 4
+    coeffs = np.zeros((2 * m + 1, 2), complex)
+    coeffs[m + 2] = (0.5, -0.5j)
+    coeffs[m - 2] = (0.5, 0.5j)
+    c = pk.FourierCurve(coeffs, 32)
+    for a_mu in (0.0, 0.5):
+        p = pk.PhysicsParams.from_contrast(a_mu, 1.0)
+        with pytest.raises(pk.CurveDegenerateError):
+            pk.rhs_nonlinear(c, p)
 
 
 # -------------------------------------------------------------- force solve

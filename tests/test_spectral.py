@@ -202,6 +202,26 @@ def test_to_Y_roundtrip_preserves_norm():
     assert np.allclose(mags_x[nz], mags_y[nz], atol=1e-13)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 24))
+def test_closed_form_frame_matches_per_mode_matrices(seed, m):
+    """to_Y / from_Y equal P(k)^{-1} c_k / P(k) y_k mode by mode, and
+    round-trip to round-off."""
+    from peskin2d.spectral import p_inverse, p_matrix
+
+    curve = random_curve(np.random.default_rng(seed), m=m, n=4 * m + 2, amp=1.0)
+    y = pk.to_Y(curve).coeffs
+    x = pk.from_Y(curve).coeffs
+    for row, k in enumerate(curve.ks):
+        assert np.allclose(y[row], p_inverse(k) @ curve.coeffs[row],
+                           rtol=0, atol=1e-15)
+        assert np.allclose(x[row], p_matrix(k) @ curve.coeffs[row],
+                           rtol=0, atol=1e-15)
+    back = pk.from_Y(pk.to_Y(curve)).coeffs
+    assert np.max(np.abs(back - curve.coeffs)) <= 1e-15 * np.max(
+        np.abs(curve.coeffs))
+
+
 def test_circle_decompose_recovers_parameters():
     cp = pk.CirclePart(1.0, 0.0, 0.3, -0.2)
     circle, dev = pk.circle_decompose(cp.as_curve(6, 24))
@@ -263,6 +283,30 @@ def test_arc_chord_unit_circle_frozen():
     val = pk.arc_chord_constant(pk.circle_curve(max_mode=4, grid_size=16))
     assert val == pytest.approx(0.636619772367581, abs=1e-12)
     assert val == pytest.approx(2 / np.pi, abs=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8),
+       st.floats(1e-3, 0.3))
+def test_arc_chord_grid_value_is_the_pair_minimum(seed, m, amp):
+    """The offset scan finds the brute-force minimum over all n x n pairs."""
+    rng = np.random.default_rng(seed)
+    c = pk.circle_curve(max_mode=m, grid_size=4 * m).coeffs.copy()
+    for k in range(2, m + 1):
+        v = amp * (rng.normal(size=2) + 1j * rng.normal(size=2)) / k**2
+        c[m + k] += v
+        c[m - k] += np.conj(v)
+    curve = pk.FourierCurve(c, 4 * m)
+    n = 4 * curve.grid_size
+    th = pk.theta_grid(n)
+    pts = pk.evaluate(curve, th)
+    chord = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    sep = np.abs(np.mod(th[:, None] - th[None, :] + np.pi, 2 * np.pi) - np.pi)
+    off = ~np.eye(n, dtype=bool)
+    brute = np.min(chord[off] / sep[off])
+    assert pk.arc_chord_constant(curve, refine=False) == pytest.approx(
+        brute, rel=1e-13)
+    assert pk.arc_chord_constant(curve) <= brute * (1 + 1e-13)
 
 
 def test_radius_from_constraint_deviation():
