@@ -176,7 +176,10 @@ def margin(x, a_mu, nu_m=0.0, a_e=None):
 
 
 def threshold_lower_bound(a_mu):
-    """Closed-form lower bound (1-a_mu)/(676 sqrt2 D5(0)) for k(a_mu)."""
+    """Closed form (1-a_mu)/(676 sqrt2 D5(0)): the root of the margin with D5
+    frozen at its x = 0 value 1.  Since D5 >= 1 increases with x, the margin
+    is not positive there, so this is an *upper* bound on k(a_mu); the name
+    is kept for its callers."""
     am = abs(float(a_mu))
     one = 1.0 - float(a_mu)
     inner = 112.0 * (1.0 + am / one) + 888.0 / one
@@ -191,11 +194,14 @@ def threshold_lower_bound(a_mu):
 def k_threshold(a_mu, tol=1e-15, max_iter=200):
     """Root of the margin: largest x with 1 - 676 sqrt2 D5(x) x/(1-a_mu) > 0.
 
-    Returns a dict with the root `k`, the closed-form `lower_bound`, and
-    the `residual` |margin(k)|.  The bracket is found by geometric scan;
-    points beyond the chain's domain count as "margin negative", which is
-    safe because the true margin is already negative before any chain
-    denominator vanishes (the chain blows up *through* the margin's root).
+    Returns a dict with the root `k`, the closed form under the key
+    `lower_bound` (an upper bound on k, see `threshold_lower_bound`), and
+    the `residual` |margin(k)|.  Bisection runs on [0, closed form], down to
+    a relative width `tol`: the margin is 1 at x = 0 and not positive at the
+    closed form (a RuntimeError is raised if it is).  Points beyond the
+    chain's domain count as "margin negative", which is safe because the
+    true margin is already negative before any chain denominator vanishes
+    (the chain blows up *through* the margin's root).
     """
     a_mu = float(a_mu)
 
@@ -205,22 +211,17 @@ def k_threshold(a_mu, tol=1e-15, max_iter=200):
         except OutOfRegimeError:
             return -float("inf")
 
-    lo = 0.0
-    hi = threshold_lower_bound(a_mu)  # margin still positive here (proved bound)
-    if f(hi) <= 0.0:  # paranoia: fall back to a tiny start
-        hi = 1e-8
-    while f(hi) > 0.0:
-        lo = hi
-        hi *= 1.3
-        if hi > 2.0:
-            raise RuntimeError("margin never became negative below x = 2")
+    lo, hi = 0.0, threshold_lower_bound(a_mu)
+    if f(hi) > 0.0:
+        raise RuntimeError("margin %.3e positive at the closed-form bound %.6e"
+                           % (f(hi), hi))
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:  # absolute width; roots live in (1e-5, 1e-2)
+        if hi - lo <= tol * hi:  # relative width: a few ulps of the root
             break
     root = 0.5 * (lo + hi)
     res = f(root)
@@ -238,9 +239,9 @@ class CertificateReport:
     script_C: float
     x0: float
     balance_pass: bool
-    balance_margin: float   # max over time of LHS/x0 - 1 (negative = slack)
+    balance_margin: float   # max over t > t0 of LHS/x0 - 1 (negative = slack)
     decay_pass: bool
-    decay_margin: float     # max over time of norm/(x0 e^{-rt}) - 1
+    decay_margin: float     # max over t > t0 of norm/(x0 e^{-rt}) - 1
     center_pass: bool       # advisory (uses the D5 stand-in constant)
     center_margin: float
     ok: bool
@@ -288,14 +289,19 @@ def energy_certificate(record, params, x0=None, nu_m=0.0, slack=0.01):
         [[0.0], np.cumsum(0.5 * (n21[1:] + n21[:-1]) * np.diff(t))]
     )
     lhs = n11 + rate * cumint
-    balance_margin = float(np.max(lhs) / x0 - 1.0) if x0 > 0 else 0.0
-    balance_pass = balance_margin <= slack
-
     bound = x0 * np.exp(-rate * (t - t[0]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(bound > 0, n11 / bound, 0.0)
-    decay_margin = float(np.max(ratios) - 1.0) if x0 > 0 else 0.0
-    decay_pass = decay_margin <= slack
+    if x0 > 0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(bound > 0, n11 / bound, 0.0)
+        balance_excess, decay_excess = lhs / x0 - 1.0, ratios - 1.0
+    else:
+        balance_excess = decay_excess = np.zeros_like(t)
+    # the margins report the rows after t0, where the t0 row (0 when x0 is
+    # the first norm) cannot hide the slack; the verdicts read every row
+    balance_margin = float(np.max(balance_excess[1:]))
+    balance_pass = float(np.max(balance_excess)) <= slack
+    decay_margin = float(np.max(decay_excess[1:]))
+    decay_pass = float(np.max(decay_excess)) <= slack
 
     cx = np.asarray(record.center_x, dtype=float)
     cy = np.asarray(record.center_y, dtype=float)

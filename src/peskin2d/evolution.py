@@ -38,12 +38,12 @@ from .kernels import log_convolve
 from .spectral import (
     CurveDegenerateError,
     FourierCurve,
+    _hermitian_curve,
     analyze,
     circle_decompose,
     fnorm,
     from_Y,
     geometry_diagnostics,
-    hermitize,
     to_Y,
 )
 
@@ -87,7 +87,7 @@ def _l_action(coeffs, ks):
     )
 
 
-def rhs_nonlinear(curve, params, force=None, force_method="direct",
+def rhs_nonlinear(curve, params, force=None, force_method="picard",
                   arc_chord_floor=1e-8):
     """The beyond-linear part of the dynamics, as a coefficient container.
 
@@ -105,7 +105,7 @@ def rhs_nonlinear(curve, params, force=None, force_method="direct",
     u = velocity_on_curve(curve, force, geometry=geometry)
     uhat = analyze(u, curve.max_mode).coeffs
     nhat = uhat + 0.5 * params.a_e * _l_action(curve.coeffs, curve.ks)
-    return curve.with_coeffs(hermitize(nhat))
+    return _hermitian_curve(nhat, curve.grid_size)
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ class StepperConfig:
     record_every: int = 1
     nu_max: float = 0.0
     arc_chord_floor: float = 0.05
-    force_method: str = "direct"
+    force_method: str = "picard"
     refine_diagnostics: bool = True
 
     def __post_init__(self):
@@ -207,10 +207,10 @@ def step(state, cfg, nonlinearity=None, h=None):
     ny = to_Y(nl(curve, params)).coeffs
     y1 = decay * y + h * phi1 * ny
     if cfg.scheme == "etdrk2":
-        mid = from_Y(curve.with_coeffs(hermitize(y1)))
+        mid = from_Y(_hermitian_curve(y1, curve.grid_size))
         ny_mid = to_Y(nl(mid, params)).coeffs
         y1 = y1 + h * _phi2(h * lam) * (ny_mid - ny)
-    new_curve = from_Y(curve.with_coeffs(hermitize(y1)))
+    new_curve = from_Y(_hermitian_curve(y1, curve.grid_size))
     return SimulationState.make(state.t + h, new_curve, params)
 
 

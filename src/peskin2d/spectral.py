@@ -139,6 +139,17 @@ class FourierCurve:
     __rmul__ = __mul__
 
 
+def _hermitian_curve(coeffs, grid_size):
+    """FourierCurve of hermitize(coeffs) on a grid already known to resolve
+    the band.  The output of hermitize is exactly conjugate-symmetric, so the
+    constructor's checks are skipped; user-facing construction keeps them.
+    """
+    curve = object.__new__(FourierCurve)
+    object.__setattr__(curve, "coeffs", hermitize(coeffs))
+    object.__setattr__(curve, "grid_size", int(grid_size))
+    return curve
+
+
 def _common_band(a, b):
     m = max(a.max_mode, b.max_mode)
     return a.pad_to(m), b.pad_to(m)
@@ -175,7 +186,7 @@ def analyze(samples, max_mode=None):
     fhat = np.fft.fft(s, axis=0) / n
     ks = np.arange(-m, m + 1)
     coeffs = fhat[np.mod(ks, n)] * _alternating(ks)[:, None]
-    return FourierCurve(hermitize(coeffs), n)
+    return _hermitian_curve(coeffs, n)
 
 
 def grid_transform(direction, data, *, max_mode=None, grid_size=None):
@@ -340,12 +351,13 @@ def to_Y(curve):
     maps conjugate-symmetric data to conjugate-symmetric data because
     P(-k) = conj(P(k))).
     """
-    return curve.with_coeffs(hermitize(_frame(curve.coeffs, curve.ks, 1)))
+    return _hermitian_curve(_frame(curve.coeffs, curve.ks, 1), curve.grid_size)
 
 
 def from_Y(ycurve):
     """Inverse of to_Y: c_k = P(k) y_k."""
-    return ycurve.with_coeffs(hermitize(_frame(ycurve.coeffs, ycurve.ks, -1)))
+    return _hermitian_curve(_frame(ycurve.coeffs, ycurve.ks, -1),
+                            ycurve.grid_size)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +415,7 @@ def circle_decompose(curve):
     yc[m + 1, 1] = 0.0
     if m >= 1:
         yc[m - 1, 1] = 0.0
-    deviation = from_Y(y.with_coeffs(yc))
+    deviation = from_Y(_hermitian_curve(yc, y.grid_size))
     return CirclePart(a, b, c, d), deviation
 
 

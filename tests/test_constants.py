@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -80,6 +81,22 @@ def test_threshold_frozen_values():
         assert out["k"] < out["lower_bound"]
 
 
+def test_threshold_brackets_below_the_closed_form(monkeypatch):
+    """The closed form is an upper bound on k: the margin is not positive
+    there, bisection stays inside [0, closed form], and a closed form with
+    a positive margin is an error, not a silent re-bracketing."""
+    for a_mu in np.linspace(-0.95, 0.95, 9):
+        out = pk.k_threshold(float(a_mu))
+        assert pk.margin(out["lower_bound"], float(a_mu)) <= 0.0
+        assert 0.0 < out["k"] < out["lower_bound"]
+        assert out["residual"] <= 1e-12
+    constants_module = sys.modules["peskin2d.constants"]
+    monkeypatch.setattr(constants_module, "threshold_lower_bound",
+                        lambda a_mu: 1e-9)
+    with pytest.raises(RuntimeError):
+        pk.k_threshold(0.0)
+
+
 def test_threshold_vanishes_toward_extreme_contrast():
     ks = [pk.k_threshold(a)["k"] for a in (0.0, 0.5, 0.9, 0.95)]
     assert all(ks[i] > ks[i + 1] for i in range(len(ks) - 1))
@@ -132,6 +149,25 @@ def test_certificate_rejects_growth():
     cert = pk.energy_certificate(rec, params, x0=x0)
     assert not cert.ok
     assert cert.decay_margin > 0.01
+
+
+def test_certificate_margins_skip_the_first_row():
+    """The margins report rows after t0, so true decay shows its slack; the
+    verdicts still read every row, t0 included."""
+    params = pk.PhysicsParams.from_contrast(0.0, 1.0)
+    x0 = 5e-4
+    t = np.linspace(0, 10, 101)
+    n11 = x0 * np.exp(-0.5 * pk.margin(x0, 0.0, 0.0, a_e=1.0) * t)
+    cert = pk.energy_certificate(_FakeRecord(t, n11, n11), params, x0=x0)
+    assert cert.ok
+    assert cert.balance_margin < 0.0 and cert.decay_margin < 0.0
+    # an x0 2% below the first norm: only the t0 row breaks the bounds
+    n11 = np.r_[1e-4, np.full(10, 0.5e-4)]
+    low = pk.energy_certificate(_FakeRecord(np.linspace(0, 1, 11), n11,
+                                            np.zeros(11)),
+                                params, x0=0.98e-4)
+    assert low.balance_margin < 0.0 and low.decay_margin < 0.0
+    assert not low.balance_pass and not low.decay_pass and not low.ok
 
 
 def test_certificate_lines_are_printable():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import peskin2d as pk
@@ -77,6 +77,29 @@ def test_s_operator_circle_eigenfunctions():
     st = pk.apply_S(c, ft)
     assert np.allclose(sr.samples, 0.5 * er, atol=1e-13)
     assert np.allclose(st.samples, -0.5 * et, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.2, 5.0), st.floats(-np.pi, np.pi), st.floats(-3.0, 3.0),
+       st.floats(-3.0, 3.0), st.sampled_from([16, 32, 64]),
+       st.integers(0, 2**32 - 1))
+def test_s_operator_on_circles_has_rank_four(radius, phase, cx, cy, n, seed):
+    """-1/2 on the constants and e_t, +1/2 on e_r, zero on the rest."""
+    c = pk.circle_curve(radius * np.cos(phase), radius * np.sin(phase), cx, cy,
+                        max_mode=n // 4, grid_size=n)
+    mat = pk.s_operator_matrix(c)
+    th = pk.theta_grid(n) + phase
+    er = np.stack([np.cos(th), np.sin(th)], axis=1).reshape(-1)
+    et = np.stack([-np.sin(th), np.cos(th)], axis=1).reshape(-1)
+    ex = np.tile([1.0, 0.0], n)
+    ey = np.tile([0.0, 1.0], n)
+    for field, value in ((ex, -0.5), (ey, -0.5), (et, -0.5), (er, 0.5)):
+        assert np.max(np.abs(mat @ field - value * field)) <= 1e-12
+    # the four fields are orthogonal on the grid, each with squared norm N
+    w = np.random.default_rng(seed).normal(size=2 * n)
+    for field in (ex, ey, et, er):
+        w -= (field @ w / n) * field
+    assert np.max(np.abs(mat @ w)) <= 1e-12 * np.max(np.abs(w))
 
 
 def test_s_operator_translation_invariance():
@@ -160,6 +183,60 @@ def test_solve_force_methods_agree():
     fd = pk.solve_force(c, p, method="direct")
     fp = pk.solve_force(c, p, method="picard", tol=1e-13)
     assert np.max(np.abs(fd.samples - fp.samples)) < 1e-10
+
+
+class _CountLU:
+    """Counts the dense factorizations behind np.linalg.solve."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self._solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", self)
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self._solve(*args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-0.95, 0.95),
+       st.floats(-6.0, 0.0), st.sampled_from([32, 64, 128]))
+def test_default_solve_matches_direct(seed, a_mu, log_eps, n):
+    p = pk.PhysicsParams.from_contrast(a_mu, 1.0)
+    c = perturbed_circle(10.0**log_eps, seed=seed, max_mode=n // 4,
+                         grid_size=n)
+    try:
+        fd = pk.solve_force(c, p, method="direct")
+    except pk.CurveDegenerateError:
+        reject()
+    f = pk.solve_force(c, p)
+    assert (np.max(np.abs(f.samples - fd.samples))
+            <= 1e-12 * np.max(np.abs(fd.samples)))
+
+
+@pytest.mark.parametrize("a_mu, eps, factorizations",
+                         [(-0.5, 1e-4, 0), (0.5, 1e-2, 0), (0.95, 0.8, 1)])
+def test_default_solve_falls_back_to_lu(monkeypatch, a_mu, eps, factorizations):
+    """Near a circle the iteration needs no factorization; at a_mu = 0.95
+    and a deviation of 0.8 it diverges and the dense LU takes over."""
+    p = pk.PhysicsParams.from_contrast(a_mu, 1.0)
+    c = perturbed_circle(eps)
+    fd = pk.solve_force(c, p, method="direct")
+    lu = _CountLU(monkeypatch)
+    f = pk.solve_force(c, p)
+    assert lu.calls == factorizations
+    assert (np.max(np.abs(f.samples - fd.samples))
+            <= 1e-12 * np.max(np.abs(fd.samples)))
+
+
+def test_run_with_direct_and_default_force_agree():
+    p = pk.PhysicsParams.from_contrast(-0.5, 1.0)
+    c = perturbed_circle(5e-5, max_mode=8, grid_size=32)  # below k(-0.5)
+    finals = []
+    for kwargs in ({"force_method": "direct"}, {}):
+        cfg = pk.StepperConfig(dt=1e-2, t_final=0.2, scheme="etdrk2", **kwargs)
+        finals.append(pk.run(c, p, cfg).final_state.curve.coeffs)
+    assert np.max(np.abs(finals[0] - finals[1])) <= 1e-12
 
 
 def test_solve_force_matched_viscosity_shortcut():

@@ -76,6 +76,21 @@ def test_conjugate_symmetry_enforced():
         pk.FourierCurve(c, 16)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_internal_curves_are_exactly_symmetric(seed, m):
+    """analyze, to_Y and from_Y build their curves without the symmetry
+    check; that is sound because their coefficients are exactly
+    conjugate-symmetric, which the checked constructor accepts."""
+    rng = np.random.default_rng(seed)
+    curve = random_curve(rng, m=m, n=4 * m + 3)
+    for out in (pk.analyze(rng.normal(size=(4 * m + 3, 2)), m), pk.to_Y(curve),
+                pk.from_Y(curve), pk.circle_decompose(curve)[1]):
+        assert np.array_equal(out.coeffs, np.conj(out.coeffs[::-1]))
+        again = pk.FourierCurve(out.coeffs, out.grid_size)
+        assert again.grid_size == out.grid_size == 4 * m + 3
+
+
 def test_evaluate_matches_grid():
     rng = np.random.default_rng(2)
     curve = random_curve(rng)
