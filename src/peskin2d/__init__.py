@@ -8,8 +8,6 @@ from .spectral import (
     CirclePart,
     CurveDegenerateError,
     FourierCurve,
-    LinearSymbol,
-    NormWeight,
     analyze,
     apply_multiplier,
     arc_chord_constant,
@@ -20,12 +18,10 @@ from .spectral import (
     fnorm,
     from_Y,
     geometry_diagnostics,
-    grid_transform,
     radius_from_constraint,
     synthesize,
     theta_grid,
     to_Y,
-    weighted_norm,
 )
 from .kernels import (
     SingularEvaluation,

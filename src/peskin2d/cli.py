@@ -48,7 +48,7 @@ _SCHEMA = {
     "discretization": {"max_mode", "grid_size"},
     "stepping": {
         "dt", "t_final", "scheme", "record_every", "nu_max",
-        "arc_chord_floor", "force_method",
+        "arc_chord_floor",
     },
 }
 
@@ -149,7 +149,6 @@ def load_config(path):
             record_every=int(st.get("record_every", 10)),
             nu_max=float(st.get("nu_max", 0.0)),
             arc_chord_floor=float(st.get("arc_chord_floor", 0.05)),
-            force_method=st.get("force_method", "picard"),
         )
     return params, curve, stepper
 

@@ -261,12 +261,28 @@ class CertificateReport:
         ]
 
 
+def balance_lhs(t, n11, n21, rate):
+    """Left side of the energy balance at every recorded row,
+
+        x(t) + rate int_{t0}^t ||X||_{F^{2,1}_nu} dtau,   rate = (a_e/4) script_C,
+
+    with the integral a trapezoid sum over the rows (t, n11 = F^{1,1} norm,
+    n21 = F^{2,1} norm).  A NaN rate (no certified margin) gives NaN rows.
+    """
+    t = np.asarray(t, dtype=float)
+    n21 = np.asarray(n21, dtype=float)
+    cumint = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (n21[1:] + n21[:-1]) * np.diff(t))]
+    )
+    return np.asarray(n11, dtype=float) + rate * cumint
+
+
 def energy_certificate(record, params, x0=None, nu_m=0.0, slack=0.01):
     """Check the balance inequality, the decay bound, and the center bound.
 
     `record` needs arrays t, norm_f11, norm_f21, center_x, center_y (a
     TrajectoryRecord works).  `x0` defaults to the first recorded norm.
-    The balance integral is a trapezoid sum over the recorded rows.
+    The balance left side is `balance_lhs` over the recorded rows.
     The center check is advisory: its constant borrows D5 in place of the
     (unexhibited) zero-mode analogue, so it does not affect `ok`.
     """
@@ -285,10 +301,7 @@ def energy_certificate(record, params, x0=None, nu_m=0.0, slack=0.01):
         )
     rate = 0.25 * a_e * sc
 
-    cumint = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (n21[1:] + n21[:-1]) * np.diff(t))]
-    )
-    lhs = n11 + rate * cumint
+    lhs = balance_lhs(t, n11, n21, rate)
     bound = x0 * np.exp(-rate * (t - t[0]))
     if x0 > 0:
         with np.errstate(divide="ignore", invalid="ignore"):

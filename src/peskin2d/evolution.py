@@ -87,8 +87,7 @@ def _l_action(coeffs, ks):
     )
 
 
-def rhs_nonlinear(curve, params, force=None, force_method="picard",
-                  arc_chord_floor=1e-8):
+def rhs_nonlinear(curve, params, force=None, arc_chord_floor=1e-8):
     """The beyond-linear part of the dynamics, as a coefficient container.
 
     nhat(k) = uhat(k) + (a_e/2) L(k) xhat(k)   (k != 0; L(0) = 0 covers k=0).
@@ -100,8 +99,7 @@ def rhs_nonlinear(curve, params, force=None, force_method="picard",
     """
     geometry = _pair_geometry(curve, arc_chord_floor)
     if force is None:
-        force = solve_force(curve, params, method=force_method,
-                            geometry=geometry)
+        force = solve_force(curve, params, geometry=geometry)
     u = velocity_on_curve(curve, force, geometry=geometry)
     uhat = analyze(u, curve.max_mode).coeffs
     nhat = uhat + 0.5 * params.a_e * _l_action(curve.coeffs, curve.ks)
@@ -141,16 +139,12 @@ class StepperConfig:
     record_every: int = 1
     nu_max: float = 0.0
     arc_chord_floor: float = 0.05
-    force_method: str = "picard"
-    refine_diagnostics: bool = True
 
     def __post_init__(self):
         if not (0 < self.dt < math.inf and 0 < self.t_final < math.inf):
             raise ValueError("dt and t_final must be positive and finite")
         if self.scheme not in ("exponential-euler", "etdrk2"):
             raise ValueError("scheme must be 'exponential-euler' or 'etdrk2'")
-        if self.force_method not in ("direct", "picard"):
-            raise ValueError("force_method must be 'direct' or 'picard'")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -194,8 +188,7 @@ def step(state, cfg, nonlinearity=None, h=None):
     integrate the stiff factor exactly for any h).
     """
     nl = nonlinearity if nonlinearity is not None else (
-        lambda c, p: rhs_nonlinear(c, p, force_method=cfg.force_method,
-                                   arc_chord_floor=cfg.arc_chord_floor)
+        lambda c, p: rhs_nonlinear(c, p, arc_chord_floor=cfg.arc_chord_floor)
     )
     curve, params = state.curve, state.params
     h = cfg.dt if h is None else h
@@ -259,7 +252,7 @@ def run(curve, params, cfg):
     A degenerate geometry (arc-chord collapse) stops the run early and is
     reported in `failure` rather than raised, so partial data stays usable.
     """
-    from .constants import OutOfRegimeError, k_threshold, margin
+    from .constants import OutOfRegimeError, balance_lhs, k_threshold, margin
 
     state = SimulationState.make(0.0, curve, params)
     x0 = fnorm(state.deviation, 1, 0.0)
@@ -283,26 +276,15 @@ def run(curve, params, cfg):
                       RuntimeWarning)
 
     rows = []
-    cum = 0.0  # running integral of the F^{2,1} norm over recorded rows
-    prev = None
 
     def record(st):
-        nonlocal cum, prev
         nu = cfg.nu_max * st.t / (1.0 + st.t)
-        n11 = fnorm(st.deviation, 1, nu)
-        n21 = fnorm(st.deviation, 2, nu)
-        diag = geometry_diagnostics(
-            st.curve,
-            arc_chord_floor=cfg.arc_chord_floor,
-            refine=cfg.refine_diagnostics,
-        )
-        if prev is not None:
-            cum += 0.5 * (prev[1] + n21) * (st.t - prev[0])
-        prev = (st.t, n21)
-        lhs = n11 + 0.25 * params.a_e * script_c * cum
+        diag = geometry_diagnostics(st.curve, arc_chord_floor=cfg.arc_chord_floor)
+        # energy_lhs (NaN here) is filled in from the whole columns below
         rows.append(
-            (st.t, n11, n21, st.circle.radius, diag["area"], diag["arc_chord"],
-             st.circle.c, st.circle.d, lhs, x0)
+            (st.t, fnorm(st.deviation, 1, nu), fnorm(st.deviation, 2, nu),
+             st.circle.radius, diag["area"], diag["arc_chord"],
+             st.circle.c, st.circle.d, math.nan, x0)
         )
 
     # whole steps, then one partial step if t_final is not a multiple of dt
@@ -329,6 +311,8 @@ def run(curve, params, cfg):
     else:  # degenerate before the first diagnostic: keep the record usable
         cols = np.zeros((len(names), 0))
     rec = TrajectoryRecord(**{n: cols[i] for i, n in enumerate(names)})
+    rec.energy_lhs = balance_lhs(rec.t, rec.norm_f11, rec.norm_f21,
+                                 0.25 * params.a_e * script_c)
     rec.x0 = x0
     rec.script_C = script_c
     rec.failure = failure

@@ -299,12 +299,7 @@ def solve_force(curve, params, method="picard", tol=1e-14, max_iter=500,
     if method not in ("direct", "picard"):
         raise ValueError("method must be 'direct' or 'picard'")
     a_mu, a_e = params.a_mu, params.a_e
-    if geometry is not None:
-        xpp = geometry.dds
-    else:
-        xpp = synthesize(
-            apply_multiplier(apply_multiplier(curve, "derivative"), "derivative")
-        )
+    xpp = geometry.dds if geometry is not None else elastic_force(curve).samples
     rhs = 2.0 * a_e * xpp
     n = rhs.shape[0]
     b = rhs.reshape(-1)

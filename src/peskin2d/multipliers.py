@@ -87,8 +87,21 @@ def _nodes_for(fmax):
     return n
 
 
-def _trapezoid_exact(values, n):
-    return float(np.sum(values)) * (2.0 * np.pi / n)
+def _product_quadrature(lead, bs, half_cos, nodes):
+    """Trapezoid integral of [cos(eta/2)] s_lead(eta) prod_b s_b(eta)/b over
+    [-pi, pi), with enough nodes to be exact for the integrand's bandwidth
+    (`half_cos` adds the cos(eta/2) factor, which raises it by 1/2)."""
+    fmax = 0.5 * (sum(abs(b) for b in bs) + abs(lead)) - 0.5 * len(bs) - 0.5
+    if half_cos:
+        fmax += 0.5
+    n = nodes or _nodes_for(int(math.ceil(fmax)))
+    eta = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    vals = _s_ratio(lead, eta)
+    if half_cos:
+        vals = np.cos(0.5 * eta) * vals
+    for b in bs:
+        vals = vals * (_s_ratio(b, eta) / b)
+    return float(np.sum(vals)) * (2.0 * np.pi / n)
 
 
 def integral_Sn_quadrature(ks, nodes=None):
@@ -104,13 +117,7 @@ def integral_Sn_quadrature(ks, nodes=None):
     bs = [ks[j] - ks[j + 1] for j in range(len(ks) - 1)]
     if sigma == 0 or any(b == 0 for b in bs):
         return 0.0
-    fmax = 0.5 * (sum(abs(b) for b in bs) + abs(sigma)) - 0.5 * len(bs) - 0.5
-    n = nodes or _nodes_for(int(math.ceil(fmax)))
-    eta = -np.pi + 2.0 * np.pi * np.arange(n) / n
-    vals = _s_ratio(sigma, eta)
-    for b in bs:
-        vals = vals * (_s_ratio(b, eta) / b)
-    return _trapezoid_exact(vals, n)
+    return _product_quadrature(sigma, bs, False, nodes)
 
 
 def _integral_doubleprime(k, ks, nodes=None):
@@ -122,13 +129,7 @@ def _integral_doubleprime(k, ks, nodes=None):
     if sig2 == 0:
         return 0.0
     bs = _diffs(k, ks)  # b_0 .. b_{2n-1}, all nonzero by caller's checks
-    fmax = 0.5 * (sum(abs(b) for b in bs) + abs(sig2)) - 0.5 * len(bs) - 0.5 + 0.5
-    n = nodes or _nodes_for(int(math.ceil(fmax)))
-    eta = -np.pi + 2.0 * np.pi * np.arange(n) / n
-    vals = np.cos(0.5 * eta) * _s_ratio(sig2, eta)
-    for b in bs:
-        vals = vals * (_s_ratio(b, eta) / b)
-    return _trapezoid_exact(vals, n)
+    return _product_quadrature(sig2, bs, True, nodes)
 
 
 def integral_In(k, ks, nodes=None):

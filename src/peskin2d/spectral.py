@@ -26,7 +26,7 @@ plus the second component of mode one.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,15 +189,6 @@ def analyze(samples, max_mode=None):
     return _hermitian_curve(coeffs, n)
 
 
-def grid_transform(direction, data, *, max_mode=None, grid_size=None):
-    """Dispatch helper: 'analyze' samples->curve, 'synthesize' curve->samples."""
-    if direction == "analyze":
-        return analyze(data, max_mode)
-    if direction == "synthesize":
-        return synthesize(data, grid_size)
-    raise ValueError("direction must be 'analyze' or 'synthesize'")
-
-
 def evaluate(curve, thetas):
     """Pointwise evaluation at arbitrary angles (not restricted to the grid)."""
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -235,45 +226,13 @@ def apply_multiplier(curve, symbol, cutoff=None):
     return curve.with_coeffs(curve.coeffs * fac[:, None])
 
 
-@dataclass(frozen=True)
-class NormWeight:
-    """Weight e^{nu |k|} |k|^s with nu = nu_max * t / (1+t)."""
-
-    s: float
-    nu_max: float = 0.0
-    t: float = 0.0
-
-    def __post_init__(self):
-        if self.nu_max < 0 or self.t < 0:
-            raise ValueError("nu_max and t must be nonnegative")
-
-    @property
-    def nu(self):
-        if math.isinf(self.t):
-            return self.nu_max
-        return self.nu_max * self.t / (1.0 + self.t)
-
-
-def weighted_norm(curve, w, homogeneous=True):
-    """l^1-type weighted norm: sum_k e^{nu|k|} |k|^s |c_k|.
+def fnorm(curve, s=1.0, nu=0.0, homogeneous=True):
+    """Wiener norm ||X||_{F^{s,1}_nu} = sum_k e^{nu|k|} |k|^s |c_k|.
 
     |c_k| is the Euclidean modulus of the coefficient pair.  Homogeneous
     norms skip k = 0; the inhomogeneous variant adds |c_0| with weight 1.
+    A run's time-dependent weight nu = nu_max t/(1+t) is passed as `nu`.
     """
-    ks = curve.ks
-    mags = np.sqrt(np.sum(np.abs(curve.coeffs) ** 2, axis=1))
-    absk = np.abs(ks).astype(float)
-    nz = ks != 0
-    total = float(
-        np.sum(np.exp(w.nu * absk[nz]) * absk[nz] ** w.s * mags[nz])
-    )
-    if not homogeneous:
-        total += float(mags[~nz][0]) if np.any(~nz) else 0.0
-    return total
-
-
-def fnorm(curve, s=1.0, nu=0.0, homogeneous=True):
-    """Shorthand for weighted_norm with an explicit (frozen) nu."""
     ks = curve.ks
     mags = np.sqrt(np.sum(np.abs(curve.coeffs) ** 2, axis=1))
     absk = np.abs(ks).astype(float)
@@ -285,7 +244,8 @@ def fnorm(curve, s=1.0, nu=0.0, homogeneous=True):
 
 
 # ---------------------------------------------------------------------------
-# Linear symbols and the diagonalizing frame
+# Linear symbols and the diagonalizing frame; the per-mode matrices are
+# the reference for the closed-form frame change in _frame
 
 
 def l_matrix(k):
@@ -312,21 +272,6 @@ def p_inverse(k):
 
 def d_matrix(k):
     return np.array([[abs(k) + 1.0, 0.0], [0.0, abs(k) - 1.0]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class LinearSymbol:
-    """The mode-k linear data: L = P D P^{-1} (k >= 1); L(0) = 0."""
-
-    k: int
-    L: np.ndarray = field(repr=False)
-    P: np.ndarray = field(repr=False)
-    P_inv: np.ndarray = field(repr=False)
-    D: np.ndarray = field(repr=False)
-
-    @classmethod
-    def for_mode(cls, k):
-        return cls(int(k), l_matrix(k), p_matrix(k), p_inverse(k), d_matrix(k))
 
 
 def _frame(coeffs, ks, sign):
@@ -461,9 +406,15 @@ def arc_chord_constant(curve, refine=True):
 
     Sampled on the pairs of a 4N-point grid, scanned by grid offset: node i
     against node i + d for d = 1..2N, so every pair is seen at its exact
-    separation 2 pi d / 4N (the antipodal separation d = pi included).  The
-    minimum is then optionally polished with one guarded Newton step in
-    (midpoint, separation) coordinates.
+    separation 2 pi d / 4N (the antipodal separation d = pi included).  With
+    `refine` the minimum is then polished by at most two guarded Newton
+    steps in (midpoint, separation) coordinates.
+
+    The result is a 4N-grid estimate, not a bound.  On a nearly
+    self-touching curve the true minimum can fall between grid pairs and
+    the estimate can read far above it: on one random M = 14 curve it gives
+    8.1e-3 where the same scan on an 8x finer grid finds 8.8e-4.  A
+    certified guard is ROADMAP item 4.
     """
     n = 4 * curve.grid_size
     half = n // 2
@@ -512,13 +463,13 @@ def arc_chord_constant(curve, refine=True):
     return best
 
 
-def geometry_diagnostics(curve, *, arc_chord_floor=0.0, refine=True):
+def geometry_diagnostics(curve, *, arc_chord_floor=0.0):
     """Area, arc-chord constant, and constraint radius in one dict.
 
     Raises CurveDegenerateError if the arc-chord constant is not positive
     or falls below `arc_chord_floor`.
     """
-    ac = arc_chord_constant(curve, refine=refine)
+    ac = arc_chord_constant(curve)
     if not (ac > 0.0) or ac < arc_chord_floor:
         raise CurveDegenerateError(
             "arc-chord constant %.3e below floor %.3e" % (ac, arc_chord_floor)

@@ -78,6 +78,8 @@ def test_config_builds_conjugate_pair(tmp_path):
     ("discretization", "grid_size", 10, "grid_size >= 2\\*max_mode\\+1"),
     ("stepping", "scheme", "rk4", "stepping: scheme must be"),
     ("stepping", "dt", float("nan"), "stepping: dt and t_final"),
+    ("stepping", "force_method", "direct",
+     "unknown config key 'stepping.force_method'"),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, key, value,
                                       match):

@@ -232,11 +232,21 @@ def test_default_solve_falls_back_to_lu(monkeypatch, a_mu, eps, factorizations):
 def test_run_with_direct_and_default_force_agree():
     p = pk.PhysicsParams.from_contrast(-0.5, 1.0)
     c = perturbed_circle(5e-5, max_mode=8, grid_size=32)  # below k(-0.5)
-    finals = []
-    for kwargs in ({"force_method": "direct"}, {}):
-        cfg = pk.StepperConfig(dt=1e-2, t_final=0.2, scheme="etdrk2", **kwargs)
-        finals.append(pk.run(c, p, cfg).final_state.curve.coeffs)
-    assert np.max(np.abs(finals[0] - finals[1])) <= 1e-12
+    cfg = pk.StepperConfig(dt=1e-2, t_final=0.2, scheme="etdrk2")
+    floor = cfg.arc_chord_floor
+
+    def direct(curve, params):
+        force = pk.solve_force(curve, params, method="direct",
+                               arc_chord_floor=floor)
+        return pk.rhs_nonlinear(curve, params, force=force,
+                                arc_chord_floor=floor)
+
+    state = pk.SimulationState.make(0.0, c, p)
+    for _ in range(20):
+        state = pk.step(state, cfg, nonlinearity=direct)
+    default = pk.run(c, p, cfg).final_state
+    assert state.t == pytest.approx(default.t, abs=1e-15)
+    assert np.max(np.abs(state.curve.coeffs - default.curve.coeffs)) <= 1e-12
 
 
 def test_solve_force_matched_viscosity_shortcut():

@@ -51,16 +51,6 @@ def test_roundtrip_property(seed, m):
     assert np.max(np.abs(back.coeffs - curve.coeffs)) < 1e-12
 
 
-def test_grid_transform_dispatch():
-    rng = np.random.default_rng(1)
-    curve = random_curve(rng)
-    xs = pk.grid_transform("synthesize", curve)
-    back = pk.grid_transform("analyze", xs, max_mode=curve.max_mode)
-    assert np.allclose(back.coeffs, curve.coeffs, atol=1e-14)
-    with pytest.raises(ValueError):
-        pk.grid_transform("sideways", curve)
-
-
 def test_aliasing_guard():
     c = np.zeros((17, 2), complex)  # M = 8
     with pytest.raises(pk.AliasingError):
@@ -135,18 +125,9 @@ def test_weighted_norm_simple():
     c[m + 2] = (0.5, 0.0)
     c[m - 2] = (0.5, 0.0)
     curve = pk.FourierCurve(c, 16)
-    w = pk.NormWeight(s=1.0)
     # two modes |k|=2, each |c| = 1/2: sum = 2 * 2 * 0.5 = 2
-    assert pk.weighted_norm(curve, w) == pytest.approx(2.0)
-    w2 = pk.NormWeight(s=2.0)
-    assert pk.weighted_norm(curve, w2) == pytest.approx(4.0)
-
-
-def test_norm_weight_nu_saturates():
-    w = pk.NormWeight(s=1.0, nu_max=0.2, t=math.inf)
-    assert w.nu == pytest.approx(0.2)
-    assert pk.NormWeight(s=1.0, nu_max=0.2, t=0.0).nu == 0.0
-    assert pk.NormWeight(s=1.0, nu_max=0.2, t=1.0).nu == pytest.approx(0.1)
+    assert pk.fnorm(curve, 1.0) == pytest.approx(2.0)
+    assert pk.fnorm(curve, 2.0) == pytest.approx(4.0)
 
 
 def test_exponential_weight():
@@ -174,9 +155,8 @@ def test_inhomogeneous_adds_mean():
 def test_norm_homogeneity(seed, scale):
     rng = np.random.default_rng(seed)
     curve = random_curve(rng)
-    w = pk.NormWeight(s=1.0)
-    assert pk.weighted_norm(scale * curve, w) == pytest.approx(
-        scale * pk.weighted_norm(curve, w), rel=1e-12
+    assert pk.fnorm(scale * curve, 1.0) == pytest.approx(
+        scale * pk.fnorm(curve, 1.0), rel=1e-12
     )
 
 
@@ -186,14 +166,12 @@ def test_norm_homogeneity(seed, scale):
 def test_p_unitary_and_diagonalizes():
     from peskin2d.spectral import d_matrix, l_matrix, p_inverse, p_matrix
 
-    for k in (-5, -1, 1, 2, 7):
+    for k in (-5, -1, 1, 2, 3, 7):
         P = p_matrix(k)
         Pi = p_inverse(k)
         assert np.allclose(P @ Pi, np.eye(2), atol=1e-15)
         assert np.allclose(P @ np.conj(P.T), np.eye(2), atol=1e-15)  # unitary
         assert np.allclose(P @ d_matrix(k) @ Pi, l_matrix(k), atol=1e-14)
-    sym = pk.LinearSymbol.for_mode(3)
-    assert np.allclose(sym.P @ sym.D @ sym.P_inv, sym.L, atol=1e-14)
 
 
 def test_l_annihilates_circle_direction():
