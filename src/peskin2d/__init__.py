@@ -34,7 +34,6 @@ from .force import (
     ForceDensity,
     PhysicsParams,
     SolverError,
-    apply_S,
     elastic_force,
     force_split_residual,
     force_zero_linear,
@@ -54,10 +53,8 @@ from .evolution import (
     write_final_state,
 )
 from .constants import (
-    CertificateReport,
-    ConstantsReport,
     OutOfRegimeError,
-    constants,
+    constants_chain,
     energy_certificate,
     k_threshold,
     margin,
@@ -68,7 +65,30 @@ from .multipliers import (
     integral_S1_closed,
     integral_Sn_exact,
     integral_Sn_quadrature,
-    m_multiplier,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # spectral
+    "AliasingError", "CirclePart", "CurveDegenerateError", "FourierCurve",
+    "analyze", "apply_multiplier", "arc_chord_constant", "circle_curve",
+    "circle_decompose", "enclosed_area", "evaluate", "fnorm", "from_Y",
+    "geometry_diagnostics", "radius_from_constraint", "synthesize",
+    "theta_grid", "to_Y",
+    # kernels
+    "SingularEvaluation", "eval_velocity_field", "log_convolve", "stokeslet",
+    "stress_kernel",
+    # force
+    "ForceDensity", "PhysicsParams", "SolverError", "elastic_force",
+    "force_split_residual", "force_zero_linear", "s_operator_matrix",
+    "solve_force",
+    # evolution
+    "CSV_HEADER", "SimulationState", "StepperConfig", "TrajectoryRecord",
+    "read_final_state", "rhs_nonlinear", "run", "step", "velocity_on_curve",
+    "write_final_state",
+    # constants
+    "OutOfRegimeError", "constants_chain", "energy_certificate",
+    "k_threshold", "margin", "threshold_lower_bound",
+    # multipliers
+    "integral_In", "integral_S1_closed", "integral_Sn_exact",
+    "integral_Sn_quadrature",
+]

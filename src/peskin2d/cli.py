@@ -20,11 +20,9 @@ import sys
 
 import numpy as np
 
-# note: the package root rebinds the name `constants` to the chain
-# evaluator function, shadowing the submodule; import its symbols directly
 from .constants import (
     OutOfRegimeError,
-    constants as constants_chain,
+    constants_chain,
     energy_certificate,
     k_threshold,
 )
@@ -32,10 +30,37 @@ from . import evolution, force, multipliers, spectral
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse default exits 2; we reserve that
-        self.print_usage(sys.stderr)
-        sys.stderr.write("error: %s\n" % message)
+    def error(self, message):  # one line, exit 1 (argparse exits 2)
+        sys.stderr.write("%s: error: %s\n" % (self.prog, message))
         raise SystemExit(1)
+
+
+def _checked(convert, test, requirement):
+    """An argparse `type=` that converts a value with `convert` and rejects
+    it unless `test(value)` holds, naming the `requirement` in the message.
+    argparse reports a ValueError from `convert` under its name."""
+    def parse(text):
+        value = convert(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(
+                "%s must be %s" % (text, requirement))
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def comma_separated_ints(text):
+    return [int(v) for v in text.split(",")]
+
+
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_positive = _checked(float, lambda v: 0.0 < v < math.inf,
+                     "positive and finite")
+_nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf,
+                        "nonnegative and finite")
+_contrast = _checked(float, lambda v: -1.0 < v < 1.0, "in (-1, 1)")
+_modes = _checked(comma_separated_ints, lambda ks: min(ks) >= 1,
+                  "integers >= 1")
 
 
 class ConfigError(ValueError):
@@ -260,7 +285,7 @@ def cmd_constants(args):
 
 def cmd_verify_linear(args):
     params = force.PhysicsParams.from_contrast(args.a_mu, args.a_e)
-    modes = [int(v) for v in args.modes.split(",")]
+    modes = args.modes
     m = max(modes) + 6
     n = 4 * m
     eps = args.eps
@@ -275,7 +300,7 @@ def cmd_verify_linear(args):
         u = evolution.velocity_on_curve(curve, f)
         dy = spectral.to_Y(spectral.analyze(u, m)).coeffs[k + m]
         y = spectral.to_Y(curve).coeffs[k + m]
-        pred = -0.5 * params.a_e * np.array([k + 1.0, k - 1.0]) * y
+        pred = evolution._rates(curve.ks, params.a_e)[k + m] * y
         rel = np.linalg.norm(dy - pred) / np.linalg.norm(pred)
         worst = max(worst, rel)
         print("mode %3d: measured vs linear rate, rel err %.3e" % (k, rel))
@@ -298,34 +323,34 @@ def build_parser():
 
     s = sub.add_parser("kcurve", help="tabulate the threshold k(a_mu)")
     s.add_argument("--out", required=True)
-    s.add_argument("--points", type=int, default=50)
-    s.add_argument("--amin", type=float, default=-0.95)
-    s.add_argument("--amax", type=float, default=0.95)
+    s.add_argument("--points", type=_positive_int, default=50)
+    s.add_argument("--amin", type=_contrast, default=-0.95)
+    s.add_argument("--amax", type=_contrast, default=0.95)
     s.set_defaults(func=cmd_kcurve)
 
     s = sub.add_parser("lemma-check", help="random multiplier-integral audit")
     s.add_argument("--out", required=True)
-    s.add_argument("--count", type=int, default=1000)
-    s.add_argument("--nmax", type=int, default=3)
-    s.add_argument("--kmax", type=int, default=20)
+    s.add_argument("--count", type=_positive_int, default=1000)
+    s.add_argument("--nmax", type=_positive_int, default=3)
+    s.add_argument("--kmax", type=_positive_int, default=20)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_lemma_check)
 
     s = sub.add_parser("constants", help="evaluate the constants chain")
-    s.add_argument("--x", type=float, required=True,
+    s.add_argument("--x", type=_nonnegative, required=True,
                    help="deviation norm ||X||_{F^{1,1}_nu}")
-    s.add_argument("--a-mu", type=float, default=0.0, dest="a_mu")
-    s.add_argument("--nu-m", type=float, default=0.0, dest="nu_m")
-    s.add_argument("--a-e", type=float, default=None, dest="a_e")
+    s.add_argument("--a-mu", type=_contrast, default=0.0, dest="a_mu")
+    s.add_argument("--nu-m", type=_nonnegative, default=0.0, dest="nu_m")
+    s.add_argument("--a-e", type=_positive, default=None, dest="a_e")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_constants)
 
     s = sub.add_parser("verify-linear", help="check linearized decay rates")
-    s.add_argument("--a-mu", type=float, default=0.0, dest="a_mu")
-    s.add_argument("--a-e", type=float, default=1.0, dest="a_e")
-    s.add_argument("--modes", default="2,3,5,10")
-    s.add_argument("--eps", type=float, default=1e-5)
-    s.add_argument("--tol", type=float, default=1e-3)
+    s.add_argument("--a-mu", type=_contrast, default=0.0, dest="a_mu")
+    s.add_argument("--a-e", type=_positive, default=1.0, dest="a_e")
+    s.add_argument("--modes", type=_modes, default="2,3,5,10")
+    s.add_argument("--eps", type=_positive, default=1e-5)
+    s.add_argument("--tol", type=_positive, default=1e-3)
     s.set_defaults(func=cmd_verify_linear)
 
     return p
@@ -342,7 +367,7 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except spectral.CurveDegenerateError as exc:

@@ -55,7 +55,7 @@ class ConstantsReport:
         return out
 
 
-def constants(x, a_mu=0.0, nu_m=0.0, a_e=None):
+def constants_chain(x, a_mu=0.0, nu_m=0.0, a_e=None):
     """Evaluate C1..C17, D1..D5 and the margin at deviation norm x.
 
     Raises OutOfRegimeError (naming the first failing constant) when x is
@@ -172,14 +172,15 @@ def constants(x, a_mu=0.0, nu_m=0.0, a_e=None):
 
 def margin(x, a_mu, nu_m=0.0, a_e=None):
     """1 - 4 nu_m/a_e - 676 sqrt2 D5(x) x/(1-a_mu); the certificate needs > 0."""
-    return constants(x, a_mu, nu_m, a_e).script_C
+    return constants_chain(x, a_mu, nu_m, a_e).script_C
 
 
 def threshold_lower_bound(a_mu):
     """Closed form (1-a_mu)/(676 sqrt2 D5(0)): the root of the margin with D5
-    frozen at its x = 0 value 1.  Since D5 >= 1 increases with x, the margin
-    is not positive there, so this is an *upper* bound on k(a_mu); the name
-    is kept for its callers."""
+    frozen at its x = 0 value D5(0).  That value is 1 only at a_mu = 0 (it
+    is 15.9 at a_mu = -0.5, 14.3 at 0.5 and 308 at -0.95).  Since D5
+    increases with x, the margin is not positive at the closed form, so this
+    is an *upper* bound on k(a_mu); the name is kept for its callers."""
     am = abs(float(a_mu))
     one = 1.0 - float(a_mu)
     inner = 112.0 * (1.0 + am / one) + 888.0 / one
@@ -293,7 +294,7 @@ def energy_certificate(record, params, x0=None, nu_m=0.0, slack=0.01):
         raise ValueError("need at least two recorded rows")
     x0 = float(n11[0]) if x0 is None else float(x0)
     a_e = params.a_e
-    rep = constants(x0, params.a_mu, nu_m, a_e)
+    rep = constants_chain(x0, params.a_mu, nu_m, a_e)
     sc = rep.script_C
     if sc is None or sc <= 0:
         raise OutOfRegimeError(

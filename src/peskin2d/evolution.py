@@ -33,7 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .force import _grid_tables, _pair_geometry, solve_force
+from .constants import OutOfRegimeError, balance_lhs, k_threshold, margin
+from .force import PhysicsParams, _grid_tables, _pair_geometry, solve_force
 from .kernels import log_convolve
 from .spectral import (
     CurveDegenerateError,
@@ -54,7 +55,8 @@ CSV_HEADER = (
 
 
 def velocity_on_curve(curve, force, arc_chord_floor=1e-8, geometry=None):
-    """Fluid velocity on the interface itself, (N, 2) samples.
+    """Fluid velocity on the interface driven by the ForceDensity `force`,
+    as (N, 2) samples.
 
     Trapezoid on the regularized Stokeslet plus the exact log convolution.
     `geometry` is the curve's `_pair_geometry` when the caller already has
@@ -62,7 +64,7 @@ def velocity_on_curve(curve, force, arc_chord_floor=1e-8, geometry=None):
     """
     g = geometry if geometry is not None else _pair_geometry(curve, arc_chord_floor)
     n = g.n
-    fs = force.samples if hasattr(force, "samples") else np.asarray(force)
+    fs = force.samples
     speed2 = np.sum(g.ds**2, axis=1)
     # -log(|dX| / 2|sin(dtheta/2)|) I, diagonal limit -log|X'| I
     logterm = -0.5 * np.log(g.chord2 / _grid_tables(n)[1])
@@ -74,7 +76,7 @@ def velocity_on_curve(curve, force, arc_chord_floor=1e-8, geometry=None):
     outer = np.stack([np.einsum("te,te->t", g.dx, q),
                       np.einsum("te,te->t", g.dy, q)], axis=1)
     u_reg = (logterm @ fs + outer + qd[:, None] * g.ds) / (2.0 * n)
-    return u_reg + log_convolve(force, n)
+    return u_reg + log_convolve(force)
 
 
 def _l_action(coeffs, ks):
@@ -252,8 +254,6 @@ def run(curve, params, cfg):
     A degenerate geometry (arc-chord collapse) stops the run early and is
     reported in `failure` rather than raised, so partial data stays usable.
     """
-    from .constants import OutOfRegimeError, balance_lhs, k_threshold, margin
-
     state = SimulationState.make(0.0, curve, params)
     x0 = fnorm(state.deviation, 1, 0.0)
     script_c = float("nan")
@@ -340,8 +340,6 @@ def write_final_state(path, state):
 
 def read_final_state(path):
     """Inverse of write_final_state; returns (t, params, curve)."""
-    from .force import PhysicsParams
-
     scalars = {}
     rows = []
     with open(path) as fh:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .spectral import (
     CurveDegenerateError,
+    FourierCurve,
     analyze,
     apply_multiplier,
     circle_decompose,
@@ -106,8 +107,6 @@ class ForceDensity:
 
     @classmethod
     def from_coeffs(cls, coeffs, grid_size):
-        from .spectral import FourierCurve
-
         fc = FourierCurve(np.asarray(coeffs, dtype=complex), grid_size)
         return cls(synthesize(fc), fc.coeffs)
 
@@ -215,19 +214,6 @@ def s_operator_matrix(curve, *, arc_chord_floor=1e-8, geometry=None):
     idx = np.arange(n)
     mat[idx, :, idx, :] = wd[:, None, None] * (g.ds[:, :, None] * g.ds[:, None, :])
     return mat.reshape(2 * n, 2 * n)
-
-
-def apply_S(curve, force, *, arc_chord_floor=1e-8):
-    """Evaluate S(F, X) on the grid, returning a ForceDensity."""
-    mat = s_operator_matrix(curve, arc_chord_floor=arc_chord_floor)
-    fs = force.samples if hasattr(force, "samples") else np.asarray(force)
-    out = (mat @ fs.reshape(-1)).reshape(-1, 2)
-    return ForceDensity.from_samples(out, _band_of(curve, force))
-
-
-def _band_of(curve, force):
-    m = getattr(force, "max_mode", None)
-    return curve.max_mode if m is None else max(curve.max_mode, m)
 
 
 def _circle_preconditioner(curve, n, a_mu):

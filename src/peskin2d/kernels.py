@@ -56,35 +56,24 @@ def stress_kernel(x):
     return -(1.0 / np.pi) * triple / (r**4)[..., None, None, None]
 
 
-def _coeffs_and_grid(f, grid_size):
-    """Accept a FourierCurve-like object or a raw (2M+1, 2) array."""
-    if hasattr(f, "coeffs") and hasattr(f, "grid_size"):
-        return np.asarray(f.coeffs, dtype=complex), int(f.grid_size)
-    arr = np.asarray(f, dtype=complex)
-    if grid_size is None:
-        raise ValueError("grid_size required when passing raw coefficients")
-    return arr, int(grid_size)
-
-
-def log_convolve(f, grid_size=None):
+def log_convolve(f):
     """Convolve with K(z) = -(1/4pi) log(2 |sin(z/2)|); returns grid samples.
 
+    `f` is a FourierCurve or a ForceDensity; the result lives on its grid.
     Acts mode-by-mode as multiplication by 1/(4|k|) (k != 0); the mean is
-    sent to zero.  Input may be a FourierCurve/ForceDensity or raw
-    coefficients plus an explicit grid size.
+    sent to zero.
     """
-    coeffs, n = _coeffs_and_grid(f, grid_size)
-    m = (coeffs.shape[0] - 1) // 2
+    m = f.max_mode
     ks = np.arange(-m, m + 1)
     fac = np.zeros(len(ks))
     nz = ks != 0
     fac[nz] = 1.0 / (4.0 * np.abs(ks[nz]))
-    out = FourierCurve(coeffs * fac[:, None], max(n, 2 * m + 1))
-    return synthesize(out, n)
+    return synthesize(FourierCurve(f.coeffs * fac[:, None], f.grid_size))
 
 
 def eval_velocity_field(points, curve, force, clearance=0.1):
-    """Velocity at off-interface points: u(x) = int G(x - X(eta)) F(eta) deta.
+    """Velocity at off-interface points: u(x) = int G(x - X(eta)) F(eta) deta,
+    for the ForceDensity F on `curve`'s grid.
 
     Plain trapezoid quadrature on the force grid; accurate away from the
     interface, and it warns (but still evaluates) whenever a target point
@@ -93,7 +82,7 @@ def eval_velocity_field(points, curve, force, clearance=0.1):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     xs = synthesize(curve)
-    fs = force.samples if hasattr(force, "samples") else np.asarray(force)
+    fs = force.samples
     if fs.shape[0] != xs.shape[0]:
         raise ValueError("force samples and curve grid disagree")
     n = xs.shape[0]

@@ -104,20 +104,28 @@ def _product_quadrature(lead, bs, half_cos, nodes):
     return float(np.sum(vals)) * (2.0 * np.pi / n)
 
 
-def integral_Sn_quadrature(ks, nodes=None):
-    """I'_n by bandwidth-exact trapezoid quadrature.
-
-    ks : the 2n frequencies (k_1 .. k_{2n}).  Returns a float (the
-    integrand is even, hence the integral real).
-    """
+def _sigma_and_diffs(ks):
+    """(sigma, [b_1 .. b_{2n-1}]) for the frequencies k_1 .. k_{2n}, with
+    sigma = k_1 + k_{2n} and b_j = k_j - k_{j+1}; None when I'_n vanishes
+    because sigma or some b_j is zero."""
     ks = [int(v) for v in ks]
     if len(ks) % 2 != 0 or not ks:
         raise ValueError("need an even, positive number of frequencies")
     sigma = ks[0] + ks[-1]
     bs = [ks[j] - ks[j + 1] for j in range(len(ks) - 1)]
     if sigma == 0 or any(b == 0 for b in bs):
-        return 0.0
-    return _product_quadrature(sigma, bs, False, nodes)
+        return None
+    return sigma, bs
+
+
+def integral_Sn_quadrature(ks, nodes=None):
+    """I'_n by bandwidth-exact trapezoid quadrature.
+
+    ks : the 2n frequencies (k_1 .. k_{2n}).  Returns a float (the
+    integrand is even, hence the integral real).
+    """
+    parsed = _sigma_and_diffs(ks)
+    return 0.0 if parsed is None else _product_quadrature(*parsed, False, nodes)
 
 
 def _integral_doubleprime(k, ks, nodes=None):
@@ -157,13 +165,10 @@ def integral_Sn_exact(ks):
     with B_j = |b_j|, B_sigma = |sigma|, S = sum B_j + B_sigma; then
     I'_n = 2 pi sgn(sigma) T / prod B_j  (product over the b_j only).
     """
-    ks = [int(v) for v in ks]
-    if len(ks) % 2 != 0 or not ks:
-        raise ValueError("need an even, positive number of frequencies")
-    sigma = ks[0] + ks[-1]
-    bs = [ks[j] - ks[j + 1] for j in range(len(ks) - 1)]
-    if sigma == 0 or any(b == 0 for b in bs):
+    parsed = _sigma_and_diffs(ks)
+    if parsed is None:
         return 0.0
+    sigma, bs = parsed
     caps = [abs(b) for b in bs] + [abs(sigma)]
     # Each factor sin(B phi)/sin(phi) = sum over exponents B-1-2m, m=0..B-1;
     # the product's constant Fourier mode needs sum(B_j - 1 - 2 m_j) = 0.

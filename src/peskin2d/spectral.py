@@ -244,34 +244,7 @@ def fnorm(curve, s=1.0, nu=0.0, homogeneous=True):
 
 
 # ---------------------------------------------------------------------------
-# Linear symbols and the diagonalizing frame; the per-mode matrices are
-# the reference for the closed-form frame change in _frame
-
-
-def l_matrix(k):
-    """L(k) = [[|k|, -i sgn k], [i sgn k, |k|]]; L(0) = 0."""
-    s = np.sign(k)
-    a = abs(k)
-    return np.array([[a, -1j * s], [1j * s, a]], dtype=complex)
-
-
-def p_matrix(k):
-    if k == 0:
-        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / _SQRT2
-    s = np.sign(k)
-    return np.array([[-1j * s, 1.0], [1.0, -1j * s]], dtype=complex) / _SQRT2
-
-
-def p_inverse(k):
-    if k == 0:
-        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) * _SQRT2
-    # unitary for k != 0, so the inverse is the conjugate transpose;
-    # P is symmetric, hence P^{-1} = conj(P).
-    return np.conj(p_matrix(k))
-
-
-def d_matrix(k):
-    return np.array([[abs(k) + 1.0, 0.0], [0.0, abs(k) - 1.0]], dtype=complex)
+# The diagonalizing frame
 
 
 def _frame(coeffs, ks, sign):
@@ -414,7 +387,8 @@ def arc_chord_constant(curve, refine=True):
     self-touching curve the true minimum can fall between grid pairs and
     the estimate can read far above it: on one random M = 14 curve it gives
     8.1e-3 where the same scan on an 8x finer grid finds 8.8e-4.  A
-    certified guard is ROADMAP item 4.
+    certified guard, the bound 2R/pi - ||Z||_{F^{1,1}} for the curve written
+    as a circle of radius R plus a deviation Z, is not implemented yet.
     """
     n = 4 * curve.grid_size
     half = n // 2
@@ -464,7 +438,7 @@ def arc_chord_constant(curve, refine=True):
 
 
 def geometry_diagnostics(curve, *, arc_chord_floor=0.0):
-    """Area, arc-chord constant, and constraint radius in one dict.
+    """Enclosed area and arc-chord constant, as {"area", "arc_chord"}.
 
     Raises CurveDegenerateError if the arc-chord constant is not positive
     or falls below `arc_chord_floor`.
@@ -474,8 +448,4 @@ def geometry_diagnostics(curve, *, arc_chord_floor=0.0):
         raise CurveDegenerateError(
             "arc-chord constant %.3e below floor %.3e" % (ac, arc_chord_floor)
         )
-    return {
-        "area": enclosed_area(curve),
-        "arc_chord": ac,
-        "radius_from_constraint": radius_from_constraint(curve),
-    }
+    return {"area": enclosed_area(curve), "arc_chord": ac}

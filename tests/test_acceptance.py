@@ -191,20 +191,20 @@ def test_criterion_08_threshold_curve():
 
 
 def test_criterion_09_constants_chain():
-    rep0 = pk.constants(0.0, 0.0, 0.0)
+    rep0 = pk.constants_chain(0.0, 0.0, 0.0)
     dev = max(max(abs(v - 1.0) for v in rep0.C.values()),
               max(abs(v - 1.0) for v in rep0.D.values()))
     x = 1e-4
     x_hi = 0.0
     while x < 1.0:
         try:
-            pk.constants(x, 0.0, 0.0)
+            pk.constants_chain(x, 0.0, 0.0)
             x_hi = x
         except pk.OutOfRegimeError:
             break
         x *= 1.05
     xs = np.linspace(0.0, 0.95 * x_hi, 100)
-    reps = [pk.constants(float(v), 0.0, 0.0) for v in xs]
+    reps = [pk.constants_chain(float(v), 0.0, 0.0) for v in xs]
     worst_drop = 0.0
     for i in range(1, 18):
         vals = np.array([r.C[i] for r in reps])

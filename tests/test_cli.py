@@ -129,10 +129,29 @@ def test_missing_config_exits_1(tmp_path, capsys):
     assert code == 1
 
 
-def test_usage_error_exits_1(capsys):
-    assert cli.main(["simulate"]) == 1          # missing required args
-    assert cli.main(["not-a-command"]) == 1
-    capsys.readouterr()
+@pytest.mark.parametrize("argv", [
+    ["simulate"],                                # missing required args
+    ["not-a-command"],
+    ["kcurve", "--out", "{tmp}", "--points", "0"],
+    ["kcurve", "--out", "{tmp}", "--amin", "-1.5"],
+    ["verify-linear", "--a-mu", "2"],
+    ["verify-linear", "--a-e", "-1"],
+    ["verify-linear", "--modes", "abc"],
+    ["verify-linear", "--modes", "0"],
+    ["verify-linear", "--modes", "-2"],
+    ["constants", "--x", "-1"],
+    ["constants", "--x", "0.1", "--a-mu", "1.5"],
+    ["lemma-check", "--out", "{tmp}", "--nmax", "0"],
+    ["lemma-check", "--out", "{tmp}", "--kmax", "0"],
+    ["lemma-check", "--out", "{tmp}", "--count", "-1"],
+    ["simulate", "--config", "{tmp}", "--out", "{tmp}"],   # a directory
+])
+def test_usage_error_exits_1(tmp_path, capsys, argv):
+    code = cli.main([a.format(tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_kcurve_writes_table_and_flags_bound(tmp_path, capsys):

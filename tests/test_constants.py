@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import peskin2d as pk
 
 
 def test_chain_is_unity_at_origin():
-    rep = pk.constants(0.0, 0.0, 0.0)
+    rep = pk.constants_chain(0.0, 0.0, 0.0)
     for i in range(1, 18):
         assert rep.C[i] == pytest.approx(1.0, abs=1e-12), f"C{i}"
     for i in range(1, 6):
@@ -18,7 +17,7 @@ def test_chain_is_unity_at_origin():
 def test_first_links_closed_form():
     # C1 = 1/sqrt(1 - x^2/2), C8 = sqrt(1 + x^2/2)
     x = 0.1
-    rep = pk.constants(x, 0.0, 0.0)
+    rep = pk.constants_chain(x, 0.0, 0.0)
     assert rep.C[1] == pytest.approx(1.0 / math.sqrt(1 - x * x / 2), rel=1e-14)
     assert rep.C[8] == pytest.approx(math.sqrt(1 + x * x / 2), rel=1e-14)
 
@@ -27,7 +26,7 @@ def test_monotone_in_x():
     xs = np.linspace(0.0, 2e-3, 40)
     prev = None
     for x in xs:
-        d5 = pk.constants(float(x), 0.3, 0.2).D[5]
+        d5 = pk.constants_chain(float(x), 0.3, 0.2).D[5]
         if prev is not None:
             assert d5 >= prev
         prev = d5
@@ -35,13 +34,13 @@ def test_monotone_in_x():
 
 def test_out_of_regime_names_the_guard():
     with pytest.raises(pk.OutOfRegimeError) as e1:
-        pk.constants(1.5, 0.0, 0.0)   # C1 blows up at x = sqrt(2)
+        pk.constants_chain(1.5, 0.0, 0.0)   # C1 blows up at x = sqrt(2)
     assert e1.value.constant_name == "C1"
     with pytest.raises(pk.OutOfRegimeError) as e2:
-        pk.constants(0.5, 0.0, 0.0)   # geometric factor in C2 exceeds 1 first
+        pk.constants_chain(0.5, 0.0, 0.0)   # geometric factor in C2 exceeds 1 first
     assert e2.value.constant_name == "C2"
     with pytest.raises(pk.OutOfRegimeError) as e3:
-        pk.constants(5e-3, 0.97, 0.0)  # contrast-heavy guard
+        pk.constants_chain(5e-3, 0.97, 0.0)  # contrast-heavy guard
     assert e3.value.constant_name == "C17"
 
 
@@ -52,9 +51,9 @@ def test_margin_frozen_value():
 
 
 def test_margin_needs_elastic_scale_with_weight():
-    rep = pk.constants(1e-4, 0.0, nu_m=0.1)  # no a_e given
+    rep = pk.constants_chain(1e-4, 0.0, nu_m=0.1)  # no a_e given
     assert rep.script_C is None
-    rep2 = pk.constants(1e-4, 0.0, nu_m=0.1, a_e=1.0)
+    rep2 = pk.constants_chain(1e-4, 0.0, nu_m=0.1, a_e=1.0)
     assert rep2.script_C is not None
 
 
@@ -90,8 +89,7 @@ def test_threshold_brackets_below_the_closed_form(monkeypatch):
         assert pk.margin(out["lower_bound"], float(a_mu)) <= 0.0
         assert 0.0 < out["k"] < out["lower_bound"]
         assert out["residual"] <= 1e-12
-    constants_module = sys.modules["peskin2d.constants"]
-    monkeypatch.setattr(constants_module, "threshold_lower_bound",
+    monkeypatch.setattr(pk.constants, "threshold_lower_bound",
                         lambda a_mu: 1e-9)
     with pytest.raises(RuntimeError):
         pk.k_threshold(0.0)
@@ -103,7 +101,7 @@ def test_threshold_vanishes_toward_extreme_contrast():
 
 
 def test_flat_dict_keys():
-    d = pk.constants(1e-4, 0.2, 0.0, a_e=1.0).as_flat_dict()
+    d = pk.constants_chain(1e-4, 0.2, 0.0, a_e=1.0).as_flat_dict()
     for i in range(1, 18):
         assert f"C{i}" in d
     for i in range(1, 6):

@@ -97,7 +97,7 @@ def dense_velocity_reference(curve, force):
     blocks[idx, idx] = (-0.5 * np.log(speed2))[:, None, None] * np.eye(2) + (
         ds[:, :, None] * ds[:, None, :]) / speed2[:, None, None]
     u_reg = np.einsum("teij,ej->ti", blocks, force.samples) / (2.0 * n)
-    return u_reg + pk.log_convolve(force, n)
+    return u_reg + pk.log_convolve(force)
 
 
 @settings(max_examples=15, deadline=None)

@@ -56,7 +56,7 @@ def test_log_multiplier_frozen():
         c = np.zeros((2 * m + 1, 2), complex)
         c[m + k, 0] = 0.5
         c[m - k, 0] = 0.5  # cos(k theta) in component 1
-        out = pk.log_convolve(c, 64)
+        out = pk.log_convolve(pk.FourierCurve(c, 64))
         th = pk.theta_grid(64)
         assert np.allclose(out[:, 0], np.cos(k * th) / (4 * k), atol=1e-14)
         assert np.allclose(out[:, 1], 0.0, atol=1e-15)
@@ -80,7 +80,7 @@ def test_log_convolve_kills_mean():
     m = 4
     c = np.zeros((2 * m + 1, 2), complex)
     c[m] = (2.0, -1.0)
-    out = pk.log_convolve(c, 16)
+    out = pk.log_convolve(pk.FourierCurve(c, 16))
     assert np.max(np.abs(out)) < 1e-15
 
 
@@ -89,10 +89,8 @@ def test_log_convolve_accepts_curve_and_force():
     c = hermitize(rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2)))
     curve = pk.FourierCurve(c, 32)
     out1 = pk.log_convolve(curve)
-    out2 = pk.log_convolve(c, 32)
+    out2 = pk.log_convolve(pk.ForceDensity.from_coeffs(c, 32))
     assert np.allclose(out1, out2)
-    with pytest.raises(ValueError):
-        pk.log_convolve(c)  # raw coefficients need a grid size
 
 
 def test_log_convolve_vs_direct_quadrature():

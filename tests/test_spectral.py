@@ -161,11 +161,39 @@ def test_norm_homogeneity(seed, scale):
 
 
 # ------------------------------------------------------------------- Y frame
+# Per-mode matrices of the linearized dynamics and its diagonalizing frame:
+# the reference for the closed-form frame change in to_Y / from_Y.
+
+SQRT2 = math.sqrt(2.0)
+
+
+def l_matrix(k):
+    """L(k) = [[|k|, -i sgn k], [i sgn k, |k|]]; L(0) = 0."""
+    s = np.sign(k)
+    a = abs(k)
+    return np.array([[a, -1j * s], [1j * s, a]], dtype=complex)
+
+
+def p_matrix(k):
+    if k == 0:
+        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / SQRT2
+    s = np.sign(k)
+    return np.array([[-1j * s, 1.0], [1.0, -1j * s]], dtype=complex) / SQRT2
+
+
+def p_inverse(k):
+    if k == 0:
+        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) * SQRT2
+    # unitary for k != 0, so the inverse is the conjugate transpose;
+    # P is symmetric, hence P^{-1} = conj(P).
+    return np.conj(p_matrix(k))
+
+
+def d_matrix(k):
+    return np.array([[abs(k) + 1.0, 0.0], [0.0, abs(k) - 1.0]], dtype=complex)
 
 
 def test_p_unitary_and_diagonalizes():
-    from peskin2d.spectral import d_matrix, l_matrix, p_inverse, p_matrix
-
     for k in (-5, -1, 1, 2, 3, 7):
         P = p_matrix(k)
         Pi = p_inverse(k)
@@ -175,8 +203,6 @@ def test_p_unitary_and_diagonalizes():
 
 
 def test_l_annihilates_circle_direction():
-    from peskin2d.spectral import l_matrix
-
     # mode-one coefficient of any circle is proportional to (1, -i)
     assert np.allclose(l_matrix(1) @ np.array([1.0, -1.0j]), 0.0, atol=1e-15)
     assert np.allclose(l_matrix(-1) @ np.array([1.0, 1.0j]), 0.0, atol=1e-15)
@@ -200,8 +226,6 @@ def test_to_Y_roundtrip_preserves_norm():
 def test_closed_form_frame_matches_per_mode_matrices(seed, m):
     """to_Y / from_Y equal P(k)^{-1} c_k / P(k) y_k mode by mode, and
     round-trip to round-off."""
-    from peskin2d.spectral import p_inverse, p_matrix
-
     curve = random_curve(np.random.default_rng(seed), m=m, n=4 * m + 2, amp=1.0)
     y = pk.to_Y(curve).coeffs
     x = pk.from_Y(curve).coeffs
@@ -316,7 +340,7 @@ def test_radius_from_constraint_deviation():
 
 def test_geometry_diagnostics_keys_and_floor():
     d = pk.geometry_diagnostics(pk.circle_curve(max_mode=4, grid_size=16))
-    assert set(d) == {"area", "arc_chord", "radius_from_constraint"}
+    assert set(d) == {"area", "arc_chord"}
     with pytest.raises(pk.CurveDegenerateError):
         pk.geometry_diagnostics(
             pk.circle_curve(max_mode=4, grid_size=16), arc_chord_floor=0.99
