@@ -190,6 +190,8 @@ def cmd_simulate(args):
         print("DEGENERATE: %s" % rec.failure)
         return 2
     print("integrated to t = %g (%d rows recorded)" % (rec.t[-1], len(rec.t)))
+    print("arc-chord bound >= %.3e (floor %.3e)"
+          % (np.min(rec.arc_chord), stepper.arc_chord_floor))
     if math.isfinite(rec.script_C):
         cert = energy_certificate(rec, params, x0=rec.x0,
                                       nu_m=stepper.nu_max)

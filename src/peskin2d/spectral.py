@@ -366,86 +366,57 @@ def radius_from_constraint(curve):
     return math.sqrt(r2) if r2 > 0.0 else float("nan")
 
 
-def _chord_ratio(curve, s, d):
-    """|X(s + d/2) - X(s - d/2)| / d for arrays s, d (d in (0, pi])."""
-    p = evaluate(curve, np.atleast_1d(s + 0.5 * d))
-    q = evaluate(curve, np.atleast_1d(s - 0.5 * d))
-    chord = np.sqrt(np.sum((p - q) ** 2, axis=1))
-    return chord / d
+def arc_chord_constant(curve):
+    """inf over pairs of |X(t) - X(s)| / d(t, s), d = distance on the circle,
+    sampled on the pairs of a 4N-point grid.
 
+    The scan goes by grid offset: node i against node i + d for d = 1..2N,
+    so every pair is seen at its exact separation 2 pi d / 4N (the antipodal
+    separation d = pi included).  It costs 8N^2 pairs and is the fallback of
+    `geometry_diagnostics`, which runs it only when the certified bound is
+    inconclusive.
 
-def arc_chord_constant(curve, refine=True):
-    """inf over pairs of |X(t) - X(s)| / d(t, s), d = distance on the circle.
-
-    Sampled on the pairs of a 4N-point grid, scanned by grid offset: node i
-    against node i + d for d = 1..2N, so every pair is seen at its exact
-    separation 2 pi d / 4N (the antipodal separation d = pi included).  With
-    `refine` the minimum is then polished by at most two guarded Newton
-    steps in (midpoint, separation) coordinates.
-
-    The result is a 4N-grid estimate, not a bound.  On a nearly
-    self-touching curve the true minimum can fall between grid pairs and
-    the estimate can read far above it: on one random M = 14 curve it gives
-    8.1e-3 where the same scan on an 8x finer grid finds 8.8e-4.  A
-    certified guard, the bound 2R/pi - ||Z||_{F^{1,1}} for the curve written
-    as a circle of radius R plus a deviation Z, is not implemented yet.
+    The result is a 4N-grid estimate, an upper bound on the true constant,
+    not a lower one.  On a nearly self-touching curve the true minimum can
+    fall between grid pairs and the estimate can read far above it: on one
+    random M = 14 curve it gives 8.1e-3 where the same scan on an 8x finer
+    grid finds 8.8e-4.
     """
     n = 4 * curve.grid_size
     half = n // 2
-    th = theta_grid(n)
-    pts = evaluate(curve, th)
+    pts = evaluate(curve, theta_grid(n))
     # row i, column d-1 pairs node i with node i + d (wrapping around)
     ext = np.concatenate([pts, pts[:half]])
     ahead = np.lib.stride_tricks.sliding_window_view(ext, half, axis=0)[1:]
     dx = ahead[:, 0, :] - pts[:, 0, None]
     dy = ahead[:, 1, :] - pts[:, 1, None]
     seps = 2.0 * np.pi * np.arange(1, half + 1) / n
-    ratios = np.sqrt(dx * dx + dy * dy) / seps
-    i0, j = np.unravel_index(int(np.argmin(ratios)), ratios.shape)
-    best = float(ratios[i0, j])
-    if refine:
-        # Newton start: separation and midpoint of the pair, measured from
-        # its higher-numbered node (for an antipodal pair this fixes which
-        # of its two midpoints the polish starts from)
-        lo, hi = sorted((i0, (i0 + j + 1) % n))
-        wrapped = float(np.mod(th[lo] - th[hi] + np.pi, 2.0 * np.pi) - np.pi)
-        d0, s0 = abs(wrapped), float(th[hi]) + 0.5 * wrapped
-        h = (2.0 * np.pi / n) / 8.0
-        s, d = s0, d0
-        for _ in range(2):  # a couple of damped Newton steps suffice
-            grid_s = np.array([s - h, s, s + h])
-            grid_d = np.array([d - h, d, d + h])
-            ss, dd = np.meshgrid(grid_s, grid_d, indexing="ij")
-            vals = _chord_ratio(curve, ss.ravel(), np.clip(dd.ravel(), 1e-9, np.pi))
-            f = vals.reshape(3, 3)
-            gs = (f[2, 1] - f[0, 1]) / (2 * h)
-            gd = (f[1, 2] - f[1, 0]) / (2 * h)
-            hss = (f[2, 1] - 2 * f[1, 1] + f[0, 1]) / h**2
-            hdd = (f[1, 2] - 2 * f[1, 1] + f[1, 0]) / h**2
-            hsd = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / (4 * h**2)
-            det = hss * hdd - hsd**2
-            if det <= 0 or hss <= 0:
-                break  # not locally convex here; keep the grid value
-            step_s = (hdd * gs - hsd * gd) / det
-            step_d = (hss * gd - hsd * gs) / det
-            if abs(step_s) > 2 * np.pi / n or abs(step_d) > 2 * np.pi / n:
-                break
-            s, d = s - step_s, float(np.clip(d - step_d, 1e-9, np.pi))
-        cand = float(_chord_ratio(curve, np.array([s]), np.array([d]))[0])
-        if np.isfinite(cand):
-            best = min(best, cand)
-    return best
+    return float(np.min(np.sqrt(dx * dx + dy * dy) / seps))
 
 
 def geometry_diagnostics(curve, *, arc_chord_floor=0.0):
-    """Enclosed area and arc-chord constant, as {"area", "arc_chord"}.
+    """Enclosed area and the certified arc-chord bound, as {"area",
+    "arc_chord"}.
 
-    Raises CurveDegenerateError if the arc-chord constant is not positive
-    or falls below `arc_chord_floor`.
+    With the curve split as X = circle(R) + Z, 2 sin(d/2) >= 2d/pi and
+    |Z(t) - Z(s)| <= ||Z||_{F^{1,1}} d give, for every pair,
+
+        |X(t) - X(s)| / d(t, s)  >=  2R/pi - ||Z||_{F^{1,1}},
+
+    an O(M) lower bound on the arc-chord constant; "arc_chord" holds it.
+    When the bound is not positive or falls below `arc_chord_floor`, the
+    grid scan `arc_chord_constant` decides, and CurveDegenerateError is
+    raised only if it too is not positive or below the floor.  The scan's
+    value is at least the true constant, which is at least the bound, so
+    the guard fails on exactly the curves the scan alone fails on.
     """
-    ac = arc_chord_constant(curve)
+    circle, deviation = circle_decompose(curve)
+    ac = 2.0 * circle.radius / math.pi - fnorm(deviation, 1)
     if not (ac > 0.0) or ac < arc_chord_floor:
-        raise CurveDegenerateError(
-            "arc-chord constant %.3e below floor %.3e" % (ac, arc_chord_floor)
-        )
+        scan = arc_chord_constant(curve)
+        if not (scan > 0.0) or scan < arc_chord_floor:
+            raise CurveDegenerateError(
+                "arc-chord constant %.3e below floor %.3e"
+                % (scan, arc_chord_floor)
+            )
     return {"area": enclosed_area(curve), "arc_chord": ac}

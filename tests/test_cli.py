@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,11 @@ def test_simulate_smoke(tmp_path, capsys):
     assert (out / "final_state.txt").exists()
     text = capsys.readouterr().out
     assert "balance" in text and "decay" in text
+    # the run's margin to its degeneracy guard: min of the arc_chord column
+    got = re.search(r"^arc-chord bound >= (\S+) \(floor (\S+)\)$", text, re.M)
+    column = np.loadtxt(traj[2:], delimiter=",")[:, 5]
+    assert float(got[1]) == pytest.approx(column.min(), rel=1e-3)
+    assert float(got[2]) == 0.05 < float(got[1])
 
 
 def test_simulate_degenerate_exits_2(tmp_path, capsys):

@@ -320,6 +320,56 @@ def test_degenerate_run_records_failure():
     assert rec.t.size == 0 or rec.t[-1] < 0.5
 
 
+def test_near_circle_run_makes_no_grid_scan(monkeypatch):
+    """The certified bound decides every recorded row of a near-circle run,
+    so the O(N^2) grid scan is never called."""
+    def no_scan(curve):
+        raise AssertionError("arc_chord_constant called on the run path")
+
+    monkeypatch.setattr(pk.spectral, "arc_chord_constant", no_scan)
+    p = pk.PhysicsParams.from_contrast(0.5, 1.0)
+    x0 = 0.5 * pk.k_threshold(0.5)["k"]
+    c = small_deviation_curve(x0, max_mode=16, grid_size=64)
+    cfg = pk.StepperConfig(dt=1e-3, t_final=0.2, record_every=10,
+                           nu_max=0.05)
+    rec = pk.run(c, p, cfg)
+    assert rec.failure is None
+    assert rec.t.size == 21 and rec.t[-1] == pytest.approx(0.2)
+    assert np.all(rec.arc_chord > cfg.arc_chord_floor)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_inconclusive_bound_falls_back_to_the_grid_scan(monkeypatch):
+    """An ellipse whose bound sits below the floor and whose grid value sits
+    above it runs the scan on each recorded row and completes; the column
+    still holds the bound."""
+    m = 16
+    coeffs = np.zeros((2 * m + 1, 2), complex)
+    coeffs[m + 1] = (0.6, -0.4j)  # x = 1.2 cos, y = 0.8 sin
+    coeffs[m - 1] = np.conj(coeffs[m + 1])
+    c = pk.FourierCurve(coeffs, 4 * m)
+    floor = 0.45
+    scan = pk.spectral.arc_chord_constant
+    assert scan(c) > floor > pk.geometry_diagnostics(c)["arc_chord"]
+    scans = []
+
+    def counted(curve):
+        scans.append(scan(curve))
+        return scans[-1]
+
+    monkeypatch.setattr(pk.spectral, "arc_chord_constant", counted)
+    cfg = pk.StepperConfig(dt=1e-3, t_final=0.02, record_every=5,
+                           arc_chord_floor=floor)
+    rec = pk.run(c, pk.PhysicsParams.from_contrast(0.0, 1.0), cfg)
+    assert rec.failure is None and rec.t.size == 5
+    assert len(scans) == rec.t.size
+    assert min(scans) > floor
+    assert np.all(rec.arc_chord < floor)
+    # R = 1 and Z = 0.2 (cos, -sin), whose F^{1,1} norm is 0.2 sqrt2
+    assert rec.arc_chord[0] == pytest.approx(2 / np.pi - 0.2 * np.sqrt(2),
+                                             rel=1e-14)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_etdrk2_matches_euler_to_first_order():
     p = pk.PhysicsParams.from_contrast(0.5, 1.0)

@@ -321,9 +321,74 @@ def test_arc_chord_grid_value_is_the_pair_minimum(seed, m, amp):
     sep = np.abs(np.mod(th[:, None] - th[None, :] + np.pi, 2 * np.pi) - np.pi)
     off = ~np.eye(n, dtype=bool)
     brute = np.min(chord[off] / sep[off])
-    assert pk.arc_chord_constant(curve, refine=False) == pytest.approx(
+    assert pk.arc_chord_constant(curve) == pytest.approx(
         brute, rel=1e-13)
     assert pk.arc_chord_constant(curve) <= brute * (1 + 1e-13)
+
+
+def _pair_minimum(curve, n):
+    """min over all pairs of an n-point grid of chord / circle distance."""
+    pts = pk.evaluate(curve, pk.theta_grid(n))
+    return min(np.min(np.linalg.norm(np.roll(pts, -d, axis=0) - pts, axis=1))
+               / (2 * np.pi * d / n) for d in range(1, n // 2 + 1))
+
+
+def _perturbed_circle(seed, m, amp, radius, phase, cx, cy):
+    """Circle of the given radius, phase and center plus random modes
+    2..m with amplitudes up to amp/k^2."""
+    rng = np.random.default_rng(seed)
+    c = pk.circle_curve(radius * math.cos(phase), radius * math.sin(phase),
+                        cx, cy, max_mode=m, grid_size=4 * m).coeffs.copy()
+    for k in range(2, m + 1):
+        v = amp * (rng.normal(size=2) + 1j * rng.normal(size=2)) / k**2
+        c[m + k] += v
+        c[m - k] += np.conj(v)
+    return pk.FourierCurve(c, 4 * m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.floats(0.0, 0.3),
+       st.floats(0.2, 5.0), st.floats(-np.pi, np.pi), st.floats(-3.0, 3.0),
+       st.floats(-3.0, 3.0))
+def test_arc_chord_bound_is_below_the_fine_pair_minimum(seed, m, amp, radius,
+                                                        phase, cx, cy):
+    """2R/pi - ||Z||_{F^{1,1}} never exceeds the pair minimum on a grid 8x
+    finer than the scan's, nor the scan itself.  On a circle the two are
+    equal, so they may differ by round-off in either direction."""
+    curve = _perturbed_circle(seed, m, amp, radius, phase, cx, cy)
+    bound = pk.geometry_diagnostics(curve, arc_chord_floor=-np.inf)["arc_chord"]
+    fine = _pair_minimum(curve, 8 * 4 * curve.grid_size)
+    assert bound <= fine + 1e-14 * radius
+    assert fine <= pk.arc_chord_constant(curve) * (1 + 1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 12), st.floats(0.1, 10.0), st.floats(-np.pi, np.pi),
+       st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+def test_arc_chord_bound_on_circles_is_two_r_over_pi(m, radius, phase, cx, cy):
+    """On a circle the deviation vanishes and the bound is the exact
+    constant 2R/pi (oracles/oracle_arc_chord.py at R = 1)."""
+    curve = pk.circle_curve(radius * math.cos(phase), radius * math.sin(phase),
+                            cx, cy, max_mode=m)
+    bound = pk.geometry_diagnostics(curve)["arc_chord"]
+    assert bound == pytest.approx(2 * radius / np.pi, rel=1e-14)
+    unit = pk.geometry_diagnostics(pk.circle_curve(max_mode=m))["arc_chord"]
+    assert unit == pytest.approx(0.636619772367581, rel=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.floats(0.0, 1.5),
+       st.floats(0.0, 0.7))
+def test_geometry_guard_fails_exactly_when_the_scan_does(seed, m, amp, floor):
+    """The bound only skips the scan when it already clears the floor, so
+    the guard's verdict is the scan's verdict."""
+    curve = _perturbed_circle(seed, m, amp, 1.0, 0.0, 0.0, 0.0)
+    try:
+        pk.geometry_diagnostics(curve, arc_chord_floor=floor)
+        raised = False
+    except pk.CurveDegenerateError:
+        raised = True
+    assert raised == (pk.arc_chord_constant(curve) < floor)
 
 
 def test_radius_from_constraint_deviation():
