@@ -9,16 +9,15 @@ from .spectral import (
     CurveDegenerateError,
     FourierCurve,
     analyze,
-    apply_multiplier,
     arc_chord_constant,
     circle_curve,
     circle_decompose,
+    derivative,
     enclosed_area,
     evaluate,
     fnorm,
     from_Y,
     geometry_diagnostics,
-    radius_from_constraint,
     synthesize,
     theta_grid,
     to_Y,
@@ -28,7 +27,6 @@ from .kernels import (
     eval_velocity_field,
     log_convolve,
     stokeslet,
-    stress_kernel,
 )
 from .force import (
     ForceDensity,
@@ -70,13 +68,11 @@ from .multipliers import (
 __all__ = [
     # spectral
     "AliasingError", "CirclePart", "CurveDegenerateError", "FourierCurve",
-    "analyze", "apply_multiplier", "arc_chord_constant", "circle_curve",
-    "circle_decompose", "enclosed_area", "evaluate", "fnorm", "from_Y",
-    "geometry_diagnostics", "radius_from_constraint", "synthesize",
-    "theta_grid", "to_Y",
+    "analyze", "arc_chord_constant", "circle_curve", "circle_decompose",
+    "derivative", "enclosed_area", "evaluate", "fnorm", "from_Y",
+    "geometry_diagnostics", "synthesize", "theta_grid", "to_Y",
     # kernels
     "SingularEvaluation", "eval_velocity_field", "log_convolve", "stokeslet",
-    "stress_kernel",
     # force
     "ForceDensity", "PhysicsParams", "SolverError", "elastic_force",
     "force_split_residual", "force_zero_linear", "s_operator_matrix",

@@ -88,7 +88,10 @@ def _check_keys(cfg):
             if key not in _SCHEMA[section]:
                 raise ConfigError("unknown config key %r" % (section + "." + key))
     if "circle" in cfg.get("initial", {}):
-        extra = set(cfg["initial"]["circle"]) - {"a", "b", "c", "d"}
+        circle = cfg["initial"]["circle"]
+        if not isinstance(circle, dict):
+            raise ConfigError("'initial.circle' must be an object")
+        extra = set(circle) - {"a", "b", "c", "d"}
         if extra:
             raise ConfigError(
                 "unknown config key 'initial.circle.%s'" % sorted(extra)[0]
@@ -102,8 +105,16 @@ def _section(name):
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("%s: %s" % (name, exc)) from exc
+
+
+def _whole(value, key):
+    """int(value), refusing a value whose fractional part int() would drop."""
+    number = int(value)
+    if number != float(value):
+        raise ValueError("%s must be a whole number, got %r" % (key, value))
+    return number
 
 
 def load_config(path):
@@ -125,7 +136,7 @@ def load_config(path):
             "physics: give either (mu1, mu2, k0) or (a_mu, a_e), not both"
         )
     with _section("physics"):
-        if contrast:
+        if contrast == {"a_mu", "a_e"}:
             params = force.PhysicsParams.from_contrast(phys["a_mu"], phys["a_e"])
         elif named == {"mu1", "mu2", "k0"}:
             params = force.PhysicsParams(phys["mu1"], phys["mu2"], phys["k0"])
@@ -134,8 +145,8 @@ def load_config(path):
 
     with _section("discretization"):
         disc = cfg.get("discretization", {})
-        m = int(disc.get("max_mode", 16))
-        n = int(disc.get("grid_size", 4 * m))
+        m = _whole(disc.get("max_mode", 16), "max_mode")
+        n = _whole(disc.get("grid_size", 4 * m), "grid_size")
         if m < 1 or n < 2 * m + 1:
             raise ConfigError(
                 "discretization: need max_mode >= 1 and grid_size >= "
@@ -155,7 +166,7 @@ def load_config(path):
             if len(row) != 5:
                 raise ConfigError(
                     "initial.modes rows must be [k, re1, im1, re2, im2]")
-            k = int(row[0])
+            k = _whole(row[0], "modes row k")
             if abs(k) > m:
                 raise ConfigError("initial.modes: |k| = %d exceeds max_mode %d"
                                   % (abs(k), m))
@@ -171,7 +182,7 @@ def load_config(path):
             dt=float(st.get("dt", 1e-3)),
             t_final=float(st.get("t_final", 1.0)),
             scheme=st.get("scheme", "exponential-euler"),
-            record_every=int(st.get("record_every", 10)),
+            record_every=_whole(st.get("record_every", 10), "record_every"),
             nu_max=float(st.get("nu_max", 0.0)),
             arc_chord_floor=float(st.get("arc_chord_floor", 0.05)),
         )

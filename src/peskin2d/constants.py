@@ -192,17 +192,18 @@ def threshold_lower_bound(a_mu):
     return 1.0 / total
 
 
-def k_threshold(a_mu, tol=1e-15, max_iter=200):
+def k_threshold(a_mu):
     """Root of the margin: largest x with 1 - 676 sqrt2 D5(x) x/(1-a_mu) > 0.
 
     Returns a dict with the root `k`, the closed form under the key
     `lower_bound` (an upper bound on k, see `threshold_lower_bound`), and
     the `residual` |margin(k)|.  Bisection runs on [0, closed form], down to
-    a relative width `tol`: the margin is 1 at x = 0 and not positive at the
-    closed form (a RuntimeError is raised if it is).  Points beyond the
-    chain's domain count as "margin negative", which is safe because the
-    true margin is already negative before any chain denominator vanishes
-    (the chain blows up *through* the margin's root).
+    a relative width 1e-15 or for at most 200 halvings: the margin is 1 at
+    x = 0 and not positive at the closed form (a RuntimeError is raised if
+    it is).  Points beyond the chain's domain count as "margin negative",
+    which is safe because the true margin is already negative before any
+    chain denominator vanishes (the chain blows up *through* the margin's
+    root).
     """
     a_mu = float(a_mu)
 
@@ -216,13 +217,13 @@ def k_threshold(a_mu, tol=1e-15, max_iter=200):
     if f(hi) > 0.0:
         raise RuntimeError("margin %.3e positive at the closed-form bound %.6e"
                            % (f(hi), hi))
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * hi:  # relative width: a few ulps of the root
+        if hi - lo <= 1e-15 * hi:  # relative width: a few ulps of the root
             break
     root = 0.5 * (lo + hi)
     res = f(root)

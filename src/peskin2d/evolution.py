@@ -54,7 +54,7 @@ CSV_HEADER = (
 )
 
 
-def velocity_on_curve(curve, force, arc_chord_floor=1e-8, geometry=None):
+def velocity_on_curve(curve, force, geometry=None):
     """Fluid velocity on the interface driven by the ForceDensity `force`,
     as (N, 2) samples.
 
@@ -62,7 +62,7 @@ def velocity_on_curve(curve, force, arc_chord_floor=1e-8, geometry=None):
     `geometry` is the curve's `_pair_geometry` when the caller already has
     it; otherwise it is built here, behind the same degeneracy guard.
     """
-    g = geometry if geometry is not None else _pair_geometry(curve, arc_chord_floor)
+    g = geometry if geometry is not None else _pair_geometry(curve)
     n = g.n
     fs = force.samples
     speed2 = np.sum(g.ds**2, axis=1)

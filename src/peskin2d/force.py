@@ -9,8 +9,12 @@ where S is the double-layer-type operator
 
     S_i(F, X)(theta) = -dX^perp_j(theta) . pv int T_ijk(X(theta)-X(eta)) F_k(eta) deta,
 
-with v^perp = (-v2, v1).  On the grid, S is a dense Nystrom matrix built
-from B(theta, eta) = (1/pi) (dX . dXperp(theta)) (dX ox dX)/|dX|^4 with the
+with v^perp = (-v2, v1) and the stress kernel
+
+    T_ijk(x) = -(1/pi) x_i x_j x_k / |x|^4.
+
+On the grid, S is a dense Nystrom matrix built from
+B(theta, eta) = (1/pi) (dX . dXperp(theta)) (dX ox dX)/|dX|^4 with the
 smooth diagonal limit
 
     B(theta, theta) = -(1/2pi) (X'' . X'^perp) (X' ox X') / |X'|^4,
@@ -37,11 +41,15 @@ from .spectral import (
     CurveDegenerateError,
     FourierCurve,
     analyze,
-    apply_multiplier,
     circle_decompose,
+    derivative,
     synthesize,
     theta_grid,
 )
+
+
+_TOL = 1e-14  # Richardson stops at max |r| <= _TOL max |F|
+_MAX_ITER = 500  # residuals before the Richardson iteration gives up
 
 
 class SolverError(RuntimeError):
@@ -110,22 +118,14 @@ class ForceDensity:
         fc = FourierCurve(np.asarray(coeffs, dtype=complex), grid_size)
         return cls(synthesize(fc), fc.coeffs)
 
-    def __add__(self, other):
-        return ForceDensity(self.samples + other.samples, self.coeffs + other.coeffs)
-
     def __sub__(self, other):
         return ForceDensity(self.samples - other.samples, self.coeffs - other.coeffs)
-
-    def __mul__(self, t):
-        return ForceDensity(self.samples * t, self.coeffs * t)
-
-    __rmul__ = __mul__
 
 
 def elastic_force(curve, params=None):
     """k0 * d^2 X / dtheta^2 (k0 = 1 when params is None)."""
     k0 = 1.0 if params is None else params.k0
-    dd = apply_multiplier(apply_multiplier(curve, "derivative"), "derivative")
+    dd = derivative(derivative(curve))
     return ForceDensity(k0 * synthesize(dd), k0 * dd.coeffs)
 
 
@@ -174,10 +174,10 @@ def _pair_geometry(curve, arc_chord_floor=1e-8):
     min |X(theta_t) - X(theta_e)| / d(theta_t, theta_e) over distinct
     nodes (d = distance on the circle) lies above `arc_chord_floor`.
     """
-    xp = apply_multiplier(curve, "derivative")
+    xp = derivative(curve)
     xs = synthesize(curve)
     ds = synthesize(xp)
-    dds = synthesize(apply_multiplier(xp, "derivative"))
+    dds = synthesize(derivative(xp))
     n = xs.shape[0]
     dx = xs[:, 0, None] - xs[None, :, 0]
     dy = xs[:, 1, None] - xs[None, :, 1]
@@ -191,14 +191,14 @@ def _pair_geometry(curve, arc_chord_floor=1e-8):
     return _PairGeometry(ds, dds, dx, dy, chord2)
 
 
-def s_operator_matrix(curve, *, arc_chord_floor=1e-8, geometry=None):
+def s_operator_matrix(curve, *, geometry=None):
     """Dense (2N, 2N) matrix realizing F |-> S(F, X) including quadrature weight.
 
     `geometry` is the curve's `_pair_geometry` when the caller already has
     it; otherwise it is built here, which raises CurveDegenerateError if
-    the grid arc-chord ratio drops below the floor.
+    the grid arc-chord ratio drops below 1e-8.
     """
-    g = geometry if geometry is not None else _pair_geometry(curve, arc_chord_floor)
+    g = geometry if geometry is not None else _pair_geometry(curve)
     n = g.n
     px, py = -g.ds[:, 1], g.ds[:, 0]  # X'^perp
     # off-diagonal: (2pi/n) (1/pi) (dX . X'^perp(theta)) dX ox dX / |dX|^4
@@ -244,19 +244,19 @@ def _circle_preconditioner(curve, n, a_mu):
     return lambda v: v + (weights * (basis @ v)) @ basis
 
 
-def _richardson(residual, precondition, b, tol, max_iter):
+def _richardson(residual, precondition, b):
     """Preconditioned Richardson iteration F <- F + P r from F = P b, where
     `residual(F)` returns r = b - A F.  Returns (F, r) once
-    max |r| <= tol max |F|, or None when there is no preconditioner, when
-    max |r| fails to halve in one step, or after `max_iter` residuals.
+    max |r| <= _TOL max |F|, or None when there is no preconditioner, when
+    max |r| fails to halve in one step, or after _MAX_ITER residuals.
     """
     if precondition is None:
         return None
     f, last = precondition(b), np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         r = residual(f)
         size = np.max(np.abs(r))
-        if size <= tol * np.max(np.abs(f)):
+        if size <= _TOL * np.max(np.abs(f)):
             return f, r
         if not size <= 0.5 * last:
             return None  # stalled or diverging
@@ -264,8 +264,7 @@ def _richardson(residual, precondition, b, tol, max_iter):
     return None
 
 
-def solve_force(curve, params, method="picard", tol=1e-14, max_iter=500,
-                arc_chord_floor=1e-8, geometry=None):
+def solve_force(curve, params, method="picard", geometry=None):
     """Solve (I - 2 a_mu S) F = 2 a_e X'' for the force density.
 
     method='picard' (the default) runs the preconditioned Richardson
@@ -274,13 +273,14 @@ def solve_force(curve, params, method="picard", tol=1e-14, max_iter=500,
     `_circle_preconditioner`).  Near a circle each step shrinks the
     residual by about the size of the deviation, so a certified run needs
     two to four matrix-vector products in place of an O((2N)^3)
-    factorization.  It stops once max |b - (I - 2 a_mu S) F| <= tol max |F|,
-    and falls back to the dense LU when that residual fails to halve in one
-    step, after `max_iter` residuals, or when the circle part has zero
-    radius.  method='direct' always factors the dense system and is the
-    reference.  Either way the residual relative to max(1, max |b|) must end
-    at most 1e-10, or SolverError is raised.  `geometry` is the curve's
-    `_pair_geometry` when the caller already has it.
+    factorization.  It stops once max |b - (I - 2 a_mu S) F| <= 1e-14 max |F|
+    (`_TOL`), and falls back to the dense LU when that residual fails to
+    halve in one step, after 500 residuals (`_MAX_ITER`), or when the circle
+    part has zero radius.  method='direct' always factors the dense system
+    and is the reference.  Either way the residual relative to
+    max(1, max |b|) must end at most 1e-10, or SolverError is raised.
+    `geometry` is the curve's `_pair_geometry` when the caller already has
+    it.
     """
     if method not in ("direct", "picard"):
         raise ValueError("method must be 'direct' or 'picard'")
@@ -292,16 +292,15 @@ def solve_force(curve, params, method="picard", tol=1e-14, max_iter=500,
     if a_mu == 0.0:
         f = b.copy()
     else:
-        mat = s_operator_matrix(curve, arc_chord_floor=arc_chord_floor,
-                                geometry=geometry)
+        mat = s_operator_matrix(curve, geometry=geometry)
 
         def residual(f):
             return b - f + 2.0 * a_mu * (mat @ f)
 
         solved = None
         if method == "picard":
-            solved = _richardson(residual, _circle_preconditioner(curve, n, a_mu),
-                                 b, tol, max_iter)
+            precondition = _circle_preconditioner(curve, n, a_mu)
+            solved = _richardson(residual, precondition, b)
         if solved is None:
             f = np.linalg.solve(np.eye(2 * n) - 2.0 * a_mu * mat, b)
             solved = f, residual(f)

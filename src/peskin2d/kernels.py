@@ -1,11 +1,10 @@
 """Free-space Stokes kernels and the periodic log convolution.
 
-The 2D Stokeslet and its stress kernel,
+The 2D Stokeslet
 
-    G(x)   = (1/4pi) ( -log|x| I + x ox x / |x|^2 ),
-    T_ijk(x) = -(1/pi) x_i x_j x_k / |x|^4,
+    G(x) = (1/4pi) ( -log|x| I + x ox x / |x|^2 )
 
-appear in the boundary-integral representation of interface velocity.
+appears in the boundary-integral representation of interface velocity.
 `log_convolve` handles the logarithmically singular part of the single
 layer in closed form on the Fourier side: the periodic kernel
 
@@ -22,6 +21,8 @@ import warnings
 import numpy as np
 
 from .spectral import FourierCurve, synthesize
+
+_CLEARANCE = 0.1  # distance to the interface below which the rule degrades
 
 
 class SingularEvaluation(ValueError):
@@ -44,18 +45,6 @@ def stokeslet(x):
     return g / (4.0 * np.pi)
 
 
-def stress_kernel(x):
-    """T_ijk(x) for x of shape (..., 2); returns (..., 2, 2, 2)."""
-    x = np.asarray(x, dtype=float)
-    r = _norms(x)
-    if np.any(r == 0.0):
-        raise SingularEvaluation("stress kernel evaluated at zero separation")
-    triple = (
-        x[..., :, None, None] * x[..., None, :, None] * x[..., None, None, :]
-    )
-    return -(1.0 / np.pi) * triple / (r**4)[..., None, None, None]
-
-
 def log_convolve(f):
     """Convolve with K(z) = -(1/4pi) log(2 |sin(z/2)|); returns grid samples.
 
@@ -71,14 +60,13 @@ def log_convolve(f):
     return synthesize(FourierCurve(f.coeffs * fac[:, None], f.grid_size))
 
 
-def eval_velocity_field(points, curve, force, clearance=0.1):
+def eval_velocity_field(points, curve, force):
     """Velocity at off-interface points: u(x) = int G(x - X(eta)) F(eta) deta,
     for the ForceDensity F on `curve`'s grid.
 
     Plain trapezoid quadrature on the force grid; accurate away from the
     interface, and it warns (but still evaluates) whenever a target point
-    comes within `clearance` of the quadrature nodes, where the rule
-    degrades.
+    comes within 0.1 of the quadrature nodes, where the rule degrades.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     xs = synthesize(curve)
@@ -90,10 +78,10 @@ def eval_velocity_field(points, curve, force, clearance=0.1):
     dmin = float(np.min(_norms(diff)))
     if dmin == 0.0:
         raise SingularEvaluation("target point lies on a quadrature node")
-    if dmin < clearance:
+    if dmin < _CLEARANCE:
         warnings.warn(
             "target within %.3g of the interface (< clearance %.3g); "
-            "quadrature error may be large" % (dmin, clearance),
+            "quadrature error may be large" % (dmin, _CLEARANCE),
             RuntimeWarning,
         )
     g = stokeslet(diff)  # (P, N, 2, 2)

@@ -37,31 +37,6 @@ import math
 import numpy as np
 
 
-def m_multiplier(k, eta):
-    """m(k, eta); vectorized in eta, with the eta -> 0 limit i k/2 built in.
-
-    m(0, eta) = 0 and m(k, pi) = 1/(2 sin(pi/2)) * [1 - 0] = 1/2 for all k.
-    """
-    k = int(k)
-    eta = np.asarray(eta, dtype=float)
-    scalar = eta.ndim == 0
-    eta = np.atleast_1d(eta)
-    out = np.empty(eta.shape, dtype=complex)
-    if k == 0:
-        out[:] = 0.0
-        return out[0] if scalar else out
-    small = np.abs(eta) < 1e-6
-    e = eta[~small]
-    out[~small] = (
-        1.0
-        - np.exp(-0.5j * k * e) * np.sin(0.5 * k * e) / (k * np.tan(0.5 * e))
-    ) / (2.0 * np.sin(0.5 * e))
-    # series: m = i k/2 + eta (2 k^2 + 1)/12 + O(eta^2)
-    es = eta[small]
-    out[small] = 0.5j * k + es * (2.0 * k * k + 1.0) / 12.0
-    return out[0] if scalar else out
-
-
 def _s_ratio(b, eta):
     """sin(b*eta/2)/sin(eta/2) with the eta=0 limit b; b may be any integer."""
     b = int(b)
@@ -87,14 +62,14 @@ def _nodes_for(fmax):
     return n
 
 
-def _product_quadrature(lead, bs, half_cos, nodes):
+def _product_quadrature(lead, bs, half_cos):
     """Trapezoid integral of [cos(eta/2)] s_lead(eta) prod_b s_b(eta)/b over
     [-pi, pi), with enough nodes to be exact for the integrand's bandwidth
     (`half_cos` adds the cos(eta/2) factor, which raises it by 1/2)."""
     fmax = 0.5 * (sum(abs(b) for b in bs) + abs(lead)) - 0.5 * len(bs) - 0.5
     if half_cos:
         fmax += 0.5
-    n = nodes or _nodes_for(int(math.ceil(fmax)))
+    n = _nodes_for(int(math.ceil(fmax)))
     eta = -np.pi + 2.0 * np.pi * np.arange(n) / n
     vals = _s_ratio(lead, eta)
     if half_cos:
@@ -118,17 +93,17 @@ def _sigma_and_diffs(ks):
     return sigma, bs
 
 
-def integral_Sn_quadrature(ks, nodes=None):
+def integral_Sn_quadrature(ks):
     """I'_n by bandwidth-exact trapezoid quadrature.
 
     ks : the 2n frequencies (k_1 .. k_{2n}).  Returns a float (the
     integrand is even, hence the integral real).
     """
     parsed = _sigma_and_diffs(ks)
-    return 0.0 if parsed is None else _product_quadrature(*parsed, False, nodes)
+    return 0.0 if parsed is None else _product_quadrature(*parsed, False)
 
 
-def _integral_doubleprime(k, ks, nodes=None):
+def _integral_doubleprime(k, ks):
     """I''_n: like I'_n but with the extra factors cos(eta/2), s_{k+k_{2n}},
     and the leading difference b_0 = k - k_1 included in the product."""
     k = int(k)
@@ -137,10 +112,10 @@ def _integral_doubleprime(k, ks, nodes=None):
     if sig2 == 0:
         return 0.0
     bs = _diffs(k, ks)  # b_0 .. b_{2n-1}, all nonzero by caller's checks
-    return _product_quadrature(sig2, bs, True, nodes)
+    return _product_quadrature(sig2, bs, True)
 
 
-def integral_In(k, ks, nodes=None):
+def integral_In(k, ks):
     """The full pv integral I_n(k; k_1..k_{2n}) = -(i/2)(I'_n - I''_n).
 
     Returns a purely imaginary complex number.  Conventions: the integral
@@ -153,8 +128,8 @@ def integral_In(k, ks, nodes=None):
         raise ValueError("need frequencies k_1..k_{2n} with n >= 1")
     if k == ks[0] or any(ks[j] == ks[j + 1] for j in range(len(ks) - 1)):
         return 0j
-    ip = integral_Sn_quadrature(ks, nodes)
-    idp = _integral_doubleprime(k, ks, nodes)
+    ip = integral_Sn_quadrature(ks)
+    idp = _integral_doubleprime(k, ks)
     return -0.5j * (ip - idp)
 
 

@@ -115,29 +115,6 @@ class FourierCurve:
     def with_coeffs(self, coeffs):
         return FourierCurve(coeffs, self.grid_size)
 
-    def pad_to(self, max_mode):
-        """Zero-pad (or error on truncation) to a larger band-limit."""
-        m = self.max_mode
-        if max_mode < m:
-            raise ValueError("use truncation via apply_multiplier cutoff")
-        out = np.zeros((2 * max_mode + 1, 2), dtype=complex)
-        out[max_mode - m : max_mode + m + 1] = self.coeffs
-        return FourierCurve(out, max(self.grid_size, 2 * max_mode + 1))
-
-    # small amount of arithmetic sugar; used heavily by the stepper/tests
-    def __add__(self, other):
-        a, b = _common_band(self, other)
-        return FourierCurve(a.coeffs + b.coeffs, max(a.grid_size, b.grid_size))
-
-    def __sub__(self, other):
-        a, b = _common_band(self, other)
-        return FourierCurve(a.coeffs - b.coeffs, max(a.grid_size, b.grid_size))
-
-    def __mul__(self, scalar):
-        return FourierCurve(self.coeffs * float(scalar), self.grid_size)
-
-    __rmul__ = __mul__
-
 
 def _hermitian_curve(coeffs, grid_size):
     """FourierCurve of hermitize(coeffs) on a grid already known to resolve
@@ -150,17 +127,10 @@ def _hermitian_curve(coeffs, grid_size):
     return curve
 
 
-def _common_band(a, b):
-    m = max(a.max_mode, b.max_mode)
-    return a.pad_to(m), b.pad_to(m)
-
-
-def synthesize(curve, grid_size=None):
-    """Evaluate the curve on its uniform grid; returns (N, 2) real samples."""
-    n = int(grid_size) if grid_size else curve.grid_size
-    m = curve.max_mode
-    if n < 2 * m + 1:
-        raise AliasingError("requested grid %d below band minimum %d" % (n, 2 * m + 1))
+def synthesize(curve):
+    """Evaluate the curve on its own uniform grid of `curve.grid_size`
+    points, which resolves its band; returns (N, 2) real samples."""
+    n = curve.grid_size
     spectrum = np.zeros((n, 2), dtype=complex)
     ks = curve.ks
     phased = curve.coeffs * _alternating(ks)[:, None]
@@ -201,46 +171,24 @@ def evaluate(curve, thetas):
 # Fourier multipliers
 
 
-def apply_multiplier(curve, symbol, cutoff=None):
-    """Apply a diagonal Fourier multiplier.
-
-    symbol : one of
-        'derivative'  ->  ik
-        'hilbert'     ->  -i sgn(k)        (zero mode annihilated)
-        'lambda'      ->  |k|              ( = Hilbert o derivative )
-        'cutoff'      ->  1_{|k| <= cutoff}
-    """
-    ks = curve.ks
-    if symbol == "derivative":
-        fac = 1j * ks
-    elif symbol == "hilbert":
-        fac = -1j * np.sign(ks)
-    elif symbol == "lambda":
-        fac = np.abs(ks).astype(float)
-    elif symbol == "cutoff":
-        if cutoff is None:
-            raise ValueError("cutoff symbol needs a cutoff value")
-        fac = (np.abs(ks) <= cutoff).astype(float)
-    else:
-        raise ValueError("unknown multiplier symbol %r" % (symbol,))
-    return curve.with_coeffs(curve.coeffs * fac[:, None])
+def derivative(curve):
+    """d/dtheta, the Fourier multiplier ik."""
+    return curve.with_coeffs(curve.coeffs * (1j * curve.ks)[:, None])
 
 
-def fnorm(curve, s=1.0, nu=0.0, homogeneous=True):
-    """Wiener norm ||X||_{F^{s,1}_nu} = sum_k e^{nu|k|} |k|^s |c_k|.
+def fnorm(curve, s=1.0, nu=0.0):
+    """Homogeneous Wiener norm ||X||_{F^{s,1}_nu} = sum_{k != 0} e^{nu|k|}
+    |k|^s |c_k|.
 
-    |c_k| is the Euclidean modulus of the coefficient pair.  Homogeneous
-    norms skip k = 0; the inhomogeneous variant adds |c_0| with weight 1.
-    A run's time-dependent weight nu = nu_max t/(1+t) is passed as `nu`.
+    |c_k| is the Euclidean modulus of the coefficient pair; the mean c_0
+    does not enter.  A run's time-dependent weight nu = nu_max t/(1+t) is
+    passed as `nu`.
     """
     ks = curve.ks
     mags = np.sqrt(np.sum(np.abs(curve.coeffs) ** 2, axis=1))
     absk = np.abs(ks).astype(float)
     nz = ks != 0
-    total = float(np.sum(np.exp(nu * absk[nz]) * absk[nz] ** s * mags[nz]))
-    if not homogeneous and np.any(~nz):
-        total += float(mags[~nz][0])
-    return total
+    return float(np.sum(np.exp(nu * absk[nz]) * absk[nz] ** s * mags[nz]))
 
 
 # ---------------------------------------------------------------------------
@@ -347,23 +295,6 @@ def enclosed_area(curve):
     c1 = curve.coeffs[:, 0]
     c2 = curve.coeffs[:, 1]
     return float(2.0 * np.pi * np.sum(ks * np.imag(c1 * np.conj(c2))))
-
-
-def radius_from_constraint(curve):
-    """Radius the area-pi constraint implies from the deviation alone.
-
-    R^2 = 1 - 2*sum_{k>=1} k (|y2(k)|^2 - |y1(k)|^2), evaluated on the
-    deviation part.  Returns NaN if the right side is negative (the
-    curve is far from the area-pi family and the formula loses meaning).
-    """
-    m = curve.max_mode
-    _, dev = circle_decompose(curve)
-    y = to_Y(dev).coeffs
-    ks = np.arange(1, m + 1)
-    tail = y[m + 1 :]
-    ssum = float(np.sum(ks * (np.abs(tail[:, 1]) ** 2 - np.abs(tail[:, 0]) ** 2)))
-    r2 = 1.0 - 2.0 * ssum
-    return math.sqrt(r2) if r2 > 0.0 else float("nan")
 
 
 def arc_chord_constant(curve):

@@ -81,6 +81,18 @@ def test_config_builds_conjugate_pair(tmp_path):
     ("stepping", "dt", float("nan"), "stepping: dt and t_final"),
     ("stepping", "force_method", "direct",
      "unknown config key 'stepping.force_method'"),
+    ("initial", "circle", 3, "'initial.circle' must be an object"),
+    ("initial", "circle", ["a"], "'initial.circle' must be an object"),
+    ("discretization", "max_mode", 4.7,
+     "discretization: max_mode must be a whole number, got 4.7"),
+    ("discretization", "max_mode", float("inf"),
+     "discretization: cannot convert float infinity to integer"),
+    ("discretization", "grid_size", 32.5,
+     "discretization: grid_size must be a whole number, got 32.5"),
+    ("stepping", "record_every", 2.5,
+     "stepping: record_every must be a whole number, got 2.5"),
+    ("initial", "modes", [[1.5, 0.01, 0, 0, 0]],
+     "initial: modes row k must be a whole number, got 1.5"),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, key, value,
                                       match):
@@ -93,6 +105,18 @@ def test_bad_values_are_config_errors(tmp_path, capsys, section, key, value,
                      "--out", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("missing", ["a_mu", "a_e"])
+def test_partial_contrast_is_a_config_error(tmp_path, capsys, missing):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    del cfg["physics"][missing]
+    path = write_config(tmp_path, cfg)
+    code = cli.main(["simulate", "--config", path,
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: physics: need (mu1, mu2, k0) or (a_mu, a_e)\n")
 
 
 # -------------------------------------------------------------- subcommands

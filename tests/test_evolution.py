@@ -80,7 +80,7 @@ def dense_velocity_reference(curve, force):
     """Velocity with the regularized Stokeslet assembled as (N, N, 2, 2)
     blocks through einsum, as a reference."""
     xs = pk.synthesize(curve)
-    ds = pk.synthesize(pk.apply_multiplier(curve, "derivative"))
+    ds = pk.synthesize(pk.derivative(curve))
     n = xs.shape[0]
     th = pk.theta_grid(n)
     diff = xs[:, None, :] - xs[None, :, :]
@@ -259,15 +259,6 @@ def test_simulation_state_splits_circle_lazily():
     circle, dev = pk.circle_decompose(c)
     assert state.circle == circle
     assert np.array_equal(state.deviation.coeffs, dev.coeffs)
-
-
-def test_radius_sandwich():
-    # 1 - x^2/2 <= R^2 <= 1 + x^2/2 for deviation norm x about a unit circle
-    c = small_deviation_curve(1e-2)
-    dev = pk.circle_decompose(c)[1]
-    x = pk.fnorm(dev, s=1.0)
-    r2 = pk.radius_from_constraint(dev) ** 2
-    assert 1 - x * x / 2 <= r2 <= 1 + x * x / 2
 
 
 def test_record_csv_roundtrip(tmp_path):

@@ -26,25 +26,6 @@ def test_stokeslet_singularity():
         pk.stokeslet(np.zeros(2))
 
 
-def test_stress_kernel_homogeneity():
-    x = np.array([0.7, 0.4])
-    t1 = pk.stress_kernel(x)
-    t2 = pk.stress_kernel(3.0 * x)
-    # T is homogeneous of degree -1, and odd
-    assert np.allclose(t2, t1 / 3.0)
-    assert np.allclose(pk.stress_kernel(-x), -t1)
-    assert t1.shape == (2, 2, 2)
-    # total symmetry in all three indices
-    for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
-        assert np.allclose(t1, np.transpose(t1, perm))
-
-
-def test_stress_kernel_value():
-    t = pk.stress_kernel(np.array([1.0, 0.0]))
-    assert t[0, 0, 0] == pytest.approx(-1.0 / np.pi)
-    assert t[0, 0, 1] == 0.0
-
-
 # -------------------------------------------------------------- log convolve
 
 
@@ -132,8 +113,7 @@ def test_velocity_field_warns_near_interface():
     curve = pk.circle_curve(max_mode=8, grid_size=32)
     force = pk.solve_force(curve, params)
     with pytest.warns(RuntimeWarning):
-        pk.eval_velocity_field(np.array([[1.01, 0.0]]), curve, force,
-                               clearance=0.1)
+        pk.eval_velocity_field(np.array([[1.01, 0.0]]), curve, force)
     with pytest.raises(pk.SingularEvaluation):
         xs = pk.synthesize(curve)
         pk.eval_velocity_field(xs[3], curve, force)

@@ -3,42 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import peskin2d as pk
-from peskin2d.multipliers import m_multiplier
 
 
 TWO_PI = 2 * np.pi
-
-
-# ------------------------------------------------------------ m(k, .) basics
-
-
-def test_m_vanishes_for_equal_modes():
-    eta = np.linspace(-3, 3, 41)
-    assert np.allclose(m_multiplier(0, eta), 0.0)
-
-
-def test_m_at_pi_is_half():
-    for k in (1, -2, 5, 13):
-        assert m_multiplier(k, np.pi) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_m_small_eta_series():
-    # m(q, eta) ~ iq/2 + eta (2q^2 + 1)/12 near eta = 0
-    for q in (1, -3, 7):
-        for eta in (1e-7, -1e-7):
-            val = m_multiplier(q, eta)
-            series = 0.5j * q + eta * (2 * q * q + 1) / 12.0
-            assert abs(val - series) < 1e-10
-
-
-def test_m_series_branch_is_continuous():
-    # just above the series cutoff the exact branch must agree with the
-    # two-term expansion; its rounding noise there is ~eps/eta ~ 2e-10
-    for q in (2, -5):
-        eta = 1.01e-6
-        exact = m_multiplier(q, eta)
-        series = 0.5j * q + eta * (2 * q * q + 1) / 12.0
-        assert abs(exact - series) < 1e-9
 
 
 # ----------------------------------------------------------- I_n quadrature
@@ -105,14 +72,6 @@ def test_Sn_exact_matches_quadrature():
         q = pk.integral_Sn_quadrature(ks)
         e = pk.integral_Sn_exact(ks)
         assert q == pytest.approx(e, abs=1e-10)
-
-
-def test_Sn_quadrature_node_invariance():
-    # trapezoid is exact once past the bandwidth; more nodes changes nothing
-    ks = (7, -3, 2, 1)
-    a = pk.integral_Sn_quadrature(ks, nodes=256)
-    b = pk.integral_Sn_quadrature(ks, nodes=1024)
-    assert a == pytest.approx(b, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -93,27 +93,10 @@ def test_evaluate_matches_grid():
 
 def test_derivative_multiplier():
     curve = pk.circle_curve(max_mode=4, grid_size=16)
-    d = pk.apply_multiplier(curve, "derivative")
+    d = pk.derivative(curve)
     th = pk.theta_grid(16)
     expect = np.stack([-np.sin(th), np.cos(th)], axis=1)
     assert np.allclose(pk.synthesize(d), expect, atol=1e-14)
-
-
-def test_hilbert_and_lambda_consistency():
-    rng = np.random.default_rng(3)
-    curve = random_curve(rng)
-    hd = pk.apply_multiplier(pk.apply_multiplier(curve, "derivative"), "hilbert")
-    lam = pk.apply_multiplier(curve, "lambda")
-    assert np.allclose(hd.coeffs, lam.coeffs, atol=1e-14)
-
-
-def test_cutoff_multiplier():
-    rng = np.random.default_rng(4)
-    curve = random_curve(rng, m=8)
-    cut = pk.apply_multiplier(curve, "cutoff", cutoff=3)
-    ks = curve.ks
-    assert np.all(cut.coeffs[np.abs(ks) > 3] == 0)
-    assert np.allclose(cut.coeffs[np.abs(ks) <= 3], curve.coeffs[np.abs(ks) <= 3])
 
 
 # ---------------------------------------------------------------------- norms
@@ -147,7 +130,6 @@ def test_inhomogeneous_adds_mean():
     c[m - 1] = (0.5, 0.0)
     curve = pk.FourierCurve(c, 16)
     assert pk.fnorm(curve, 0.0) == pytest.approx(1.0)
-    assert pk.fnorm(curve, 0.0, homogeneous=False) == pytest.approx(6.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -155,7 +137,8 @@ def test_inhomogeneous_adds_mean():
 def test_norm_homogeneity(seed, scale):
     rng = np.random.default_rng(seed)
     curve = random_curve(rng)
-    assert pk.fnorm(scale * curve, 1.0) == pytest.approx(
+    scaled = curve.with_coeffs(scale * curve.coeffs)
+    assert pk.fnorm(scaled, 1.0) == pytest.approx(
         scale * pk.fnorm(curve, 1.0), rel=1e-12
     )
 
@@ -263,8 +246,8 @@ def test_circle_decompose_splits_deviation():
     assert np.allclose(dev.mode(3), add, atol=1e-14)
     assert abs(pk.to_Y(dev).coeffs[8][0]) < 1e-15  # no zero mode left
     # and recombining gives back the curve
-    recon = circle.as_curve(8, 32) + dev
-    assert np.max(np.abs(recon.coeffs - c)) < 1e-14
+    recon = circle.as_curve(8, 32).coeffs + dev.coeffs
+    assert np.max(np.abs(recon - c)) < 1e-14
 
 
 def test_radius_and_rotation_convention():
@@ -391,18 +374,6 @@ def test_geometry_guard_fails_exactly_when_the_scan_does(seed, m, amp, floor):
     assert raised == (pk.arc_chord_constant(curve) < floor)
 
 
-def test_radius_from_constraint_deviation():
-    eps = 1e-3
-    m = 8
-    base = pk.circle_curve(max_mode=m, grid_size=32)
-    y = pk.to_Y(base).coeffs.copy()
-    y[m + 2, 1] = eps  # pure Y_2(2) content
-    y[m - 2, 1] = np.conj(y[m + 2, 1])
-    curve = pk.from_Y(pk.FourierCurve(hermitize(y), 32))
-    r = pk.radius_from_constraint(curve)
-    assert r == pytest.approx(math.sqrt(1 - 4 * eps**2), abs=1e-12)
-
-
 def test_geometry_diagnostics_keys_and_floor():
     d = pk.geometry_diagnostics(pk.circle_curve(max_mode=4, grid_size=16))
     assert set(d) == {"area", "arc_chord"}
@@ -420,11 +391,3 @@ def test_degenerate_curve_detected():
     c[m - 2] = np.conj(c[m + 2])
     with pytest.raises(pk.CurveDegenerateError):
         pk.geometry_diagnostics(pk.FourierCurve(c, 32), arc_chord_floor=0.05)
-
-
-def test_pad_and_arithmetic():
-    a = pk.circle_curve(max_mode=2, grid_size=8)
-    b = pk.circle_curve(max_mode=5, grid_size=32)
-    diff = a - b
-    assert pk.fnorm(diff, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert (2.0 * a).mode(1)[0] == pytest.approx(1.0)
