@@ -109,12 +109,14 @@ def _section(name):
         raise ConfigError("%s: %s" % (name, exc)) from exc
 
 
-def _whole(value, key):
-    """int(value), refusing a value whose fractional part int() would drop."""
-    number = int(value)
-    if number != float(value):
+def _number(value, key, whole=False):
+    """`value` as a float, or as an int when `whole`, refusing anything but a
+    JSON number (a bool included) and, when `whole`, a fractional part."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("%s must be a number, got %r" % (key, value))
+    if whole and int(value) != value:
         raise ValueError("%s must be a whole number, got %r" % (key, value))
-    return number
+    return int(value) if whole else float(value)
 
 
 def load_config(path):
@@ -128,14 +130,14 @@ def load_config(path):
         raise ConfigError("config root must be an object")
     _check_keys(cfg)
 
-    phys = cfg.get("physics", {})
-    named = {"mu1", "mu2", "k0"} & set(phys)
-    contrast = {"a_mu", "a_e"} & set(phys)
-    if named and contrast:
-        raise ConfigError(
-            "physics: give either (mu1, mu2, k0) or (a_mu, a_e), not both"
-        )
     with _section("physics"):
+        phys = {k: _number(v, k) for k, v in cfg.get("physics", {}).items()}
+        named = {"mu1", "mu2", "k0"} & set(phys)
+        contrast = {"a_mu", "a_e"} & set(phys)
+        if named and contrast:
+            raise ConfigError(
+                "physics: give either (mu1, mu2, k0) or (a_mu, a_e), not both"
+            )
         if contrast == {"a_mu", "a_e"}:
             params = force.PhysicsParams.from_contrast(phys["a_mu"], phys["a_e"])
         elif named == {"mu1", "mu2", "k0"}:
@@ -145,8 +147,8 @@ def load_config(path):
 
     with _section("discretization"):
         disc = cfg.get("discretization", {})
-        m = _whole(disc.get("max_mode", 16), "max_mode")
-        n = _whole(disc.get("grid_size", 4 * m), "grid_size")
+        m = _number(disc.get("max_mode", 16), "max_mode", whole=True)
+        n = _number(disc.get("grid_size", 4 * m), "grid_size", whole=True)
         if m < 1 or n < 2 * m + 1:
             raise ConfigError(
                 "discretization: need max_mode >= 1 and grid_size >= "
@@ -155,37 +157,31 @@ def load_config(path):
 
     with _section("initial"):
         init = cfg.get("initial", {})
-        circ = init.get("circle", {})
-        base = spectral.circle_curve(
-            circ.get("a", 1.0), circ.get("b", 0.0),
-            circ.get("c", 0.0), circ.get("d", 0.0),
-            max_mode=m, grid_size=n,
-        )
+        circ = {k: _number(v, "circle." + k)
+                for k, v in init.get("circle", {}).items()}
+        base = spectral.circle_curve(**circ, max_mode=m, grid_size=n)
         coeffs = base.coeffs.copy()
         for row in init.get("modes", []):
-            if len(row) != 5:
+            if not isinstance(row, list) or len(row) != 5:
                 raise ConfigError(
                     "initial.modes rows must be [k, re1, im1, re2, im2]")
-            k = _whole(row[0], "modes row k")
+            k = _number(row[0], "modes row k", whole=True)
             if abs(k) > m:
                 raise ConfigError("initial.modes: |k| = %d exceeds max_mode %d"
                                   % (abs(k), m))
-            add = np.array([row[1] + 1j * row[2], row[3] + 1j * row[4]])
+            v = [_number(x, "modes row entry") for x in row[1:]]
+            add = np.array([v[0] + 1j * v[1], v[2] + 1j * v[3]])
             coeffs[k + m] += add
             if k != 0:
                 coeffs[-k + m] += np.conj(add)
         curve = spectral.FourierCurve(coeffs, n)
 
     with _section("stepping"):
-        st = cfg.get("stepping", {})
+        # the scheme is a string: StepperConfig accepts only its two names
+        st = {k: v if k == "scheme" else _number(v, k, k == "record_every")
+              for k, v in cfg.get("stepping", {}).items()}
         stepper = evolution.StepperConfig(
-            dt=float(st.get("dt", 1e-3)),
-            t_final=float(st.get("t_final", 1.0)),
-            scheme=st.get("scheme", "exponential-euler"),
-            record_every=_whole(st.get("record_every", 10), "record_every"),
-            nu_max=float(st.get("nu_max", 0.0)),
-            arc_chord_floor=float(st.get("arc_chord_floor", 0.05)),
-        )
+            **{"dt": 1e-3, "t_final": 1.0, "record_every": 10, **st})
     return params, curve, stepper
 
 

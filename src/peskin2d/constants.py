@@ -279,11 +279,11 @@ def balance_lhs(t, n11, n21, rate):
     return np.asarray(n11, dtype=float) + rate * cumint
 
 
-def energy_certificate(record, params, x0=None, nu_m=0.0, slack=0.01):
+def energy_certificate(record, params, x0, nu_m=0.0, slack=0.01):
     """Check the balance inequality, the decay bound, and the center bound.
 
     `record` needs arrays t, norm_f11, norm_f21, center_x, center_y (a
-    TrajectoryRecord works).  `x0` defaults to the first recorded norm.
+    TrajectoryRecord works); `x0` is the run's initial deviation norm.
     The balance left side is `balance_lhs` over the recorded rows.
     The center check is advisory: its constant borrows D5 in place of the
     (unexhibited) zero-mode analogue, so it does not affect `ok`.
@@ -293,7 +293,7 @@ def energy_certificate(record, params, x0=None, nu_m=0.0, slack=0.01):
     n21 = np.asarray(record.norm_f21, dtype=float)
     if t.size < 2:
         raise ValueError("need at least two recorded rows")
-    x0 = float(n11[0]) if x0 is None else float(x0)
+    x0 = float(x0)
     a_e = params.a_e
     rep = constants_chain(x0, params.a_mu, nu_m, a_e)
     sc = rep.script_C

@@ -39,7 +39,7 @@ from .kernels import log_convolve
 from .spectral import (
     CurveDegenerateError,
     FourierCurve,
-    _hermitian_curve,
+    _symmetric_curve,
     analyze,
     circle_decompose,
     fnorm,
@@ -105,7 +105,7 @@ def rhs_nonlinear(curve, params, force=None, arc_chord_floor=1e-8):
     u = velocity_on_curve(curve, force, geometry=geometry)
     uhat = analyze(u, curve.max_mode).coeffs
     nhat = uhat + 0.5 * params.a_e * _l_action(curve.coeffs, curve.ks)
-    return _hermitian_curve(nhat, curve.grid_size)
+    return _symmetric_curve(nhat, curve.grid_size)
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,9 @@ class StepperConfig:
             raise ValueError("scheme must be 'exponential-euler' or 'etdrk2'")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if not (0 <= self.nu_max < math.inf
+                and 0 <= self.arc_chord_floor < math.inf):
+            raise ValueError("nu_max and arc_chord_floor must be >= 0 and finite")
 
 
 def _phi1(z):
@@ -202,10 +205,10 @@ def step(state, cfg, nonlinearity=None, h=None):
     ny = to_Y(nl(curve, params)).coeffs
     y1 = decay * y + h * phi1 * ny
     if cfg.scheme == "etdrk2":
-        mid = from_Y(_hermitian_curve(y1, curve.grid_size))
+        mid = from_Y(_symmetric_curve(y1, curve.grid_size))
         ny_mid = to_Y(nl(mid, params)).coeffs
         y1 = y1 + h * _phi2(h * lam) * (ny_mid - ny)
-    new_curve = from_Y(_hermitian_curve(y1, curve.grid_size))
+    new_curve = from_Y(_symmetric_curve(y1, curve.grid_size))
     return SimulationState.make(state.t + h, new_curve, params)
 
 

@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .spectral import FourierCurve, synthesize
+from .spectral import _symmetric_curve, synthesize
 
 _CLEARANCE = 0.1  # distance to the interface below which the rule degrades
 
@@ -57,7 +57,7 @@ def log_convolve(f):
     fac = np.zeros(len(ks))
     nz = ks != 0
     fac[nz] = 1.0 / (4.0 * np.abs(ks[nz]))
-    return synthesize(FourierCurve(f.coeffs * fac[:, None], f.grid_size))
+    return synthesize(_symmetric_curve(f.coeffs * fac[:, None], f.grid_size))
 
 
 def eval_velocity_field(points, curve, force):

@@ -63,7 +63,9 @@ class FourierCurve:
 
     Parameters
     ----------
-    coeffs : (2M+1, 2) complex array, mode k in row k+M.
+    coeffs : (2M+1, 2) complex array, mode k in row k+M.  It is stored as
+        hermitize(coeffs), exactly conjugate-symmetric; data further than
+        1e-8 of its scale from c_{-k} = conj(c_k) is rejected.
     grid_size : number of physical grid points carried around for
         quadrature; must satisfy grid_size >= 2M+1 (strict minimum to
         avoid aliasing the band), with grid_size = 4M the default used
@@ -77,7 +79,6 @@ class FourierCurve:
         c = np.asarray(self.coeffs, dtype=complex)
         if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] % 2 == 0:
             raise ValueError("coeffs must have shape (2M+1, 2)")
-        object.__setattr__(self, "coeffs", c)
         m = (c.shape[0] - 1) // 2
         n = self.grid_size if self.grid_size else max(4 * m, 8)
         if n < 2 * m + 1:
@@ -86,8 +87,6 @@ class FourierCurve:
                 % (n, m, 2 * m + 1)
             )
         object.__setattr__(self, "grid_size", int(n))
-        # reject wildly non-real data early; tiny asymmetry is tolerated
-        # and cleaned up lazily by hermitize() in the transforms.
         asym = np.max(np.abs(c - np.conj(c[::-1])))
         scale = max(1.0, np.max(np.abs(c)))
         if asym > 1e-8 * scale:
@@ -95,6 +94,7 @@ class FourierCurve:
                 "coefficients are not conjugate-symmetric (asymmetry %.3e); "
                 "a real curve needs c_{-k} = conj(c_k)" % asym
             )
+        object.__setattr__(self, "coeffs", hermitize(c))
 
     @property
     def max_mode(self):
@@ -116,13 +116,14 @@ class FourierCurve:
         return FourierCurve(coeffs, self.grid_size)
 
 
-def _hermitian_curve(coeffs, grid_size):
-    """FourierCurve of hermitize(coeffs) on a grid already known to resolve
-    the band.  The output of hermitize is exactly conjugate-symmetric, so the
-    constructor's checks are skipped; user-facing construction keeps them.
+def _symmetric_curve(coeffs, grid_size):
+    """The unchecked constructor: a FourierCurve of `coeffs`, which must be
+    exactly conjugate-symmetric, on a grid known to resolve their band.
+    Symmetry enters at FourierCurve and analyze; the frame change, ik and
+    real per-|k| rates keep it exactly, so derived curves are built here.
     """
     curve = object.__new__(FourierCurve)
-    object.__setattr__(curve, "coeffs", hermitize(coeffs))
+    object.__setattr__(curve, "coeffs", coeffs)
     object.__setattr__(curve, "grid_size", int(grid_size))
     return curve
 
@@ -133,8 +134,7 @@ def synthesize(curve):
     n = curve.grid_size
     spectrum = np.zeros((n, 2), dtype=complex)
     ks = curve.ks
-    phased = curve.coeffs * _alternating(ks)[:, None]
-    np.add.at(spectrum, np.mod(ks, n), phased)
+    spectrum[np.mod(ks, n)] = curve.coeffs * _alternating(ks)[:, None]
     samples = n * np.fft.ifft(spectrum, axis=0)
     return np.ascontiguousarray(samples.real)
 
@@ -156,7 +156,7 @@ def analyze(samples, max_mode=None):
     fhat = np.fft.fft(s, axis=0) / n
     ks = np.arange(-m, m + 1)
     coeffs = fhat[np.mod(ks, n)] * _alternating(ks)[:, None]
-    return _hermitian_curve(coeffs, n)
+    return _symmetric_curve(hermitize(coeffs), n)
 
 
 def evaluate(curve, thetas):
@@ -173,7 +173,8 @@ def evaluate(curve, thetas):
 
 def derivative(curve):
     """d/dtheta, the Fourier multiplier ik."""
-    return curve.with_coeffs(curve.coeffs * (1j * curve.ks)[:, None])
+    return _symmetric_curve(curve.coeffs * (1j * curve.ks)[:, None],
+                            curve.grid_size)
 
 
 def fnorm(curve, s=1.0, nu=0.0):
@@ -217,12 +218,12 @@ def to_Y(curve):
     maps conjugate-symmetric data to conjugate-symmetric data because
     P(-k) = conj(P(k))).
     """
-    return _hermitian_curve(_frame(curve.coeffs, curve.ks, 1), curve.grid_size)
+    return _symmetric_curve(_frame(curve.coeffs, curve.ks, 1), curve.grid_size)
 
 
 def from_Y(ycurve):
     """Inverse of to_Y: c_k = P(k) y_k."""
-    return _hermitian_curve(_frame(ycurve.coeffs, ycurve.ks, -1),
+    return _symmetric_curve(_frame(ycurve.coeffs, ycurve.ks, -1),
                             ycurve.grid_size)
 
 
@@ -281,7 +282,7 @@ def circle_decompose(curve):
     yc[m + 1, 1] = 0.0
     if m >= 1:
         yc[m - 1, 1] = 0.0
-    deviation = from_Y(_hermitian_curve(yc, y.grid_size))
+    deviation = from_Y(_symmetric_curve(yc, y.grid_size))
     return CirclePart(a, b, c, d), deviation
 
 

@@ -93,6 +93,33 @@ def test_config_builds_conjugate_pair(tmp_path):
      "stepping: record_every must be a whole number, got 2.5"),
     ("initial", "modes", [[1.5, 0.01, 0, 0, 0]],
      "initial: modes row k must be a whole number, got 1.5"),
+    ("discretization", "max_mode", "8",
+     "discretization: max_mode must be a number, got '8'"),
+    ("discretization", "grid_size", "32",
+     "discretization: grid_size must be a number, got '32'"),
+    ("stepping", "dt", "1e-3", "stepping: dt must be a number, got '1e-3'"),
+    ("stepping", "t_final", "0.01",
+     "stepping: t_final must be a number, got '0.01'"),
+    ("stepping", "record_every", True,
+     "stepping: record_every must be a number, got True"),
+    ("physics", "a_mu", "0.5", "physics: a_mu must be a number, got '0.5'"),
+    ("physics", "a_e", True, "physics: a_e must be a number, got True"),
+    ("initial", "circle", {"a": "1.0"},
+     "initial: circle.a must be a number, got '1.0'"),
+    ("initial", "modes", [[2, "1e-4", 0, 0, 0]],
+     "initial: modes row entry must be a number, got '1e-4'"),
+    ("initial", "modes", [[False, 1e-4, 0, 0, 0]],
+     "initial: modes row k must be a number, got False"),
+    ("initial", "modes", [dict.fromkeys("abcde", 0)],
+     "initial.modes rows must be"),
+    ("stepping", "scheme", 2,
+     "stepping: scheme must be 'exponential-euler' or 'etdrk2'"),
+    ("stepping", "nu_max", -0.1,
+     "stepping: nu_max and arc_chord_floor must be >= 0 and finite"),
+    ("stepping", "nu_max", float("nan"),
+     "stepping: nu_max and arc_chord_floor must be >= 0 and finite"),
+    ("stepping", "arc_chord_floor", float("nan"),
+     "stepping: nu_max and arc_chord_floor must be >= 0 and finite"),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, key, value,
                                       match):
@@ -104,7 +131,8 @@ def test_bad_values_are_config_errors(tmp_path, capsys, section, key, value,
     code = cli.main(["simulate", "--config", path,
                      "--out", str(tmp_path / "out")])
     assert code == 1
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("missing", ["a_mu", "a_e"])

@@ -250,6 +250,10 @@ def test_stepper_config_rejects_nan_and_unknown_method():
         pk.StepperConfig(dt=float("nan"), t_final=1.0)
     with pytest.raises(ValueError):
         pk.StepperConfig(dt=1e-3, t_final=float("inf"))
+    for key in ("nu_max", "arc_chord_floor"):
+        for value in (-1e-3, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=">= 0 and finite"):
+                pk.StepperConfig(dt=1e-3, t_final=1.0, **{key: value})
 
 
 def test_simulation_state_splits_circle_lazily():

@@ -64,21 +64,36 @@ def test_conjugate_symmetry_enforced():
     c[3] = (1.0, 0.0)  # mode +1 without its mirror
     with pytest.raises(ValueError):
         pk.FourierCurve(c, 16)
+    # an asymmetry far below the 1e-8 tolerance is accepted and projected
+    c[1] = (1.0, 1e-12j)
+    curve = pk.FourierCurve(c, 16)
+    assert np.array_equal(curve.coeffs, hermitize(c))
+    assert np.array_equal(curve.coeffs, np.conj(curve.coeffs[::-1]))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
 def test_internal_curves_are_exactly_symmetric(seed, m):
-    """analyze, to_Y and from_Y build their curves without the symmetry
+    """Curves derived from other curves are built without the symmetry
     check; that is sound because their coefficients are exactly
     conjugate-symmetric, which the checked constructor accepts."""
     rng = np.random.default_rng(seed)
-    curve = random_curve(rng, m=m, n=4 * m + 3)
-    for out in (pk.analyze(rng.normal(size=(4 * m + 3, 2)), m), pk.to_Y(curve),
-                pk.from_Y(curve), pk.circle_decompose(curve)[1]):
+    n = 4 * m + 3
+    curve = random_curve(rng, m=m, n=n)
+    near_circle = pk.circle_curve(max_mode=m, grid_size=n).coeffs
+    near_circle = pk.FourierCurve(near_circle + 1e-2 * curve.coeffs, n)
+    params = pk.PhysicsParams.from_contrast(0.4, 1.0)
+    steps = [pk.step(pk.SimulationState.make(0.0, near_circle, params),
+                     pk.StepperConfig(dt=1e-3, t_final=1.0, scheme=scheme))
+             for scheme in ("exponential-euler", "etdrk2")]
+    for out in (pk.analyze(rng.normal(size=(n, 2)), m), pk.to_Y(curve),
+                pk.from_Y(curve), pk.circle_decompose(curve)[1],
+                pk.derivative(curve), pk.derivative(pk.derivative(curve)),
+                pk.rhs_nonlinear(near_circle, params),
+                steps[0].curve, steps[1].curve):
         assert np.array_equal(out.coeffs, np.conj(out.coeffs[::-1]))
         again = pk.FourierCurve(out.coeffs, out.grid_size)
-        assert again.grid_size == out.grid_size == 4 * m + 3
+        assert again.grid_size == out.grid_size == n
 
 
 def test_evaluate_matches_grid():
