@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import OutOfRegimeError, balance_lhs, k_threshold, margin
-from .force import PhysicsParams, _grid_tables, _pair_geometry, solve_force
+from .force import PhysicsParams, _pair_geometry, _workspace, solve_force
 from .kernels import log_convolve
 from .spectral import (
     CurveDegenerateError,
@@ -60,18 +60,23 @@ def velocity_on_curve(curve, force, geometry=None):
 
     Trapezoid on the regularized Stokeslet plus the exact log convolution.
     `geometry` is the curve's `_pair_geometry` when the caller already has
-    it; otherwise it is built here, behind the same degeneracy guard.
+    it; otherwise it is built here, behind the same degeneracy guard.  The
+    (N, N) log term and q go to the workspace's scratch, not its S blocks.
     """
     g = geometry if geometry is not None else _pair_geometry(curve)
     n = g.n
+    ws = _workspace(n)
     fs = force.samples
     speed2 = np.sum(g.ds**2, axis=1)
-    # -log(|dX| / 2|sin(dtheta/2)|) I, diagonal limit -log|X'| I
-    logterm = -0.5 * np.log(g.chord2 / _grid_tables(n)[1])
-    np.fill_diagonal(logterm, -0.5 * np.log(speed2))
     # (dX ox dX / |dX|^2) F = dX q with q = (dX . F) / |dX|^2; the diagonal
     # of q is zero, and its limit X' (X' . F) / |X'|^2 is added separately
-    q = (g.dx * fs[:, 0] + g.dy * fs[:, 1]) / g.chord2
+    q = np.multiply(g.dx, fs[:, 0], out=ws.w)
+    q += np.multiply(g.dy, fs[:, 1], out=ws.tmp)
+    q /= g.chord2
+    # -log(|dX| / 2|sin(dtheta/2)|) I, diagonal limit -log|X'| I
+    logterm = np.log(np.divide(g.chord2, ws.sin2, out=ws.tmp), out=ws.tmp)
+    logterm *= -0.5
+    np.fill_diagonal(logterm, -0.5 * np.log(speed2))
     qd = np.sum(g.ds * fs, axis=1) / speed2
     outer = np.stack([np.einsum("te,te->t", g.dx, q),
                       np.einsum("te,te->t", g.dy, q)], axis=1)

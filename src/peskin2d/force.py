@@ -29,11 +29,18 @@ circle part as the preconditioner of a Richardson iteration, which near a
 circle converges in a few matrix-vector products; when the residual stops
 halving (large deviations at |a_mu| near 1) it falls back to the dense LU,
 which method='direct' always uses.
+
+Every (N, N) table lives in one workspace per grid size, filled in place
+and reused, so a step allocates none (the module is single-threaded).  A
+`_pair_geometry` is valid until the next one on its grid, and S comes as
+three read-only blocks, valid until the next S on its grid; `solve_force`
+and `velocity_on_curve` return arrays of their own.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,18 +72,18 @@ class PhysicsParams:
     k0: float
 
     def __post_init__(self):
-        if self.mu1 <= 0 or self.mu2 <= 0:
-            raise ValueError("viscosities must be positive")
-        if self.k0 <= 0:
-            raise ValueError("elastic modulus must be positive")
+        if not (0 < self.mu1 < math.inf and 0 < self.mu2 < math.inf):
+            raise ValueError("viscosities must be positive and finite")
+        if not 0 < self.k0 < math.inf:
+            raise ValueError("elastic modulus must be positive and finite")
 
     @classmethod
     def from_contrast(cls, a_mu, a_e):
         """Build from (a_mu, a_e) with the normalization mu1 + mu2 = 1."""
         if not -1.0 < a_mu < 1.0:
             raise ValueError("a_mu must lie in (-1, 1)")
-        if a_e <= 0:
-            raise ValueError("a_e must be positive")
+        if not 0 < a_e < math.inf:
+            raise ValueError("a_e must be positive and finite")
         return cls(mu1=0.5 * (1.0 - a_mu), mu2=0.5 * (1.0 + a_mu), k0=a_e)
 
     @property
@@ -130,12 +137,13 @@ def elastic_force(curve, params=None):
 
 
 @functools.lru_cache(maxsize=4)
-def _grid_tables(n):
-    """Read-only (N, N) tables that depend on the grid alone.
+def _workspace(n):
+    """The (N, N) tables of one grid size.
 
-    inv_sep2 = 1/d(theta_t, theta_e)^2 with d the distance on the circle
-    (inf on the diagonal), and sin2 = (2 sin(|theta_t - theta_e|/2))^2
-    (1 on the diagonal).
+    Read-only: inv_sep2 = 1/d(theta_t, theta_e)^2 with d the distance on
+    the circle (inf on the diagonal), and sin2 = (2 sin(|theta_t -
+    theta_e|/2))^2 (1 on the diagonal).  Filled in place: dx, dy, chord2,
+    the S blocks sxx, sxy, syy, and the scratch tables w and tmp.
     """
     th = theta_grid(n)
     dth = th[:, None] - th[None, :]
@@ -146,7 +154,9 @@ def _grid_tables(n):
     np.fill_diagonal(sin2, 1.0)
     for table in (inv_sep2, sin2):
         table.flags.writeable = False
-    return inv_sep2, sin2
+    names = ("dx", "dy", "chord2", "sxx", "sxy", "syy", "w", "tmp")
+    return SimpleNamespace(inv_sep2=inv_sep2, sin2=sin2,
+                           **dict(zip(names, np.empty((len(names), n, n)))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,17 +183,20 @@ def _pair_geometry(curve, arc_chord_floor=1e-8):
     Raises CurveDegenerateError unless the grid arc-chord ratio
     min |X(theta_t) - X(theta_e)| / d(theta_t, theta_e) over distinct
     nodes (d = distance on the circle) lies above `arc_chord_floor`.
+    The pair tables live in the grid's workspace: the result is valid
+    until the next `_pair_geometry` call on the same grid size.
     """
     xp = derivative(curve)
     xs = synthesize(curve)
     ds = synthesize(xp)
     dds = synthesize(derivative(xp))
-    n = xs.shape[0]
-    dx = xs[:, 0, None] - xs[None, :, 0]
-    dy = xs[:, 1, None] - xs[None, :, 1]
-    chord2 = dx * dx + dy * dy
+    ws = _workspace(xs.shape[0])
+    dx = np.subtract(xs[:, 0, None], xs[None, :, 0], out=ws.dx)
+    dy = np.subtract(xs[:, 1, None], xs[None, :, 1], out=ws.dy)
+    chord2 = np.multiply(dx, dx, out=ws.chord2)
+    chord2 += np.multiply(dy, dy, out=ws.tmp)
     np.fill_diagonal(chord2, 1.0)
-    ratio = math.sqrt(np.min(chord2 * _grid_tables(n)[0]))
+    ratio = math.sqrt(np.min(np.multiply(chord2, ws.inv_sep2, out=ws.tmp)))
     if not (ratio > arc_chord_floor):
         raise CurveDegenerateError(
             "grid arc-chord ratio %.3e below floor %.3e" % (ratio, arc_chord_floor)
@@ -192,28 +205,59 @@ def _pair_geometry(curve, arc_chord_floor=1e-8):
 
 
 def s_operator_matrix(curve, *, geometry=None):
-    """Dense (2N, 2N) matrix realizing F |-> S(F, X) including quadrature weight.
+    """S(., X) including quadrature weight, as three read-only (N, N) blocks
+    (sxx, sxy, syy): S(F)_x = sxx F_x + sxy F_y, S(F)_y = sxy F_x + syy F_y.
 
-    `geometry` is the curve's `_pair_geometry` when the caller already has
-    it; otherwise it is built here, which raises CurveDegenerateError if
-    the grid arc-chord ratio drops below 1e-8.
+    The blocks live in the grid's workspace: they are valid until the next
+    `s_operator_matrix` call on the same grid size.  `geometry` is the
+    curve's `_pair_geometry` when the caller already has it; otherwise it
+    is built here, which raises CurveDegenerateError if the grid arc-chord
+    ratio drops below 1e-8.
     """
     g = geometry if geometry is not None else _pair_geometry(curve)
     n = g.n
+    ws = _workspace(n)
     px, py = -g.ds[:, 1], g.ds[:, 0]  # X'^perp
     # off-diagonal: (2pi/n) (1/pi) (dX . X'^perp(theta)) dX ox dX / |dX|^4
-    w = (2.0 / n) * (g.dx * px[:, None] + g.dy * py[:, None]) / g.chord2**2
-    wx, wy = w * g.dx, w * g.dy
-    mat = np.empty((n, 2, n, 2))
-    mat[:, 0, :, 0] = wx * g.dx
-    mat[:, 0, :, 1] = mat[:, 1, :, 0] = wx * g.dy
-    mat[:, 1, :, 1] = wy * g.dy
+    w = np.multiply(g.dx, px[:, None], out=ws.w)
+    w += np.multiply(g.dy, py[:, None], out=ws.tmp)
+    w *= 2.0 / n
+    w /= np.multiply(g.chord2, g.chord2, out=ws.tmp)
+    wx = np.multiply(w, g.dx, out=ws.tmp)
+    np.multiply(wx, g.dx, out=ws.sxx)
+    np.multiply(wx, g.dy, out=ws.sxy)
+    wy = np.multiply(w, g.dy, out=ws.tmp)
+    np.multiply(wy, g.dy, out=ws.syy)
     # diagonal limit: (2pi/n) (-1/2pi) (X'' . X'^perp) X' ox X' / |X'|^4
     speed2 = np.sum(g.ds**2, axis=1)
     wd = -(g.dds[:, 0] * px + g.dds[:, 1] * py) / (n * speed2**2)
-    idx = np.arange(n)
-    mat[idx, :, idx, :] = wd[:, None, None] * (g.ds[:, :, None] * g.ds[:, None, :])
-    return mat.reshape(2 * n, 2 * n)
+    views = []
+    for block, i, j in ((ws.sxx, 0, 0), (ws.sxy, 0, 1), (ws.syy, 1, 1)):
+        np.fill_diagonal(block, wd * (g.ds[:, i] * g.ds[:, j]))
+        views.append(block.view())
+        views[-1].flags.writeable = False
+    return tuple(views)
+
+
+def _apply_s(blocks, f):
+    """S f for a flattened (2N,) field f, as four block mat-vecs."""
+    sxx, sxy, syy = blocks
+    fx, fy = f[0::2], f[1::2]
+    out = np.empty_like(f)
+    out[0::2] = sxx @ fx + sxy @ fy
+    out[1::2] = sxy @ fx + syy @ fy
+    return out
+
+
+def _dense_system(blocks, a_mu):
+    """The dense (2N, 2N) I - 2 a_mu S on interleaved (x, y) samples."""
+    sxx, sxy, syy = blocks
+    n = sxx.shape[0]
+    mat = np.empty((n, 2, n, 2))
+    mat[:, 0, :, 0] = sxx
+    mat[:, 0, :, 1] = mat[:, 1, :, 0] = sxy
+    mat[:, 1, :, 1] = syy
+    return np.eye(2 * n) - 2.0 * a_mu * mat.reshape(2 * n, 2 * n)
 
 
 def _circle_preconditioner(curve, n, a_mu):
@@ -292,24 +336,24 @@ def solve_force(curve, params, method="picard", geometry=None):
     if a_mu == 0.0:
         f = b.copy()
     else:
-        mat = s_operator_matrix(curve, geometry=geometry)
+        blocks = s_operator_matrix(curve, geometry=geometry)
 
         def residual(f):
-            return b - f + 2.0 * a_mu * (mat @ f)
+            return b - f + 2.0 * a_mu * _apply_s(blocks, f)
 
         solved = None
         if method == "picard":
             precondition = _circle_preconditioner(curve, n, a_mu)
             solved = _richardson(residual, precondition, b)
         if solved is None:
-            f = np.linalg.solve(np.eye(2 * n) - 2.0 * a_mu * mat, b)
+            f = np.linalg.solve(_dense_system(blocks, a_mu), b)
             solved = f, residual(f)
         f, r = solved
         resid = np.max(np.abs(r)) / max(1.0, np.max(np.abs(b)))
         if not (resid <= 1e-10):
             raise SolverError(
                 "force system residual %.3e (condition number %.3e)"
-                % (resid, np.linalg.cond(np.eye(2 * n) - 2.0 * a_mu * mat))
+                % (resid, np.linalg.cond(_dense_system(blocks, a_mu)))
             )
     return ForceDensity.from_samples(f.reshape(-1, 2), curve.max_mode)
 

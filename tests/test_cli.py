@@ -120,10 +120,21 @@ def test_config_builds_conjugate_pair(tmp_path):
      "stepping: nu_max and arc_chord_floor must be >= 0 and finite"),
     ("stepping", "arc_chord_floor", float("nan"),
      "stepping: nu_max and arc_chord_floor must be >= 0 and finite"),
+    ("physics", "mu1", float("inf"),
+     "physics: viscosities must be positive and finite"),
+    ("physics", "mu1", float("nan"),
+     "physics: viscosities must be positive and finite"),
+    ("physics", "k0", float("inf"),
+     "physics: elastic modulus must be positive and finite"),
+    ("physics", "k0", float("nan"),
+     "physics: elastic modulus must be positive and finite"),
+    ("physics", "a_e", float("inf"), "physics: a_e must be positive and finite"),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, key, value,
                                       match):
     cfg = json.loads(json.dumps(BASE_CONFIG))
+    if key in ("mu1", "mu2", "k0"):
+        cfg["physics"] = {"mu1": 0.5, "mu2": 0.5, "k0": 1.0}
     cfg[section][key] = value
     path = write_config(tmp_path, cfg)   # json writes NaN for float("nan")
     with pytest.raises(cli.ConfigError, match=match):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -381,3 +383,21 @@ def test_etdrk2_matches_euler_to_first_order():
     # schemes agree as dt -> 0; difference shrinks at least linearly
     assert errs[1] < 0.7 * errs[0]
     assert errs[0] < 1e-8
+
+
+def test_warm_step_allocates_no_pair_table():
+    """The (N, N) tables of the force and velocity quadratures live in one
+    reused workspace per grid size, so after a warm-up step an ETDRK2 step
+    at M 64 / N 256 allocates less than one such table (8 N^2 bytes)."""
+    n = 256
+    p = pk.PhysicsParams.from_contrast(-0.5, 1.0)
+    c = small_deviation_curve(1e-3, max_mode=64, grid_size=n)
+    cfg = pk.StepperConfig(dt=1e-3, t_final=1.0, scheme="etdrk2")
+    state = pk.step(pk.SimulationState.make(0.0, c, p), cfg)
+    tracemalloc.start()
+    try:
+        pk.step(state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
