@@ -47,8 +47,10 @@ import numpy as np
 from .spectral import (
     CurveDegenerateError,
     FourierCurve,
+    _grid_samples,
     analyze,
     circle_decompose,
+    circle_part,
     derivative,
     synthesize,
     theta_grid,
@@ -138,11 +140,12 @@ def elastic_force(curve, params=None):
 
 @functools.lru_cache(maxsize=4)
 def _workspace(n):
-    """The (N, N) tables of one grid size.
+    """The tables of one grid size.
 
     Read-only: inv_sep2 = 1/d(theta_t, theta_e)^2 with d the distance on
-    the circle (inf on the diagonal), and sin2 = (2 sin(|theta_t -
-    theta_e|/2))^2 (1 on the diagonal).  Filled in place: dx, dy, chord2,
+    the circle (inf on the diagonal), sin2 = (2 sin(|theta_t - theta_e|/2))^2
+    (1 on the diagonal), and the flattened fields (1, 0), (0, 1), u = (cos,
+    sin), v = (-sin, cos) as circle_basis.  Filled in place: dx, dy, chord2,
     the S blocks sxx, sxy, syy, and the scratch tables w and tmp.
     """
     th = theta_grid(n)
@@ -152,10 +155,14 @@ def _workspace(n):
         inv_sep2 = 1.0 / sep**2
     sin2 = (2.0 * np.sin(0.5 * dth)) ** 2
     np.fill_diagonal(sin2, 1.0)
-    for table in (inv_sep2, sin2):
+    cos, sin, one, zero = np.cos(th), np.sin(th), np.ones(n), np.zeros(n)
+    circle_basis = np.array([np.column_stack(f).ravel() for f in
+                             ((one, zero), (zero, one), (cos, sin), (-sin, cos))])
+    for table in (inv_sep2, sin2, circle_basis):
         table.flags.writeable = False
     names = ("dx", "dy", "chord2", "sxx", "sxy", "syy", "w", "tmp")
     return SimpleNamespace(inv_sep2=inv_sep2, sin2=sin2,
+                           circle_basis=circle_basis,
                            **dict(zip(names, np.empty((len(names), n, n)))))
 
 
@@ -186,11 +193,13 @@ def _pair_geometry(curve, arc_chord_floor=1e-8):
     The pair tables live in the grid's workspace: the result is valid
     until the next `_pair_geometry` call on the same grid size.
     """
-    xp = derivative(curve)
-    xs = synthesize(curve)
-    ds = synthesize(xp)
-    dds = synthesize(derivative(xp))
-    ws = _workspace(xs.shape[0])
+    ik = (1j * curve.ks)[:, None]
+    xp = curve.coeffs * ik
+    # X, X' and X'' from one inverse FFT of their (2M+1, 6) spectrum
+    samples = _grid_samples(np.hstack([curve.coeffs, xp, xp * ik]),
+                            curve.grid_size)
+    xs, ds, dds = samples[:, :2], samples[:, 2:4], samples[:, 4:]
+    ws = _workspace(curve.grid_size)
     dx = np.subtract(xs[:, 0, None], xs[None, :, 0], out=ws.dx)
     dy = np.subtract(xs[:, 1, None], xs[None, :, 1], out=ws.dy)
     chord2 = np.multiply(dx, dx, out=ws.chord2)
@@ -261,31 +270,28 @@ def _dense_system(blocks, a_mu):
 
 
 def _circle_preconditioner(curve, n, a_mu):
-    """P = (I - 2 a_mu S_circle)^{-1} for the circle part of `curve`, as a
-    function on flattened (2N,) fields, or None when that circle has zero
-    radius.
+    """P = (I - 2 a_mu S_circle)^{-1} for the circle part of `curve`, read
+    from its modes 0 and +-1 (`circle_part`), as a function on flattened
+    (2N,) fields, or None when that circle has zero radius.
 
     On a circle the Nystrom matrix of S has rank four: it is -1/2 on the two
     constant fields and on e_t, +1/2 on e_r, and zero on every field
     orthogonal to them.  These four fields are orthogonal on the grid, each
     with squared norm N, so P is the identity plus three projections with
-    weights 1/(1+a_mu) - 1 (constants, e_t) and 1/(1-a_mu) - 1 (e_r).
+    weights 1/(1+a_mu) - 1 (constants, e_t) and 1/(1-a_mu) - 1 (e_r), where
+    e_r = (a u + b v)/R and e_t = (a v - b u)/R in the grid's fixed fields
+    u = (cos, sin) and v = (-sin, cos).
     """
-    circle = circle_decompose(curve)[0]
+    circle = circle_part(curve)
     r = circle.radius
     if not r > 0.0:
         return None
-    th = theta_grid(n)
-    cos, sin = np.cos(th) / r, np.sin(th) / r
-    er_x, er_y = circle.a * cos - circle.b * sin, circle.a * sin + circle.b * cos
-    basis = np.zeros((4, n, 2))
-    basis[0, :, 0] = basis[1, :, 1] = 1.0
-    basis[2, :, 0], basis[2, :, 1] = -er_y, er_x  # e_t
-    basis[3, :, 0], basis[3, :, 1] = er_x, er_y  # e_r
-    basis = basis.reshape(4, 2 * n)
-    up = 1.0 / (1.0 + a_mu) - 1.0
-    weights = np.array([up, up, up, 1.0 / (1.0 - a_mu) - 1.0]) / n
-    return lambda v: v + (weights * (basis @ v)) @ basis
+    rot = np.array([[circle.a, -circle.b], [circle.b, circle.a]]) / r
+    up, out = 1.0 / (1.0 + a_mu) - 1.0, 1.0 / (1.0 - a_mu) - 1.0
+    weights = np.diag([up, up, 0.0, 0.0]) / n
+    weights[2:, 2:] = rot @ np.diag([out, up]) @ rot.T / n  # on e_r, e_t
+    basis = _workspace(n).circle_basis
+    return lambda v: v + (weights @ (basis @ v)) @ basis
 
 
 def _richardson(residual, precondition, b):
@@ -299,8 +305,8 @@ def _richardson(residual, precondition, b):
     f, last = precondition(b), np.inf
     for _ in range(_MAX_ITER):
         r = residual(f)
-        size = np.max(np.abs(r))
-        if size <= _TOL * np.max(np.abs(f)):
+        size = np.abs(r).max()
+        if size <= _TOL * np.abs(f).max():
             return f, r
         if not size <= 0.5 * last:
             return None  # stalled or diverging
@@ -308,10 +314,10 @@ def _richardson(residual, precondition, b):
     return None
 
 
-def solve_force(curve, params, method="picard", geometry=None):
+def solve_force(curve, params, method="richardson", geometry=None):
     """Solve (I - 2 a_mu S) F = 2 a_e X'' for the force density.
 
-    method='picard' (the default) runs the preconditioned Richardson
+    method='richardson' (the default) runs the preconditioned Richardson
     iteration F <- F + P (b - (I - 2 a_mu S) F) from F = P b, where P
     inverts the system exactly on the curve's circle part (see
     `_circle_preconditioner`).  Near a circle each step shrinks the
@@ -326,8 +332,8 @@ def solve_force(curve, params, method="picard", geometry=None):
     `geometry` is the curve's `_pair_geometry` when the caller already has
     it.
     """
-    if method not in ("direct", "picard"):
-        raise ValueError("method must be 'direct' or 'picard'")
+    if method not in ("direct", "richardson"):
+        raise ValueError("method must be 'direct' or 'richardson'")
     a_mu, a_e = params.a_mu, params.a_e
     xpp = geometry.dds if geometry is not None else elastic_force(curve).samples
     rhs = 2.0 * a_e * xpp
@@ -342,14 +348,14 @@ def solve_force(curve, params, method="picard", geometry=None):
             return b - f + 2.0 * a_mu * _apply_s(blocks, f)
 
         solved = None
-        if method == "picard":
+        if method == "richardson":
             precondition = _circle_preconditioner(curve, n, a_mu)
             solved = _richardson(residual, precondition, b)
         if solved is None:
             f = np.linalg.solve(_dense_system(blocks, a_mu), b)
             solved = f, residual(f)
         f, r = solved
-        resid = np.max(np.abs(r)) / max(1.0, np.max(np.abs(b)))
+        resid = np.abs(r).max() / max(1.0, np.abs(b).max())
         if not (resid <= 1e-10):
             raise SolverError(
                 "force system residual %.3e (condition number %.3e)"

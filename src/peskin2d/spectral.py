@@ -25,6 +25,7 @@ diag(|k|+1, |k|-1), and the steady circles occupy exactly the zero mode
 plus the second component of mode one.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,11 +45,6 @@ class CurveDegenerateError(RuntimeError):
 def theta_grid(n):
     """Uniform grid theta_j = -pi + 2*pi*j/n, j=0..n-1."""
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
-
-
-def _alternating(ks):
-    # (-1)^k as a float array; parity of |k| equals parity of k.
-    return np.where(np.asarray(ks) % 2 == 0, 1.0, -1.0)
 
 
 def hermitize(coeffs):
@@ -128,15 +124,27 @@ def _symmetric_curve(coeffs, grid_size):
     return curve
 
 
+@functools.lru_cache(maxsize=16)
+def _grid_index(m, n):
+    """Rows np.mod(k, n) of modes k = -m..m in a length-n DFT; phases (-1)^k."""
+    ks = np.arange(-m, m + 1)
+    index, phase = np.mod(ks, n), np.where(ks % 2 == 0, 1.0, -1.0)[:, None]
+    index.flags.writeable = phase.flags.writeable = False
+    return index, phase
+
+
+def _grid_samples(coeffs, n):
+    """Real (n, C) grid samples of (2M+1, C) conjugate-symmetric coefficients."""
+    index, phase = _grid_index((coeffs.shape[0] - 1) // 2, n)
+    spectrum = np.zeros((n, coeffs.shape[1]), dtype=complex)
+    spectrum[index] = coeffs * phase
+    return np.ascontiguousarray((n * np.fft.ifft(spectrum, axis=0)).real)
+
+
 def synthesize(curve):
     """Evaluate the curve on its own uniform grid of `curve.grid_size`
     points, which resolves its band; returns (N, 2) real samples."""
-    n = curve.grid_size
-    spectrum = np.zeros((n, 2), dtype=complex)
-    ks = curve.ks
-    spectrum[np.mod(ks, n)] = curve.coeffs * _alternating(ks)[:, None]
-    samples = n * np.fft.ifft(spectrum, axis=0)
-    return np.ascontiguousarray(samples.real)
+    return _grid_samples(curve.coeffs, curve.grid_size)
 
 
 def analyze(samples, max_mode=None):
@@ -153,18 +161,19 @@ def analyze(samples, max_mode=None):
     m = limit if max_mode is None else int(max_mode)
     if m > limit:
         raise AliasingError("cannot extract modes up to %d from %d samples" % (m, n))
-    fhat = np.fft.fft(s, axis=0) / n
-    ks = np.arange(-m, m + 1)
-    coeffs = fhat[np.mod(ks, n)] * _alternating(ks)[:, None]
+    index, phase = _grid_index(m, n)
+    coeffs = np.fft.fft(s, axis=0)[index] / n * phase
     return _symmetric_curve(hermitize(coeffs), n)
 
 
 def evaluate(curve, thetas):
-    """Pointwise evaluation at arbitrary angles (not restricted to the grid)."""
+    """Pointwise evaluation at arbitrary angles (not restricted to the grid),
+    as X = 2 Re sum_{k >= 0} c_k e^{ik theta} with c_0 halved."""
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    ph = np.exp(1j * np.outer(th, curve.ks))  # (T, 2M+1)
-    vals = ph @ curve.coeffs
-    return vals.real
+    m = curve.max_mode
+    half = curve.coeffs[m:] * np.where(np.arange(m + 1) > 0, 1.0, 0.5)[:, None]
+    angles = np.outer(th, np.arange(m + 1))  # (T, M+1)
+    return 2.0 * (np.cos(angles) @ half.real - np.sin(angles) @ half.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +258,29 @@ class CirclePart:
     def radius(self):
         return math.hypot(self.a, self.b)
 
-    def as_curve(self, max_mode=1, grid_size=0):
-        m = max(1, int(max_mode))
+    def _coeffs(self, m):
+        """Exactly conjugate-symmetric coefficients of modes -m..m, m >= 1."""
         coeffs = np.zeros((2 * m + 1, 2), dtype=complex)
         coeffs[m] = (self.c, self.d)
         half = 0.5 * (self.a + 1j * self.b)
         coeffs[m + 1] = (half, -1j * half)
         coeffs[m - 1] = np.conj(coeffs[m + 1])
-        return FourierCurve(coeffs, grid_size)
+        return coeffs
+
+    def as_curve(self, max_mode=1, grid_size=0):
+        return FourierCurve(self._coeffs(max(1, int(max_mode))), grid_size)
 
 
 def circle_curve(a=1.0, b=0.0, c=0.0, d=0.0, max_mode=1, grid_size=0):
     return CirclePart(a, b, c, d).as_curve(max_mode, grid_size)
+
+
+def circle_part(curve):
+    """The circle of `circle_decompose`, read in O(1) from modes 0 and 1:
+    a + ib = c_1[0] + i c_1[1] and (c, d) = Re c_0."""
+    c0, c1 = curve.coeffs[curve.max_mode:curve.max_mode + 2]
+    ab = c1[0] + 1j * c1[1]
+    return CirclePart(*map(float, (ab.real, ab.imag, c0[0].real, c0[1].real)))
 
 
 def circle_decompose(curve):
@@ -330,7 +350,8 @@ def geometry_diagnostics(curve, *, arc_chord_floor=0.0):
     """Enclosed area and the certified arc-chord bound, as {"area",
     "arc_chord"}.
 
-    With the curve split as X = circle(R) + Z, 2 sin(d/2) >= 2d/pi and
+    With the curve split as X = circle(R) + Z, the circle read from modes
+    0 and +-1 by `circle_part`, 2 sin(d/2) >= 2d/pi and
     |Z(t) - Z(s)| <= ||Z||_{F^{1,1}} d give, for every pair,
 
         |X(t) - X(s)| / d(t, s)  >=  2R/pi - ||Z||_{F^{1,1}},
@@ -342,7 +363,9 @@ def geometry_diagnostics(curve, *, arc_chord_floor=0.0):
     value is at least the true constant, which is at least the bound, so
     the guard fails on exactly the curves the scan alone fails on.
     """
-    circle, deviation = circle_decompose(curve)
+    circle = circle_part(curve)
+    deviation = _symmetric_curve(curve.coeffs - circle._coeffs(curve.max_mode),
+                                 curve.grid_size)
     ac = 2.0 * circle.radius / math.pi - fnorm(deviation, 1)
     if not (ac > 0.0) or ac < arc_chord_floor:
         scan = arc_chord_constant(curve)

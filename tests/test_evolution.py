@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import peskin2d as pk
-from peskin2d.evolution import _phi1, _phi2
+from peskin2d.evolution import _phi1, _phi2, _step_operators
 from peskin2d.spectral import hermitize
 
 
@@ -131,6 +131,72 @@ def test_phi_functions_match_series_and_exact():
             assert _phi1(z) == pytest.approx(np.expm1(z) / z, rel=1e-12)
             assert _phi2(z) == pytest.approx((np.expm1(z) - z) / (z * z),
                                              rel=1e-9)
+
+
+@pytest.mark.parametrize("scheme", ["exponential-euler", "etdrk2"])
+@pytest.mark.parametrize("h", [None, 0.01 - 3 * 0.003], ids=["dt", "rest"])
+def test_step_matches_the_y_frame_formula(scheme, h):
+    """The step advances X-frame coefficients through cached operators; it
+    agrees with the schemes written out in the Y frame, mode by mode,
+
+        y1 = e^{h lam} y + h phi1(h lam) ny  (+ h phi2(h lam) (ny_mid - ny)),
+
+    for a whole step (dt = 0.003) and for the partial last step of
+    t_final = 0.01."""
+    p = pk.PhysicsParams.from_contrast(-0.5, 1.3)
+    c = small_deviation_curve(2e-2, max_mode=8, grid_size=32, mode=3)
+    cfg = pk.StepperConfig(dt=0.003, t_final=0.01, scheme=scheme)
+    hh = cfg.dt if h is None else h
+    absk = np.abs(c.ks)[:, None].astype(float)
+    z = np.where(absk == 0, 0.0,
+                 -0.5 * p.a_e * hh * np.hstack([absk + 1.0, absk - 1.0]))
+    zs = np.where(z == 0.0, 1.0, z)
+    phi1 = np.where(z == 0.0, 1.0, np.expm1(z) / zs)
+    phi2 = np.where(z == 0.0, 0.5, (np.expm1(z) - z) / zs**2)
+
+    def ny(curve):
+        return pk.to_Y(pk.rhs_nonlinear(curve, p)).coeffs
+
+    y, n0 = pk.to_Y(c).coeffs, ny(c)
+    y1 = np.exp(z) * y + hh * phi1 * n0
+    if scheme == "etdrk2":
+        mid = pk.from_Y(c.with_coeffs(y1))
+        y1 = y1 + hh * phi2 * (ny(mid) - n0)
+    expect = pk.from_Y(c.with_coeffs(y1)).coeffs
+    got = pk.step(pk.SimulationState.make(0.0, c, p), cfg, h=h).curve.coeffs
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(c.coeffs))
+
+
+@pytest.mark.parametrize("m, a_e, h", [(1, 1.0, 1e-3), (16, 1.0, 1e-3),
+                                       (7, 2.7, 0.3), (33, 0.1, 1e-9)])
+def test_step_operators_are_exactly_conjugate_symmetric(m, a_e, h):
+    """The operator at -k is the conjugate of the one at k bit for bit
+    (+0.0 and -0.0 taken as one value), so the X-frame step keeps curves
+    conjugate-symmetric without a projection; on the mean the operators are
+    exactly 1, h and h/2 times the identity."""
+    ops = _step_operators(m, a_e, h)
+    for op, d0 in zip(ops, (1.0, h, 0.5 * h)):
+        assert op.shape == (2 * m + 1, 2, 2) and not op.flags.writeable
+        assert (op[::-1] + 0.0).tobytes() == (np.conj(op) + 0.0).tobytes()
+        assert np.array_equal(op[m], d0 * np.eye(2))
+
+
+def test_run_splits_the_circle_once_per_recorded_row(monkeypatch):
+    """A recorded row reads the state's one circle split; the arc-chord
+    bound reads the circle from modes 0 and +-1 without splitting again."""
+    calls = []
+    split = pk.spectral.circle_decompose
+
+    def counted(curve):
+        calls.append(curve)
+        return split(curve)
+
+    for module in (pk.spectral, pk.evolution):
+        monkeypatch.setattr(module, "circle_decompose", counted)
+    p = pk.PhysicsParams.from_contrast(0.5, 1.0)
+    cfg = pk.StepperConfig(dt=1e-3, t_final=0.02, record_every=5)
+    rec = pk.run(small_deviation_curve(1e-5), p, cfg)
+    assert rec.t.size == 5 and len(calls) == 5
 
 
 def test_exponential_euler_is_exact_for_pure_linear():

@@ -265,6 +265,20 @@ def test_circle_decompose_splits_deviation():
     assert np.max(np.abs(recon - c)) < 1e-14
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.floats(-3.0, 3.0))
+def test_circle_part_reads_the_circle_of_circle_decompose(seed, m, log_scale):
+    """circle_part reads modes 0 and 1 in O(1); it is the circle that
+    circle_decompose zeroes in the Y frame, to round-off."""
+    rng = np.random.default_rng(seed)
+    curve = random_curve(rng, m=m, n=4 * m + 1, amp=10.0**log_scale)
+    fast = pk.spectral.circle_part(curve)
+    ref = pk.circle_decompose(curve)[0]
+    got = np.array([fast.a, fast.b, fast.c, fast.d])
+    want = np.array([ref.a, ref.b, ref.c, ref.d])
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_radius_and_rotation_convention():
     # (a, b) = (0, 1) is the tangential circle: starts at (0, ..) going -x
     cv = pk.circle_curve(0.0, 1.0, max_mode=2, grid_size=16)
