@@ -13,6 +13,7 @@ geometry; 3 a certificate or verification check failed.
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -231,19 +232,29 @@ def cmd_kcurve(args):
     return 0
 
 
+_MAX_DRAWS = 10_000  # rejection draws per tuple before giving up
+
+
 def _random_tuple(rng, nmax, kmax):
     n = int(rng.integers(1, nmax + 1))
-    while True:
+    for _ in range(_MAX_DRAWS):
         k = int(rng.integers(-kmax, kmax + 1))
         ks = [int(v) for v in rng.integers(-kmax, kmax + 1, size=2 * n)]
         if k != ks[0] and all(ks[j] != ks[j + 1] for j in range(2 * n - 1)):
             return k, ks
+    raise ValueError(
+        "no tuple of %d neighbour-distinct frequencies in %d draws; lower "
+        "--nmax or raise --kmax" % (2 * n + 1, _MAX_DRAWS))
 
 
 def cmd_lemma_check(args):
     rng = np.random.default_rng(args.seed)
-    tuples = [_random_tuple(rng, args.nmax, args.kmax)
-              for _ in range(args.count)]
+    try:
+        tuples = [_random_tuple(rng, args.nmax, args.kmax)
+                  for _ in range(args.count)]
+    except ValueError as exc:
+        print("peskin2d lemma-check: error: %s" % exc, file=sys.stderr)
+        return 1
     bound = 2.0 * np.pi * (1.0 + 1e-8)
 
     def one(item):
@@ -320,6 +331,7 @@ def cmd_verify_linear(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
     p = _Parser(prog="peskin2d",
                 description="Two-phase elastic-interface spectral toolkit")

@@ -306,10 +306,11 @@ def run(curve, params, cfg):
              st.circle.c, st.circle.d, math.nan, x0)
         )
 
-    # whole steps, then one partial step if t_final is not a multiple of dt
+    # whole steps, then one partial step if t_final is not a multiple of dt;
+    # a rest below 1e-9 dt after whole steps is their round-off, not a step
     n_steps = math.floor(cfg.t_final / cfg.dt + 1e-9)
     rest = cfg.t_final - n_steps * cfg.dt
-    if rest <= 1e-9 * cfg.dt:
+    if n_steps and rest <= 1e-9 * cfg.dt:
         rest = 0.0
     failure = None
     try:

@@ -48,13 +48,6 @@ def _s_ratio(b, eta):
     return np.where(np.abs(s) < 1e-12, float(b), vals)
 
 
-def _diffs(k, ks):
-    ks = [int(v) for v in ks]
-    b = [int(k) - ks[0]]
-    b += [ks[j] - ks[j + 1] for j in range(len(ks) - 1)]
-    return b  # b_0 .. b_{2n-1}
-
-
 def _nodes_for(fmax):
     n = 64
     while n <= 2 * fmax + 2:
@@ -103,18 +96,6 @@ def integral_Sn_quadrature(ks):
     return 0.0 if parsed is None else _product_quadrature(*parsed, False)
 
 
-def _integral_doubleprime(k, ks):
-    """I''_n: like I'_n but with the extra factors cos(eta/2), s_{k+k_{2n}},
-    and the leading difference b_0 = k - k_1 included in the product."""
-    k = int(k)
-    ks = [int(v) for v in ks]
-    sig2 = k + ks[-1]
-    if sig2 == 0:
-        return 0.0
-    bs = _diffs(k, ks)  # b_0 .. b_{2n-1}, all nonzero by caller's checks
-    return _product_quadrature(sig2, bs, True)
-
-
 def integral_In(k, ks):
     """The full pv integral I_n(k; k_1..k_{2n}) = -(i/2)(I'_n - I''_n).
 
@@ -126,10 +107,12 @@ def integral_In(k, ks):
     ks = [int(v) for v in ks]
     if len(ks) % 2 != 0 or not ks:
         raise ValueError("need frequencies k_1..k_{2n} with n >= 1")
-    if k == ks[0] or any(ks[j] == ks[j + 1] for j in range(len(ks) - 1)):
+    bs = [k - ks[0]] + [ks[j] - ks[j + 1] for j in range(len(ks) - 1)]
+    if 0 in bs:
         return 0j
     ip = integral_Sn_quadrature(ks)
-    idp = _integral_doubleprime(k, ks)
+    sig2 = k + ks[-1]
+    idp = _product_quadrature(sig2, bs, True) if sig2 else 0.0
     return -0.5j * (ip - idp)
 
 

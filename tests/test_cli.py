@@ -192,6 +192,19 @@ def test_simulate_degenerate_exits_2(tmp_path, capsys):
     assert "DEGENERATE" in capsys.readouterr().out
 
 
+def test_simulate_to_a_tiny_t_final_exits_0(tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["stepping"]["t_final"] = 1e-12
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    assert "integrated to t = 1e-12 (2 rows recorded)" in captured.out
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 4
+
+
 def test_missing_config_exits_1(tmp_path, capsys):
     code = cli.main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")])
@@ -213,6 +226,8 @@ def test_missing_config_exits_1(tmp_path, capsys):
     ["lemma-check", "--out", "{tmp}", "--nmax", "0"],
     ["lemma-check", "--out", "{tmp}", "--kmax", "0"],
     ["lemma-check", "--out", "{tmp}", "--count", "-1"],
+    # 2n+1 neighbour-distinct draws from 3 values: too rare to sample
+    ["lemma-check", "--out", "{tmp}", "--nmax", "40", "--kmax", "1"],
     ["simulate", "--config", "{tmp}", "--out", "{tmp}"],   # a directory
 ])
 def test_usage_error_exits_1(tmp_path, capsys, argv):
@@ -221,6 +236,23 @@ def test_usage_error_exits_1(tmp_path, capsys, argv):
     assert code == 1
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_main_calls_in_one_process_are_independent(tmp_path, capsys):
+    """The parser is built once; a later call sees none of an earlier
+    call's subcommand or option values."""
+    assert cli.build_parser() is cli.build_parser()
+    first = ["constants", "--x", "1e-4"]
+    assert cli.main(first) == 0
+    alone = capsys.readouterr().out
+    assert cli.main(["constants", "--x", "2e-4", "--a-mu", "0.2",
+                     "--a-e", "1.0"]) == 0
+    assert cli.main(["kcurve", "--out", str(tmp_path / "kc"),
+                     "--points", "2"]) == 3
+    assert "wrote" in capsys.readouterr().out
+    assert cli.main(first) == 0
+    assert capsys.readouterr().out == alone
+    assert json.loads(alone)["a_mu"] == 0.0 and json.loads(alone)["x"] == 1e-4
 
 
 def test_kcurve_writes_table_and_flags_bound(tmp_path, capsys):

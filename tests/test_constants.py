@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import peskin2d as pk
 
@@ -82,8 +83,8 @@ def test_threshold_frozen_values():
 
 def test_threshold_brackets_below_the_closed_form(monkeypatch):
     """The closed form is an upper bound on k: the margin is not positive
-    there, bisection stays inside [0, closed form], and a closed form with
-    a positive margin is an error, not a silent re-bracketing."""
+    there, the iteration stays inside [0, closed form], and a closed form
+    with a positive margin is an error, not a silent re-bracketing."""
     for a_mu in np.linspace(-0.95, 0.95, 9):
         out = pk.k_threshold(float(a_mu))
         assert pk.margin(out["lower_bound"], float(a_mu)) <= 0.0
@@ -93,6 +94,41 @@ def test_threshold_brackets_below_the_closed_form(monkeypatch):
                         lambda a_mu: 1e-9)
     with pytest.raises(RuntimeError):
         pk.k_threshold(0.0)
+
+
+def test_closed_form_frozen_values():
+    """(1-a_mu)/(676 sqrt2 D5(0)), with D5(0) from the chain, against values
+    of an independent hand expansion of D5(0)."""
+    expected = {
+        -0.95: 6.6217402863813845e-06,
+        -0.5: 9.8464553637191e-05,
+        0.5: 3.653920944535694e-05,
+    }
+    for a_mu, want in expected.items():
+        assert pk.threshold_lower_bound(a_mu) == pytest.approx(want, rel=1e-14)
+
+
+def test_threshold_takes_at_most_ten_margin_calls(monkeypatch):
+    calls = []
+    real = pk.constants.margin
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pk.constants, "margin", counted)
+    for a_mu in list(np.linspace(-0.999, 0.999, 201)) + [0.0]:
+        calls.clear()
+        pk.k_threshold(float(a_mu))
+        assert 2 <= len(calls) <= 10, (a_mu, len(calls))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-0.999, 0.999))
+def test_threshold_is_the_sign_change_of_the_margin(a_mu):
+    k = pk.k_threshold(a_mu)["k"]
+    assert pk.margin(k * (1 - 1e-12), a_mu) > 0.0 >= pk.margin(
+        k * (1 + 1e-12), a_mu)
 
 
 def test_threshold_vanishes_toward_extreme_contrast():

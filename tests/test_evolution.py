@@ -276,6 +276,19 @@ def test_run_ends_exactly_at_t_final():
     assert np.array_equal(rec.final_state.curve.coeffs, state.curve.coeffs)
 
 
+def test_run_reaches_a_t_final_far_below_dt():
+    """A t_final below 1e-9 dt is one partial step, not zero steps: the run
+    records t = 0 and t = t_final."""
+    p = pk.PhysicsParams.from_contrast(0.3, 1.0)
+    c = small_deviation_curve(1e-4)
+    cfg = pk.StepperConfig(dt=1e-3, t_final=1e-12)
+    rec = pk.run(c, p, cfg)
+    assert rec.t.tolist() == [0.0, 1e-12]
+    assert rec.final_state.t == 1e-12
+    state = pk.step(pk.SimulationState.make(0.0, c, p), cfg, h=1e-12)
+    assert np.array_equal(rec.final_state.curve.coeffs, state.curve.coeffs)
+
+
 def test_run_multiple_of_dt_takes_whole_steps_only():
     p = pk.PhysicsParams.from_contrast(0.0, 1.0)
     c = small_deviation_curve(1e-4)
