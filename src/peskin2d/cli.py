@@ -318,10 +318,10 @@ def cmd_verify_linear(args):
         curve = spectral.FourierCurve(coeffs, n)
         f = force.solve_force(curve, params)
         u = evolution.velocity_on_curve(curve, f)
-        dy = spectral.to_Y(spectral.analyze(u, m)).coeffs[k + m]
-        y = spectral.to_Y(curve).coeffs[k + m]
-        pred = evolution._rates(curve.ks, params.a_e)[k + m] * y
-        rel = np.linalg.norm(dy - pred) / np.linalg.norm(pred)
+        dx = spectral.analyze(u, m).coeffs[k + m]
+        lx = evolution._l_action(curve.coeffs, curve.ks)[k + m]
+        pred = -0.5 * params.a_e * lx
+        rel = np.linalg.norm(dx - pred) / np.linalg.norm(pred)
         worst = max(worst, rel)
         print("mode %3d: measured vs linear rate, rel err %.3e" % (k, rel))
     if worst > args.tol:

@@ -14,24 +14,25 @@ Fourier side:
 
 whose diagonal limit is (1/4pi) ( -log|X'| I + X' ox X' / |X'|^2 ).
 
-Time stepping happens in the diagonalizing frame, where mode k of the
-deviation relaxes with rates (a_e/2)(k+1) and (a_e/2)(k-1):
+The stiff part is the linearization about the circles, one 2x2 symbol per
+mode; n collects everything beyond it:
 
-    dy_k/dt = lambda_k y_k + nY_k,     lambda_k = -(a_e/2) diag(|k|+1, |k|-1),
+    dc_k/dt = -(a_e/2) L(k) c_k + n_k,     L(k) = |k| I + J(k),
 
-and nY collects everything beyond the flat-circle linearization.  The
-exponential Euler and ETDRK2 schemes integrate the stiff factor exactly,
-so the steady circles (lambda = 0 directions: the zero mode and the second
-component of mode one) are handled without any stiffness penalty, and the
-enclosed area is conserved up to the accuracy of the nonlinear terms.  The
-update is linear per mode, so cached 2x2 operators P(k) diag(..) P(k)^{-1}
-apply it in the X frame, and a step makes no frame change.
+with J(k) = [[0, -i sgn k], [i sgn k, 0]].  J^2 = I for k != 0, so mode k
+relaxes at rates (a_e/2)(|k| +- 1) on the ranges of the projectors
+(I +- J)/2.  The exponential Euler and ETDRK2 schemes integrate the stiff
+factor exactly, so the steady circles (the zero mode and the kernel of
+I + J(+-1)) carry no stiffness penalty, and the enclosed area is conserved
+up to the accuracy of the nonlinear terms.  Each function of the symbol is
+lo c + gap (c + J c) with real per-|k| factors, so a step makes no frame
+change and builds no operator.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,13 +42,13 @@ from .kernels import log_convolve
 from .spectral import (
     CurveDegenerateError,
     FourierCurve,
+    _j_action,
+    _split,
     _symmetric_curve,
     analyze,
-    circle_decompose,
     fnorm,
-    from_Y,
     geometry_diagnostics,
-    to_Y,
+    to_Y,  # not used here; bench/test_smoke.py traces this binding
 )
 
 CSV_HEADER = (
@@ -87,13 +88,8 @@ def velocity_on_curve(curve, force, geometry=None):
 
 
 def _l_action(coeffs, ks):
-    """Rowwise L(k) c_k with L = [[|k|, -i sgn k], [i sgn k, |k|]]."""
-    absk = np.abs(ks)
-    sg = np.sign(ks)
-    c1, c2 = coeffs[:, 0], coeffs[:, 1]
-    return np.stack(
-        [absk * c1 - 1j * sg * c2, 1j * sg * c1 + absk * c2], axis=1
-    )
+    """Rowwise L(k) c_k = |k| c_k + J(k) c_k."""
+    return np.abs(ks)[:, None] * coeffs + _j_action(coeffs)
 
 
 def rhs_nonlinear(curve, params, force=None, arc_chord_floor=1e-8):
@@ -129,7 +125,7 @@ class SimulationState:
 
     @cached_property
     def _split(self):
-        return circle_decompose(self.curve)
+        return _split(self.curve)
 
     @property
     def circle(self):
@@ -175,38 +171,32 @@ def _phi2(z):
     return np.where(small, 0.5 + z / 6.0 + z * z / 24.0, (np.expm1(zb) - zb) / zb**2)
 
 
-def _rates(ks, a_e):
-    """lambda_k = -(a_e/2)(|k| +- 1) per component; the k = 0 row is zero."""
-    absk = np.abs(ks).astype(float)
-    lam = -0.5 * a_e * np.stack([absk + 1.0, absk - 1.0], axis=1)
-    lam[ks == 0] = 0.0
-    return lam
-
-
 @lru_cache(maxsize=8)
-def _step_operators(m, a_e, h):
-    """P(k) diag(d) P(k)^{-1} for d = e^{h lam}, h phi1(h lam), h phi2(h lam)
-    as read-only (2m+1, 2, 2) arrays op[k, i, j]: d0 I + P diag(d - d0) P^{-1}
-    by the frame change of unit vectors.  So op(-k) = conj(op(k)) exactly, and
-    op is d0 = 1, h, h/2 exactly where lam = 0 (the mean, steady circles)."""
-    n = 2 * m + 1
-    hl = h * _rates(np.arange(-m, m + 1), a_e)
-    units = [to_Y(_symmetric_curve(np.tile(e + 0j, (n, 1)), n)) for e in np.eye(2)]
-    ops = []
-    for d0, d in ((1.0, np.exp(hl)), (h, h * _phi1(hl)), (0.5 * h, h * _phi2(hl))):
-        cols = [from_Y(_symmetric_curve((d - d0) * y.coeffs, n)).coeffs
-                for y in units]
-        ops.append(np.stack(cols, axis=2) + d0 * np.eye(2))
-        ops[-1].flags.writeable = False
-    return tuple(ops)
+def _step_factors(m, a_e, h):
+    """Read-only (2m+1, 1) columns (lo, gap) of E, Phi1, Phi2 for d = e^z,
+    h phi1(z), h phi2(z), z = h lam_+-, lam_+- = -(a_e/2)(|k| +- 1) (0 at
+    k = 0): d_+ (I + J)/2 + d_- (I - J)/2 = lo I + gap (I + J).  Exactly
+    d0 = 1, h, h/2 on the mean (gap = 0) and the circles (c + J c = 0)."""
+    absk = np.abs(np.arange(-m, m + 1))[:, None]
+    z_lo, z_hi = (np.where(absk == 0, 0.0, h * (-0.5 * a_e * (absk + s)))
+                  for s in (-1.0, 1.0))
+    factors = []
+    for d in (np.exp, lambda z: h * _phi1(z), lambda z: h * _phi2(z)):
+        lo, gap = d(z_lo), 0.5 * (d(z_hi) - d(z_lo))
+        lo.flags.writeable = gap.flags.writeable = False
+        factors.append((lo, gap))
+    return tuple(factors)
 
 
-_apply = partial(np.einsum, "kij,kj->ki")  # rowwise op[k] @ c_k
+def _apply(factors, coeffs):
+    """Rowwise lo c_k + gap (c_k + J(k) c_k) for factors (lo, gap)."""
+    lo, gap = factors
+    return lo * coeffs + gap * (coeffs + _j_action(coeffs))
 
 
 def step(state, cfg, nonlinearity=None, h=None):
     """One step of exponential Euler, c1 = E c + Phi1 n, or ETDRK2, which
-    adds Phi2 (n_mid - n), with the cached `_step_operators` (E, Phi1, Phi2).
+    adds Phi2 (n_mid - n), with the cached `_step_factors` (E, Phi1, Phi2).
 
     `nonlinearity` may be injected (signature (curve, params) -> coefficient
     container) to validate the linear part in isolation; default is
@@ -218,7 +208,7 @@ def step(state, cfg, nonlinearity=None, h=None):
     )
     curve, params = state.curve, state.params
     h = cfg.dt if h is None else h
-    decay, phi1, phi2 = _step_operators(curve.max_mode, params.a_e, h)
+    decay, phi1, phi2 = _step_factors(curve.max_mode, params.a_e, h)
     nx = nl(curve, params).coeffs
     c1 = _apply(decay, curve.coeffs) + _apply(phi1, nx)
     if cfg.scheme == "etdrk2":
@@ -259,10 +249,11 @@ class TrajectoryRecord:
 
     @classmethod
     def from_csv(cls, path):
-        # row 0 is the "# x0=..." comment, row 1 the column header
-        data = np.loadtxt(path, delimiter=",", comments="#", skiprows=2)
-        data = np.atleast_2d(data)
+        # comment and header rows; none follow if t = 0 was degenerate
+        with open(path) as fh:
+            rows = [r.split(",") for r in fh.read().splitlines()[2:]]
         names = CSV_HEADER.split(",")
+        data = np.array(rows, dtype=float).reshape(-1, len(names))
         return cls(**{n: data[:, i] for i, n in enumerate(names)})
 
 
@@ -325,11 +316,9 @@ def run(curve, params, cfg):
     except CurveDegenerateError as exc:
         failure = str(exc)
 
+    # degenerate before the first diagnostic: empty columns keep it usable
     names = CSV_HEADER.split(",")
-    if rows:
-        cols = np.array(rows, dtype=float).T
-    else:  # degenerate before the first diagnostic: keep the record usable
-        cols = np.zeros((len(names), 0))
+    cols = np.array(rows, dtype=float).reshape(-1, len(names)).T
     rec = TrajectoryRecord(**{n: cols[i] for i, n in enumerate(names)})
     rec.energy_lhs = balance_lhs(rec.t, rec.norm_f11, rec.norm_f21,
                                  0.25 * params.a_e * script_c)

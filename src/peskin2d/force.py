@@ -48,8 +48,9 @@ from .spectral import (
     CurveDegenerateError,
     FourierCurve,
     _grid_samples,
+    _j_action,
+    _split,
     analyze,
-    circle_decompose,
     circle_part,
     derivative,
     synthesize,
@@ -368,27 +369,18 @@ def force_zero_linear(curve, params):
     """Equilibrium and linear parts of the force about the circle family.
 
     F0 acts on the circle part alone: (2 a_e / (1 - a_mu)) X_c''.
-    FL acts on the deviation Z:  -2 a_e k^2 Z_k - (2 a_e a_mu/(1-a_mu)) (ik) Rinv Z_k
-    with Rinv = [[0, 1], [-1, 0]]; the multiplier is the same for every
-    member of the circle family, so it needs no reference circle.
+    FL acts on the deviation Z: -2 a_e k^2 Z_k + (2 a_e a_mu/(1-a_mu)) |k| J Z_k
+    with J(k) = [[0, -i sgn k], [i sgn k, 0]]; the multiplier is the same for
+    every member of the circle family, so it needs no reference circle.
     """
     a_mu, a_e = params.a_mu, params.a_e
-    circle, dev = circle_decompose(curve)
-    ks = curve.ks
-
-    xc = circle.as_curve(curve.max_mode, curve.grid_size)
-    f0_coeffs = (2.0 * a_e / (1.0 - a_mu)) * (-(ks**2))[:, None] * xc.coeffs
-
-    z = dev.coeffs
-    rinv_z = np.stack([z[:, 1], -z[:, 0]], axis=1)
-    fl_coeffs = (
-        -2.0 * a_e * (ks**2)[:, None] * z
-        - (2.0 * a_e * a_mu / (1.0 - a_mu)) * (1j * ks)[:, None] * rinv_z
-    )
-    n = curve.grid_size
-    f0 = ForceDensity.from_coeffs(f0_coeffs, n)
-    fl = ForceDensity.from_coeffs(fl_coeffs, n)
-    return f0, fl
+    circle, dev = _split(curve)
+    ks, z, n = curve.ks, dev.coeffs, curve.grid_size
+    k2 = (ks**2)[:, None]
+    f0 = (2.0 * a_e / (1.0 - a_mu)) * -k2 * circle._coeffs(curve.max_mode)
+    jz = np.abs(ks)[:, None] * _j_action(z)
+    fl = -2.0 * a_e * k2 * z + (2.0 * a_e * a_mu / (1.0 - a_mu)) * jz
+    return ForceDensity.from_coeffs(f0, n), ForceDensity.from_coeffs(fl, n)
 
 
 def force_split_residual(force, f0, fl):

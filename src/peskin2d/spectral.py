@@ -22,7 +22,8 @@ The diagonalizing frame for the linearized dynamics ("Y variables") is
 which is unitary for k != 0, and P(0) = (1/sqrt2)[[0,1],[1,0]].  In this
 frame the linear operator L(k) = [[|k|, -i sgn k], [i sgn k, |k|]] becomes
 diag(|k|+1, |k|-1), and the steady circles occupy exactly the zero mode
-plus the second component of mode one.
+plus the second component of mode one.  The solvers apply L = |k| I + J in
+the X frame (`_j_action`); to_Y / from_Y are the frame's public reference.
 """
 
 import functools
@@ -115,8 +116,8 @@ class FourierCurve:
 def _symmetric_curve(coeffs, grid_size):
     """The unchecked constructor: a FourierCurve of `coeffs`, which must be
     exactly conjugate-symmetric, on a grid known to resolve their band.
-    Symmetry enters at FourierCurve and analyze; the frame change, ik and
-    real per-|k| rates keep it exactly, so derived curves are built here.
+    Symmetry enters at FourierCurve and analyze; the frame change, J, ik and
+    real per-|k| factors keep it exactly, so derived curves are built here.
     """
     curve = object.__new__(FourierCurve)
     object.__setattr__(curve, "coeffs", coeffs)
@@ -202,7 +203,20 @@ def fnorm(curve, s=1.0, nu=0.0):
 
 
 # ---------------------------------------------------------------------------
-# The diagonalizing frame
+# The linearization and its diagonalizing frame
+
+
+@functools.lru_cache(maxsize=16)
+def _j_rows(m):
+    """Read-only rows (-i sgn k, i sgn k) of modes k = -m..m."""
+    rows = np.sign(np.arange(-m, m + 1))[:, None] * np.array([-1j, 1j])
+    rows.flags.writeable = False
+    return rows
+
+
+def _j_action(coeffs):
+    """Rowwise J(k) c_k = (-i sgn k c2, i sgn k c1), with no rounding."""
+    return coeffs[:, ::-1] * _j_rows((coeffs.shape[0] - 1) // 2)
 
 
 def _frame(coeffs, ks, sign):
@@ -212,9 +226,8 @@ def _frame(coeffs, ks, sign):
     at k = 0 they swap the two components, scaled by sqrt2 or 1/sqrt2.
     """
     r = 1.0 / _SQRT2
-    a = (sign * r * 1j) * np.sign(ks)
-    c1, c2 = coeffs[:, 0], coeffs[:, 1]
-    out = np.stack([a * c1 + r * c2, r * c1 + a * c2], axis=1)
+    a = (sign * r * 1j) * np.sign(ks)[:, None]
+    out = a * coeffs + r * coeffs[:, ::-1]
     zero = ks == 0
     out[zero] = (_SQRT2 if sign > 0 else r) * coeffs[zero, ::-1]
     return out
@@ -281,6 +294,13 @@ def circle_part(curve):
     c0, c1 = curve.coeffs[curve.max_mode:curve.max_mode + 2]
     ab = c1[0] + 1j * c1[1]
     return CirclePart(*map(float, (ab.real, ab.imag, c0[0].real, c0[1].real)))
+
+
+def _split(curve):
+    """circle_decompose in the X frame: circle_part and the curve minus it."""
+    circle = circle_part(curve)
+    deviation = curve.coeffs - circle._coeffs(curve.max_mode)
+    return circle, _symmetric_curve(deviation, curve.grid_size)
 
 
 def circle_decompose(curve):
@@ -350,8 +370,8 @@ def geometry_diagnostics(curve, *, arc_chord_floor=0.0):
     """Enclosed area and the certified arc-chord bound, as {"area",
     "arc_chord"}.
 
-    With the curve split as X = circle(R) + Z, the circle read from modes
-    0 and +-1 by `circle_part`, 2 sin(d/2) >= 2d/pi and
+    With the curve split as X = circle(R) + Z by `_split`, the circle read
+    from modes 0 and +-1, 2 sin(d/2) >= 2d/pi and
     |Z(t) - Z(s)| <= ||Z||_{F^{1,1}} d give, for every pair,
 
         |X(t) - X(s)| / d(t, s)  >=  2R/pi - ||Z||_{F^{1,1}},
@@ -363,9 +383,7 @@ def geometry_diagnostics(curve, *, arc_chord_floor=0.0):
     value is at least the true constant, which is at least the bound, so
     the guard fails on exactly the curves the scan alone fails on.
     """
-    circle = circle_part(curve)
-    deviation = _symmetric_curve(curve.coeffs - circle._coeffs(curve.max_mode),
-                                 curve.grid_size)
+    circle, deviation = _split(curve)
     ac = 2.0 * circle.radius / math.pi - fnorm(deviation, 1)
     if not (ac > 0.0) or ac < arc_chord_floor:
         scan = arc_chord_constant(curve)

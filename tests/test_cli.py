@@ -192,6 +192,25 @@ def test_simulate_degenerate_exits_2(tmp_path, capsys):
     assert "DEGENERATE" in capsys.readouterr().out
 
 
+def test_trajectory_of_a_curve_degenerate_at_t0_reads_back(tmp_path):
+    """A figure-eight, X = (sin t, -sin 2t), fails the arc-chord guard before
+    the first row: simulate exits 2 with a header-only trajectory.csv, which
+    reads back as empty columns."""
+    from peskin2d.evolution import CSV_HEADER, TrajectoryRecord
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["initial"] = {"circle": {"a": 0.0},
+                      "modes": [[1, 0.0, -0.5, 0.0, 0.0],
+                                [2, 0.0, 0.0, 0.0, -0.5]]}
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        code = cli.main(["simulate", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)])
+    assert code == 2
+    rec = TrajectoryRecord.from_csv(out / "trajectory.csv")
+    for name in CSV_HEADER.split(","):
+        assert getattr(rec, name).shape == (0,)
+
+
 def test_simulate_to_a_tiny_t_final_exits_0(tmp_path, capsys):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["stepping"]["t_final"] = 1e-12

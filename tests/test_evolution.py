@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import peskin2d as pk
-from peskin2d.evolution import _phi1, _phi2, _step_operators
-from peskin2d.spectral import hermitize
+from peskin2d.evolution import _apply, _l_action, _phi1, _phi2, _step_factors
+from peskin2d.spectral import _split, _symmetric_curve, hermitize
 
 
 def small_deviation_curve(x0=1e-3, max_mode=8, grid_size=32, mode=2,
@@ -122,6 +122,40 @@ def test_velocity_matches_dense_reference(seed, n, eps):
     assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True),
+       st.floats(0.5, 2.0, exclude_min=True, exclude_max=True),
+       st.floats(0.52, 0.98), st.integers(2, 6))
+def test_runs_below_the_threshold_meet_the_energy_certificate(seed, a_mu, a_e,
+                                                              frac, kmax):
+    """The theorem as a property: a random circle plus a deviation on modes
+    2..kmax and the decaying (I + J)/2 component of mode 1, scaled to
+    x0 = frac k(a_mu), meets the balance and decay certificate under both
+    schemes."""
+    rng = np.random.default_rng(seed)
+    m, n = 16, 64
+    phase = rng.uniform(-np.pi, np.pi)
+    circle = pk.circle_curve(np.cos(phase), np.sin(phase),
+                             *rng.uniform(-1.0, 1.0, size=2), m, n)
+    dev = np.zeros((2 * m + 1, 2), complex)
+    dev[m + 2:m + kmax + 1] = rng.normal(size=(kmax - 1, 2, 2)) @ [1, 1j]
+    w = rng.normal(size=(2, 2)) @ [1, 1j]
+    dev[m + 1] = 0.5 * (w + [-1j * w[1], 1j * w[0]])
+    dev = hermitize(dev)
+    dev *= frac * pk.k_threshold(a_mu)["k"] / pk.fnorm(pk.FourierCurve(dev, n))
+    curve = circle.with_coeffs(circle.coeffs + dev)
+    p = pk.PhysicsParams.from_contrast(a_mu, a_e)
+    for scheme in ("exponential-euler", "etdrk2"):
+        cfg = pk.StepperConfig(dt=1e-3, t_final=0.2, scheme=scheme,
+                               record_every=10)
+        rec = pk.run(curve, p, cfg)
+        cert = pk.energy_certificate(rec, p, x0=rec.x0, nu_m=cfg.nu_max)
+        assert rec.failure is None and cert.ok, (
+            "%s: balance margin %+.3e, decay margin %+.3e, failure %s"
+            % (scheme, cert.balance_margin, cert.decay_margin, rec.failure))
+
+
 def test_phi_functions_match_series_and_exact():
     zs = np.array([-2.0, -1e-3, -1e-7, 0.0, 1e-7, 0.5])
     for z in zs:
@@ -136,8 +170,8 @@ def test_phi_functions_match_series_and_exact():
 @pytest.mark.parametrize("scheme", ["exponential-euler", "etdrk2"])
 @pytest.mark.parametrize("h", [None, 0.01 - 3 * 0.003], ids=["dt", "rest"])
 def test_step_matches_the_y_frame_formula(scheme, h):
-    """The step advances X-frame coefficients through cached operators; it
-    agrees with the schemes written out in the Y frame, mode by mode,
+    """The step advances X-frame coefficients through closed-form factors;
+    it agrees with the schemes written out in the Y frame, mode by mode,
 
         y1 = e^{h lam} y + h phi1(h lam) ny  (+ h phi2(h lam) (ny_mid - ny)),
 
@@ -167,36 +201,80 @@ def test_step_matches_the_y_frame_formula(scheme, h):
     assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(c.coeffs))
 
 
-@pytest.mark.parametrize("m, a_e, h", [(1, 1.0, 1e-3), (16, 1.0, 1e-3),
-                                       (7, 2.7, 0.3), (33, 0.1, 1e-9)])
-def test_step_operators_are_exactly_conjugate_symmetric(m, a_e, h):
-    """The operator at -k is the conjugate of the one at k bit for bit
-    (+0.0 and -0.0 taken as one value), so the X-frame step keeps curves
-    conjugate-symmetric without a projection; on the mean the operators are
-    exactly 1, h and h/2 times the identity."""
-    ops = _step_operators(m, a_e, h)
-    for op, d0 in zip(ops, (1.0, h, 0.5 * h)):
-        assert op.shape == (2 * m + 1, 2, 2) and not op.flags.writeable
-        assert (op[::-1] + 0.0).tobytes() == (np.conj(op) + 0.0).tobytes()
-        assert np.array_equal(op[m], d0 * np.eye(2))
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.1, 3.0),
+       st.floats(1e-9, 0.5), st.floats(-3.0, 3.0))
+def test_step_factors_match_the_frame_change(seed, m, a_e, h, log_scale):
+    """lo c + gap (c + J c) equals P diag(d) P^{-1} c through to_Y / from_Y
+    for d = e^{h lam}, h phi1(h lam), h phi2(h lam), and L c equals
+    P diag(|k| + 1, |k| - 1) P^{-1} c (zero at k = 0).  A step keeps a
+    conjugate-symmetric curve exactly symmetric (+0.0 and -0.0 taken as one
+    value), and each operator is exactly d0 = 1, h, h/2 on the mean and on
+    a circle."""
+    rng = np.random.default_rng(seed)
+    n = 2 * m + 1
+    ks = np.arange(-m, m + 1)
+    c = 10.0**log_scale * hermitize(rng.normal(size=(n, 2, 2)) @ [1, 1j])
+    absk = np.abs(ks)[:, None].astype(float)
+    rates = np.where(absk == 0, 0.0, np.hstack([absk + 1.0, absk - 1.0]))
+
+    def by_frame(diag, coeffs):
+        y = pk.to_Y(_symmetric_curve(coeffs, n)).coeffs
+        return pk.from_Y(_symmetric_curve(diag * y, n)).coeffs
+
+    scale = np.max(np.abs(c))
+    hl = h * (-0.5 * a_e * rates)
+    circle = pk.circle_curve(*rng.normal(size=4), max_mode=m).coeffs
+    factors = _step_factors(m, a_e, h)
+    for f, d, d0 in zip(factors, (np.exp(hl), h * _phi1(hl), h * _phi2(hl)),
+                        (1.0, h, 0.5 * h)):
+        assert f[0].shape == f[1].shape == (n, 1)
+        assert not (f[0].flags.writeable or f[1].flags.writeable)
+        assert np.max(np.abs(_apply(f, c) - by_frame(d, c))) <= (
+            1e-15 * d0 * scale)
+        assert np.array_equal(_apply(f, circle), d0 * circle)
+    assert np.max(np.abs(_l_action(c, ks) - by_frame(rates, c))) <= (
+        1e-15 * m * scale)
+
+    nx = hermitize(rng.normal(size=(n, 2, 2)) @ [1, 1j])
+    cfg = pk.StepperConfig(dt=h, t_final=1.0, scheme="etdrk2")
+    p = pk.PhysicsParams.from_contrast(0.0, a_e)
+    state = pk.SimulationState.make(0.0, _symmetric_curve(c, 4 * m), p)
+    out = pk.step(state, cfg, nonlinearity=lambda curve, p: curve.with_coeffs(
+        nx + 1e-3 * curve.coeffs)).curve.coeffs
+    assert (out[::-1] + 0.0).tobytes() == (np.conj(out) + 0.0).tobytes()
 
 
 def test_run_splits_the_circle_once_per_recorded_row(monkeypatch):
-    """A recorded row reads the state's one circle split; the arc-chord
-    bound reads the circle from modes 0 and +-1 without splitting again."""
+    """A recorded row reads the state's one X-frame circle split."""
     calls = []
-    split = pk.spectral.circle_decompose
 
     def counted(curve):
         calls.append(curve)
-        return split(curve)
+        return _split(curve)
 
-    for module in (pk.spectral, pk.evolution):
-        monkeypatch.setattr(module, "circle_decompose", counted)
+    monkeypatch.setattr(pk.evolution, "_split", counted)
     p = pk.PhysicsParams.from_contrast(0.5, 1.0)
     cfg = pk.StepperConfig(dt=1e-3, t_final=0.02, record_every=5)
     rec = pk.run(small_deviation_curve(1e-5), p, cfg)
     assert rec.t.size == 5 and len(calls) == 5
+
+
+@pytest.mark.parametrize("scheme", ["exponential-euler", "etdrk2"])
+def test_run_makes_no_frame_change(monkeypatch, scheme):
+    """Steps, rows and the threshold work in the X frame: a run completes
+    with to_Y and from_Y made to raise."""
+    def no_frame(curve):
+        raise AssertionError("frame change on the run path")
+
+    for module, name in ((pk.spectral, "to_Y"), (pk.spectral, "from_Y"),
+                         (pk.evolution, "to_Y")):
+        monkeypatch.setattr(module, name, no_frame)
+    p = pk.PhysicsParams.from_contrast(-0.5, 1.0)
+    cfg = pk.StepperConfig(dt=1e-3, t_final=0.01, scheme=scheme,
+                           record_every=5)
+    rec = pk.run(small_deviation_curve(1e-5), p, cfg)
+    assert rec.failure is None and rec.t.size == 3
 
 
 def test_exponential_euler_is_exact_for_pure_linear():
@@ -338,12 +416,20 @@ def test_stepper_config_rejects_nan_and_unknown_method():
 
 
 def test_simulation_state_splits_circle_lazily():
+    """The state's split is the X-frame `_split`, made on first read; it
+    agrees with the Y-frame reference circle_decompose to round-off."""
     c = small_deviation_curve(1e-3)
     state = pk.SimulationState.make(0.0, c, pk.PhysicsParams.from_contrast(0.0, 1.0))
     assert "_split" not in vars(state)
-    circle, dev = pk.circle_decompose(c)
+    circle, dev = _split(c)
     assert state.circle == circle
     assert np.array_equal(state.deviation.coeffs, dev.coeffs)
+    assert "_split" in vars(state)
+    ref_circle, ref_dev = pk.circle_decompose(c)
+    assert np.allclose([circle.a, circle.b, circle.c, circle.d],
+                       [ref_circle.a, ref_circle.b, ref_circle.c, ref_circle.d],
+                       rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(dev.coeffs - ref_dev.coeffs)) <= 1e-15
 
 
 def test_record_csv_roundtrip(tmp_path):
