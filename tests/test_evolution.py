@@ -245,6 +245,24 @@ def test_step_factors_match_the_frame_change(seed, m, a_e, h, log_scale):
     assert (out[::-1] + 0.0).tobytes() == (np.conj(out) + 0.0).tobytes()
 
 
+@pytest.mark.parametrize("m, a_e, h", [(1, 1.0, 1e-3), (16, 1.0, 1e-3),
+                                       (7, 2.7, 0.3), (33, 0.1, 1e-9)])
+def test_step_operators_are_exactly_conjugate_symmetric(m, a_e, h):
+    """The 2x2 operator that `_apply` makes of each closed-form factor pair
+    at -k is the conjugate of the one at k bit for bit (+0.0 and -0.0 taken
+    as one value), so the X-frame step keeps curves conjugate-symmetric
+    without a projection; on the mean the operators are exactly 1, h and
+    h/2 times the identity."""
+    n = 2 * m + 1
+    for f, d0 in zip(_step_factors(m, a_e, h), (1.0, h, 0.5 * h)):
+        assert f[0].shape == f[1].shape == (n, 1)
+        assert not (f[0].flags.writeable or f[1].flags.writeable)
+        op = np.stack([_apply(f, np.tile(e, (n, 1)).astype(complex))
+                       for e in np.eye(2)], axis=-1)
+        assert (op[::-1] + 0.0).tobytes() == (np.conj(op) + 0.0).tobytes()
+        assert np.array_equal(op[m], d0 * np.eye(2))
+
+
 def test_run_splits_the_circle_once_per_recorded_row(monkeypatch):
     """A recorded row reads the state's one X-frame circle split."""
     calls = []
