@@ -29,6 +29,7 @@ lo c + gap (c + J c) with real per-|k| factors, so a step makes no frame
 change and builds no operator.
 """
 
+import ast
 import math
 import warnings
 from dataclasses import dataclass
@@ -70,7 +71,6 @@ def velocity_on_curve(curve, force, geometry=None):
     n = g.n
     ws = _workspace(n)
     fs = force.samples
-    speed2 = np.sum(g.ds**2, axis=1)
     # (dX ox dX / |dX|^2) F = dX q with q = (dX . F) / |dX|^2; the diagonal
     # of q is zero, and its limit X' (X' . F) / |X'|^2 is added separately
     q = np.multiply(g.dx, fs[:, 0], out=ws.w)
@@ -79,8 +79,8 @@ def velocity_on_curve(curve, force, geometry=None):
     # -log(|dX| / 2|sin(dtheta/2)|) I, diagonal limit -log|X'| I
     logterm = np.log(np.divide(g.chord2, ws.sin2, out=ws.tmp), out=ws.tmp)
     logterm *= -0.5
-    np.fill_diagonal(logterm, -0.5 * np.log(speed2))
-    qd = np.sum(g.ds * fs, axis=1) / speed2
+    np.fill_diagonal(logterm, -0.5 * np.log(g.speed2))
+    qd = np.sum(g.ds * fs, axis=1) / g.speed2
     outer = np.stack([np.einsum("te,te->t", g.dx, q),
                       np.einsum("te,te->t", g.dy, q)], axis=1)
     u_reg = (logterm @ fs + outer + qd[:, None] * g.ds) / (2.0 * n)
@@ -249,12 +249,17 @@ class TrajectoryRecord:
 
     @classmethod
     def from_csv(cls, path):
-        # comment and header rows; none follow if t = 0 was degenerate
+        # "# x0=... script_C=... failure=...", the header, then data rows
         with open(path) as fh:
-            rows = [r.split(",") for r in fh.read().splitlines()[2:]]
+            comment, _, *lines = fh.read().splitlines()
+        x0, script_c, failure = (
+            field.partition("=")[2] for field in comment.split(" ", 3)[1:])
+        rows = [r.split(",") for r in lines]
         names = CSV_HEADER.split(",")
         data = np.array(rows, dtype=float).reshape(-1, len(names))
-        return cls(**{n: data[:, i] for i, n in enumerate(names)})
+        return cls(**{n: data[:, i] for i, n in enumerate(names)},
+                   x0=float(x0), script_C=float(script_c),
+                   failure=ast.literal_eval(failure))
 
 
 def run(curve, params, cfg):

@@ -32,9 +32,10 @@ which method='direct' always uses.
 
 Every (N, N) table lives in one workspace per grid size, filled in place
 and reused, so a step allocates none (the module is single-threaded).  A
-`_pair_geometry` is valid until the next one on its grid, and S comes as
-three read-only blocks, valid until the next S on its grid; `solve_force`
-and `velocity_on_curve` return arrays of their own.
+`_pair_geometry`, built behind the one degeneracy guard, is valid until the
+next one on its grid, and S comes as three read-only blocks, valid until
+the next S on its grid; `solve_force` and `velocity_on_curve` return arrays
+of their own.
 """
 
 import functools
@@ -45,8 +46,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .spectral import (
-    CurveDegenerateError,
     FourierCurve,
+    _arc_chord_guard,
     _grid_samples,
     _j_action,
     _split,
@@ -143,38 +144,33 @@ def elastic_force(curve, params=None):
 def _workspace(n):
     """The tables of one grid size.
 
-    Read-only: inv_sep2 = 1/d(theta_t, theta_e)^2 with d the distance on
-    the circle (inf on the diagonal), sin2 = (2 sin(|theta_t - theta_e|/2))^2
-    (1 on the diagonal), and the flattened fields (1, 0), (0, 1), u = (cos,
-    sin), v = (-sin, cos) as circle_basis.  Filled in place: dx, dy, chord2,
-    the S blocks sxx, sxy, syy, and the scratch tables w and tmp.
+    Read-only: sin2 = (2 sin(|theta_t - theta_e|/2))^2 (1 on the diagonal)
+    and the flattened fields (1, 0), (0, 1), u = (cos, sin), v = (-sin, cos)
+    as circle_basis.  Filled in place: dx, dy, chord2, the S blocks sxx,
+    sxy, syy, and the scratch tables w and tmp.
     """
     th = theta_grid(n)
-    dth = th[:, None] - th[None, :]
-    sep = np.abs(np.mod(dth + np.pi, 2.0 * np.pi) - np.pi)
-    with np.errstate(divide="ignore"):
-        inv_sep2 = 1.0 / sep**2
-    sin2 = (2.0 * np.sin(0.5 * dth)) ** 2
+    sin2 = (2.0 * np.sin(0.5 * (th[:, None] - th[None, :]))) ** 2
     np.fill_diagonal(sin2, 1.0)
     cos, sin, one, zero = np.cos(th), np.sin(th), np.ones(n), np.zeros(n)
     circle_basis = np.array([np.column_stack(f).ravel() for f in
                              ((one, zero), (zero, one), (cos, sin), (-sin, cos))])
-    for table in (inv_sep2, sin2, circle_basis):
+    for table in (sin2, circle_basis):
         table.flags.writeable = False
     names = ("dx", "dy", "chord2", "sxx", "sxy", "syy", "w", "tmp")
-    return SimpleNamespace(inv_sep2=inv_sep2, sin2=sin2,
-                           circle_basis=circle_basis,
+    return SimpleNamespace(sin2=sin2, circle_basis=circle_basis,
                            **dict(zip(names, np.empty((len(names), n, n)))))
 
 
 @dataclass(frozen=True, eq=False)
 class _PairGeometry:
-    """One curve on its grid: samples of X', X'' and the pair tables
-    dx, dy = X(theta_t) - X(theta_e) and chord2 = dx^2 + dy^2 (whose
-    diagonal is set to 1 so it can divide)."""
+    """One curve on its grid: samples of X', X'', speed2 = |X'|^2 and the
+    pair tables dx, dy = X(theta_t) - X(theta_e) and chord2 = dx^2 + dy^2
+    (whose diagonal is set to 1 so it can divide)."""
 
     ds: np.ndarray
     dds: np.ndarray
+    speed2: np.ndarray
     dx: np.ndarray
     dy: np.ndarray
     chord2: np.ndarray
@@ -186,14 +182,11 @@ class _PairGeometry:
 
 def _pair_geometry(curve, arc_chord_floor=1e-8):
     """Synthesize X, X', X'' and the pair tables once, behind the one
-    degeneracy guard of the force and velocity quadratures.
-
-    Raises CurveDegenerateError unless the grid arc-chord ratio
-    min |X(theta_t) - X(theta_e)| / d(theta_t, theta_e) over distinct
-    nodes (d = distance on the circle) lies above `arc_chord_floor`.
-    The pair tables live in the grid's workspace: the result is valid
-    until the next `_pair_geometry` call on the same grid size.
+    degeneracy guard `spectral._arc_chord_guard` at `arc_chord_floor`.  The
+    pair tables live in the grid's workspace: the result is valid until the
+    next `_pair_geometry` call on the same grid size.
     """
+    _arc_chord_guard(curve, arc_chord_floor)
     ik = (1j * curve.ks)[:, None]
     xp = curve.coeffs * ik
     # X, X' and X'' from one inverse FFT of their (2M+1, 6) spectrum
@@ -206,12 +199,7 @@ def _pair_geometry(curve, arc_chord_floor=1e-8):
     chord2 = np.multiply(dx, dx, out=ws.chord2)
     chord2 += np.multiply(dy, dy, out=ws.tmp)
     np.fill_diagonal(chord2, 1.0)
-    ratio = math.sqrt(np.min(np.multiply(chord2, ws.inv_sep2, out=ws.tmp)))
-    if not (ratio > arc_chord_floor):
-        raise CurveDegenerateError(
-            "grid arc-chord ratio %.3e below floor %.3e" % (ratio, arc_chord_floor)
-        )
-    return _PairGeometry(ds, dds, dx, dy, chord2)
+    return _PairGeometry(ds, dds, np.sum(ds**2, axis=1), dx, dy, chord2)
 
 
 def s_operator_matrix(curve, *, geometry=None):
@@ -221,8 +209,7 @@ def s_operator_matrix(curve, *, geometry=None):
     The blocks live in the grid's workspace: they are valid until the next
     `s_operator_matrix` call on the same grid size.  `geometry` is the
     curve's `_pair_geometry` when the caller already has it; otherwise it
-    is built here, which raises CurveDegenerateError if the grid arc-chord
-    ratio drops below 1e-8.
+    is built here, behind the degeneracy guard at floor 1e-8.
     """
     g = geometry if geometry is not None else _pair_geometry(curve)
     n = g.n
@@ -239,8 +226,7 @@ def s_operator_matrix(curve, *, geometry=None):
     wy = np.multiply(w, g.dy, out=ws.tmp)
     np.multiply(wy, g.dy, out=ws.syy)
     # diagonal limit: (2pi/n) (-1/2pi) (X'' . X'^perp) X' ox X' / |X'|^4
-    speed2 = np.sum(g.ds**2, axis=1)
-    wd = -(g.dds[:, 0] * px + g.dds[:, 1] * py) / (n * speed2**2)
+    wd = -(g.dds[:, 0] * px + g.dds[:, 1] * py) / (n * g.speed2**2)
     views = []
     for block, i, j in ((ws.sxx, 0, 0), (ws.sxy, 0, 1), (ws.syy, 1, 1)):
         np.fill_diagonal(block, wd * (g.ds[:, i] * g.ds[:, j]))
@@ -331,19 +317,18 @@ def solve_force(curve, params, method="richardson", geometry=None):
     and is the reference.  Either way the residual relative to
     max(1, max |b|) must end at most 1e-10, or SolverError is raised.
     `geometry` is the curve's `_pair_geometry` when the caller already has
-    it.
+    it; otherwise it is built here, behind the guard at floor 1e-8.
     """
     if method not in ("direct", "richardson"):
         raise ValueError("method must be 'direct' or 'richardson'")
     a_mu, a_e = params.a_mu, params.a_e
-    xpp = geometry.dds if geometry is not None else elastic_force(curve).samples
-    rhs = 2.0 * a_e * xpp
-    n = rhs.shape[0]
-    b = rhs.reshape(-1)
+    g = geometry if geometry is not None else _pair_geometry(curve)
+    n = g.n
+    b = (2.0 * a_e * g.dds).reshape(-1)
     if a_mu == 0.0:
-        f = b.copy()
+        f = b
     else:
-        blocks = s_operator_matrix(curve, geometry=geometry)
+        blocks = s_operator_matrix(curve, geometry=g)
 
         def residual(f):
             return b - f + 2.0 * a_mu * _apply_s(blocks, f)

@@ -74,8 +74,8 @@ class FourierCurve:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] % 2 == 0:
-            raise ValueError("coeffs must have shape (2M+1, 2)")
+        if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] % 2 == 0 or len(c) < 3:
+            raise ValueError("coeffs must have shape (2M+1, 2) with M >= 1")
         m = (c.shape[0] - 1) // 2
         n = self.grid_size if self.grid_size else max(4 * m, 8)
         if n < 2 * m + 1:
@@ -345,7 +345,7 @@ def arc_chord_constant(curve):
     The scan goes by grid offset: node i against node i + d for d = 1..2N,
     so every pair is seen at its exact separation 2 pi d / 4N (the antipodal
     separation d = pi included).  It costs 8N^2 pairs and is the fallback of
-    `geometry_diagnostics`, which runs it only when the certified bound is
+    `_arc_chord_guard`, which runs it only when the certified bound is
     inconclusive.
 
     The result is a 4N-grid estimate, an upper bound on the true constant,
@@ -366,30 +366,38 @@ def arc_chord_constant(curve):
     return float(np.min(np.sqrt(dx * dx + dy * dy) / seps))
 
 
-def geometry_diagnostics(curve, *, arc_chord_floor=0.0):
-    """Enclosed area and the certified arc-chord bound, as {"area",
-    "arc_chord"}.
+def _arc_chord_guard(curve, floor):
+    """The one degeneracy guard: returns the certified O(M) lower bound
 
-    With the curve split as X = circle(R) + Z by `_split`, the circle read
-    from modes 0 and +-1, 2 sin(d/2) >= 2d/pi and
-    |Z(t) - Z(s)| <= ||Z||_{F^{1,1}} d give, for every pair,
+        |X(t) - X(s)| / d(t, s)  >=  2R/pi - ||Z||_{F^{1,1}}
 
-        |X(t) - X(s)| / d(t, s)  >=  2R/pi - ||Z||_{F^{1,1}},
-
-    an O(M) lower bound on the arc-chord constant; "arc_chord" holds it.
-    When the bound is not positive or falls below `arc_chord_floor`, the
-    grid scan `arc_chord_constant` decides, and CurveDegenerateError is
-    raised only if it too is not positive or below the floor.  The scan's
-    value is at least the true constant, which is at least the bound, so
-    the guard fails on exactly the curves the scan alone fails on.
+    on the arc-chord constant of X = circle(R) + Z (by 2 sin(d/2) >= 2d/pi
+    and |Z(t) - Z(s)| <= ||Z||_{F^{1,1}} d), read from the modes without
+    building Z: with c_1 = (x, y), R = |x + iy|, the +-1 part of Z has norm
+    sqrt2 |x - iy| and the rest is sum_{|k| >= 2} |k| |c_k|.  When the bound
+    is not positive or below `floor`, the grid scan `arc_chord_constant`
+    decides, and CurveDegenerateError is raised only if it too is not
+    positive or below the floor.  The scan is at least the true constant,
+    which is at least the bound, so the guard fails exactly when the scan
+    does.
     """
-    circle, deviation = _split(curve)
-    ac = 2.0 * circle.radius / math.pi - fnorm(deviation, 1)
-    if not (ac > 0.0) or ac < arc_chord_floor:
+    m = curve.max_mode
+    x, y = curve.mode(1).tolist()
+    tail = curve.coeffs[m + 2:].view(float)  # rows (re1, im1, re2, im2)
+    mags = np.sqrt(np.einsum("ij,ij->i", tail, tail))
+    bound = (2.0 * abs(x + 1j * y) / math.pi - _SQRT2 * abs(x - 1j * y)
+             - 2.0 * float(np.arange(2, m + 1) @ mags))
+    if not (bound > 0.0) or bound < floor:
         scan = arc_chord_constant(curve)
-        if not (scan > 0.0) or scan < arc_chord_floor:
+        if not (scan > 0.0) or scan < floor:
             raise CurveDegenerateError(
-                "arc-chord constant %.3e below floor %.3e"
-                % (scan, arc_chord_floor)
+                "arc-chord constant %.3e below floor %.3e" % (scan, floor)
             )
-    return {"area": enclosed_area(curve), "arc_chord": ac}
+    return bound
+
+
+def geometry_diagnostics(curve, *, arc_chord_floor=0.0):
+    """{"area", "arc_chord"}: the enclosed area and the bound that
+    `_arc_chord_guard` returns, or CurveDegenerateError from that guard."""
+    bound = _arc_chord_guard(curve, arc_chord_floor)
+    return {"area": enclosed_area(curve), "arc_chord": bound}

@@ -192,10 +192,10 @@ def test_simulate_degenerate_exits_2(tmp_path, capsys):
     assert "DEGENERATE" in capsys.readouterr().out
 
 
-def test_trajectory_of_a_curve_degenerate_at_t0_reads_back(tmp_path):
+def test_trajectory_of_a_curve_degenerate_at_t0_reads_back(tmp_path, capsys):
     """A figure-eight, X = (sin t, -sin 2t), fails the arc-chord guard before
     the first row: simulate exits 2 with a header-only trajectory.csv, which
-    reads back as empty columns."""
+    reads back as empty columns with the run's x0, script_C and failure."""
     from peskin2d.evolution import CSV_HEADER, TrajectoryRecord
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["initial"] = {"circle": {"a": 0.0},
@@ -209,6 +209,11 @@ def test_trajectory_of_a_curve_degenerate_at_t0_reads_back(tmp_path):
     rec = TrajectoryRecord.from_csv(out / "trajectory.csv")
     for name in CSV_HEADER.split(","):
         assert getattr(rec, name).shape == (0,)
+    comment = (out / "trajectory.csv").read_text().splitlines()[0]
+    assert comment == "# x0=%r script_C=%r failure=%r" % (
+        rec.x0, rec.script_C, rec.failure)
+    assert rec.x0 > 0 and rec.failure.startswith("arc-chord constant")
+    assert "DEGENERATE: %s\n" % rec.failure in capsys.readouterr().out
 
 
 def test_simulate_to_a_tiny_t_final_exits_0(tmp_path, capsys):

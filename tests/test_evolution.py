@@ -464,6 +464,8 @@ def test_record_csv_roundtrip(tmp_path):
     assert np.allclose(back.t, rec.t)
     assert np.allclose(back.norm_f11, rec.norm_f11)
     assert np.allclose(back.energy_lhs, rec.energy_lhs)
+    assert (back.x0, back.script_C) == (rec.x0, rec.script_C)
+    assert np.isfinite(back.script_C) and back.failure is None
 
 
 def test_final_state_roundtrip(tmp_path):
@@ -521,8 +523,8 @@ def test_near_circle_run_makes_no_grid_scan(monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_inconclusive_bound_falls_back_to_the_grid_scan(monkeypatch):
     """An ellipse whose bound sits below the floor and whose grid value sits
-    above it runs the scan on each recorded row and completes; the column
-    still holds the bound."""
+    above it runs the scan on each recorded row and on each right-hand
+    side, and completes; the column still holds the bound."""
     m = 16
     coeffs = np.zeros((2 * m + 1, 2), complex)
     coeffs[m + 1] = (0.6, -0.4j)  # x = 1.2 cos, y = 0.8 sin
@@ -542,7 +544,7 @@ def test_inconclusive_bound_falls_back_to_the_grid_scan(monkeypatch):
                            arc_chord_floor=floor)
     rec = pk.run(c, pk.PhysicsParams.from_contrast(0.0, 1.0), cfg)
     assert rec.failure is None and rec.t.size == 5
-    assert len(scans) == rec.t.size
+    assert len(scans) == 25  # 5 rows + 20 exponential-Euler steps
     assert min(scans) > floor
     assert np.all(rec.arc_chord < floor)
     # R = 1 and Z = 0.2 (cos, -sin), whose F^{1,1} norm is 0.2 sqrt2

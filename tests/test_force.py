@@ -210,7 +210,8 @@ def test_results_do_not_alias_the_workspace(a_mu, method):
 
 
 def test_rhs_nonlinear_guards_figure_eight():
-    """The one guard covers a_mu = 0 too, where S is never assembled."""
+    """The one guard covers a_mu = 0 too, where S is never assembled, and
+    direct force solves as well as right-hand sides."""
     m = 4
     coeffs = np.zeros((2 * m + 1, 2), complex)
     coeffs[m + 2] = (0.5, -0.5j)
@@ -220,6 +221,8 @@ def test_rhs_nonlinear_guards_figure_eight():
         p = pk.PhysicsParams.from_contrast(a_mu, 1.0)
         with pytest.raises(pk.CurveDegenerateError):
             pk.rhs_nonlinear(c, p)
+        with pytest.raises(pk.CurveDegenerateError):
+            pk.solve_force(c, p)
 
 
 # -------------------------------------------------------------- force solve

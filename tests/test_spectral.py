@@ -60,6 +60,8 @@ def test_aliasing_guard():
 
 
 def test_conjugate_symmetry_enforced():
+    with pytest.raises(ValueError, match="shape"):
+        pk.FourierCurve([[1, 2]])  # max mode 0: a point, not a curve
     c = np.zeros((5, 2), complex)
     c[3] = (1.0, 0.0)  # mode +1 without its mirror
     with pytest.raises(ValueError):
@@ -393,14 +395,20 @@ def test_arc_chord_bound_on_circles_is_two_r_over_pi(m, radius, phase, cx, cy):
        st.floats(0.0, 0.7))
 def test_geometry_guard_fails_exactly_when_the_scan_does(seed, m, amp, floor):
     """The bound only skips the scan when it already clears the floor, so
-    the guard's verdict is the scan's verdict."""
+    the guard's verdict is the scan's verdict, for the recorded rows and for
+    the right-hand side alike."""
     curve = _perturbed_circle(seed, m, amp, 1.0, 0.0, 0.0, 0.0)
-    try:
-        pk.geometry_diagnostics(curve, arc_chord_floor=floor)
-        raised = False
-    except pk.CurveDegenerateError:
-        raised = True
-    assert raised == (pk.arc_chord_constant(curve) < floor)
+    params = pk.PhysicsParams.from_contrast(0.0, 1.0)
+    expected = pk.arc_chord_constant(curve) < floor
+    for guarded in (
+            lambda: pk.geometry_diagnostics(curve, arc_chord_floor=floor),
+            lambda: pk.rhs_nonlinear(curve, params, arc_chord_floor=floor)):
+        try:
+            guarded()
+            raised = False
+        except pk.CurveDegenerateError:
+            raised = True
+        assert raised == expected
 
 
 def test_geometry_diagnostics_keys_and_floor():
