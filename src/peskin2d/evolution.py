@@ -12,7 +12,10 @@ Fourier side:
     G(dX) = Greg + K(dtheta) I,
     Greg  = (1/4pi) ( -log( |dX| / 2|sin(dtheta/2)| ) I + dX ox dX / |dX|^2 ),
 
-whose diagonal limit is (1/4pi) ( -log|X'| I + X' ox X' / |X'|^2 ).
+whose diagonal limit is (1/4pi) ( -log|X'| I + X' ox X' / |X'|^2 ).  The
+pair sweep of `force._pair_geometry` writes 4pi Greg on the grid as three
+read-only (N, N) blocks V (xx, xy, yy), so the trapezoid rule is one block
+apply of V, the one the force solve uses for S, divided by 2N.
 
 The stiff part is the linearization about the circles, one 2x2 symbol per
 mode; n collects everything beyond it:
@@ -38,7 +41,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .constants import OutOfRegimeError, balance_lhs, k_threshold, margin
-from .force import PhysicsParams, _pair_geometry, _workspace, solve_force
+from .force import PhysicsParams, _apply_blocks, _pair_geometry, solve_force
 from .kernels import log_convolve
 from .spectral import (
     CurveDegenerateError,
@@ -62,28 +65,15 @@ def velocity_on_curve(curve, force, geometry=None):
     """Fluid velocity on the interface driven by the ForceDensity `force`,
     as (N, 2) samples.
 
-    Trapezoid on the regularized Stokeslet plus the exact log convolution.
-    `geometry` is the curve's `_pair_geometry` when the caller already has
-    it; otherwise it is built here, behind the same degeneracy guard.  The
-    (N, N) log term and q go to the workspace's scratch, not its S blocks.
+    Trapezoid on the regularized Stokeslet, the block apply of V over 2N,
+    plus the exact log convolution.  `geometry` is the curve's
+    `_pair_geometry` when the caller already has it; otherwise it is built
+    here, behind the same degeneracy guard, writing V but not S.
     """
-    g = geometry if geometry is not None else _pair_geometry(curve)
-    n = g.n
-    ws = _workspace(n)
-    fs = force.samples
-    # (dX ox dX / |dX|^2) F = dX q with q = (dX . F) / |dX|^2; the diagonal
-    # of q is zero, and its limit X' (X' . F) / |X'|^2 is added separately
-    q = np.multiply(g.dx, fs[:, 0], out=ws.w)
-    q += np.multiply(g.dy, fs[:, 1], out=ws.tmp)
-    q /= g.chord2
-    # -log(|dX| / 2|sin(dtheta/2)|) I, diagonal limit -log|X'| I
-    logterm = np.log(np.divide(g.chord2, ws.sin2, out=ws.tmp), out=ws.tmp)
-    logterm *= -0.5
-    np.fill_diagonal(logterm, -0.5 * np.log(g.speed2))
-    qd = np.sum(g.ds * fs, axis=1) / g.speed2
-    outer = np.stack([np.einsum("te,te->t", g.dx, q),
-                      np.einsum("te,te->t", g.dy, q)], axis=1)
-    u_reg = (logterm @ fs + outer + qd[:, None] * g.ds) / (2.0 * n)
+    if force.grid_size != curve.grid_size:
+        raise ValueError("force samples and curve grid disagree")
+    g = geometry if geometry is not None else _pair_geometry(curve, with_s=False)
+    u_reg = _apply_blocks(g.v, force.samples) / (2.0 * g.n)
     return u_reg + log_convolve(force)
 
 
@@ -100,9 +90,11 @@ def rhs_nonlinear(curve, params, force=None, arc_chord_floor=1e-8):
     L annihilates the circle family (its mode-(+-1) coefficients are in
     the kernel of L(+-1)), so xhat may be the full curve's coefficients.
     The curve's pair geometry is built once, behind the degeneracy guard,
-    and shared by the force solve and the velocity quadrature.
+    and shared by the force solve and the velocity quadrature; it writes S
+    only when the force solve reads it (a_mu != 0 and no `force` given).
     """
-    geometry = _pair_geometry(curve, arc_chord_floor)
+    geometry = _pair_geometry(curve, arc_chord_floor,
+                              with_s=force is None and params.a_mu != 0.0)
     if force is None:
         force = solve_force(curve, params, geometry=geometry)
     u = velocity_on_curve(curve, force, geometry=geometry)
@@ -344,12 +336,9 @@ def write_final_state(path, state):
         fh.write("grid_size %d\n" % state.curve.grid_size)
         fh.write("mu1 %.16e\nmu2 %.16e\nk0 %.16e\n" % (p.mu1, p.mu2, p.k0))
         fh.write("k re1 im1 re2 im2\n")
-        for k in range(-m, m + 1):
-            c = state.curve.mode(k)
-            fh.write(
-                "%d %.16e %.16e %.16e %.16e\n"
-                % (k, c[0].real, c[0].imag, c[1].real, c[1].imag)
-            )
+        fh.writelines("%d %.16e %.16e %.16e %.16e\n"
+                      % (k, c1.real, c1.imag, c2.real, c2.imag)
+                      for k, (c1, c2) in enumerate(state.curve.coeffs.tolist(), -m))
 
 
 def read_final_state(path):

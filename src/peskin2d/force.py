@@ -31,11 +31,14 @@ halving (large deviations at |a_mu| near 1) it falls back to the dense LU,
 which method='direct' always uses.
 
 Every (N, N) table lives in one workspace per grid size, filled in place
-and reused, so a step allocates none (the module is single-threaded).  A
-`_pair_geometry`, built behind the one degeneracy guard, is valid until the
-next one on its grid, and S comes as three read-only blocks, valid until
-the next S on its grid; `solve_force` and `velocity_on_curve` return arrays
-of their own.
+and reused, so a step allocates none (the module is single-threaded).
+`_pair_geometry`, behind the one degeneracy guard, makes one row-tiled sweep
+over the pairs that writes the (xx, xy, yy) blocks of S (when a solve will
+read them) and of the regularized Stokeslet V of `evolution` together; the
+pair differences live only in bounded tile buffers.  Each comes as
+read-only blocks, valid until the next sweep on its grid that writes it,
+and one block apply serves both.  `solve_force` and `velocity_on_curve`
+return arrays of their own.
 """
 
 import functools
@@ -61,6 +64,7 @@ from .spectral import (
 
 _TOL = 1e-14  # Richardson stops at max |r| <= _TOL max |F|
 _MAX_ITER = 500  # residuals before the Richardson iteration gives up
+_TILE_PAIRS = 16384  # pairs per row tile of the `_pair_geometry` sweep
 
 
 class SolverError(RuntimeError):
@@ -146,8 +150,10 @@ def _workspace(n):
 
     Read-only: sin2 = (2 sin(|theta_t - theta_e|/2))^2 (1 on the diagonal)
     and the flattened fields (1, 0), (0, 1), u = (cos, sin), v = (-sin, cos)
-    as circle_basis.  Filled in place: dx, dy, chord2, the S blocks sxx,
-    sxy, syy, and the scratch tables w and tmp.
+    as circle_basis.  Written by each `_pair_geometry` sweep: the blocks
+    (xx, xy, yy) of S in `s` and of V in `v`, each (3, N, N) with read-only
+    views `s_blocks` and `v_blocks`, and the five row-tile buffers `tile`,
+    (5, rows, N) with rows * N about _TILE_PAIRS.
     """
     th = theta_grid(n)
     sin2 = (2.0 * np.sin(0.5 * (th[:, None] - th[None, :]))) ** 2
@@ -155,36 +161,44 @@ def _workspace(n):
     cos, sin, one, zero = np.cos(th), np.sin(th), np.ones(n), np.zeros(n)
     circle_basis = np.array([np.column_stack(f).ravel() for f in
                              ((one, zero), (zero, one), (cos, sin), (-sin, cos))])
-    for table in (sin2, circle_basis):
+    s, v = np.empty((3, n, n)), np.empty((3, n, n))
+    s_ro, v_ro = s.view(), v.view()
+    for table in (sin2, circle_basis, s_ro, v_ro):
         table.flags.writeable = False
-    names = ("dx", "dy", "chord2", "sxx", "sxy", "syy", "w", "tmp")
-    return SimpleNamespace(sin2=sin2, circle_basis=circle_basis,
-                           **dict(zip(names, np.empty((len(names), n, n)))))
+    rows = min(n, max(1, _TILE_PAIRS // n))
+    return SimpleNamespace(sin2=sin2, circle_basis=circle_basis, s=s, v=v,
+                           s_blocks=tuple(s_ro), v_blocks=tuple(v_ro),
+                           tile=np.empty((5, rows, n)))
 
 
 @dataclass(frozen=True, eq=False)
 class _PairGeometry:
-    """One curve on its grid: samples of X', X'', speed2 = |X'|^2 and the
-    pair tables dx, dy = X(theta_t) - X(theta_e) and chord2 = dx^2 + dy^2
-    (whose diagonal is set to 1 so it can divide)."""
+    """One curve on its grid: samples of X'' and the read-only (xx, xy, yy)
+    blocks of S (None when not asked for) and of V, the regularized
+    Stokeslet of `evolution`."""
 
-    ds: np.ndarray
     dds: np.ndarray
-    speed2: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-    chord2: np.ndarray
+    s: tuple | None
+    v: tuple
 
     @property
     def n(self):
-        return self.ds.shape[0]
+        return self.dds.shape[0]
 
 
-def _pair_geometry(curve, arc_chord_floor=1e-8):
-    """Synthesize X, X', X'' and the pair tables once, behind the one
-    degeneracy guard `spectral._arc_chord_guard` at `arc_chord_floor`.  The
-    pair tables live in the grid's workspace: the result is valid until the
-    next `_pair_geometry` call on the same grid size.
+def _pair_geometry(curve, arc_chord_floor=1e-8, with_s=True):
+    """Synthesize X, X', X'' once, behind the one degeneracy guard
+    `spectral._arc_chord_guard` at `arc_chord_floor`, and fill the blocks of
+    V, and of S when `with_s`, in one sweep over the pairs.
+
+    The sweep goes by row tiles of about _TILE_PAIRS pairs, and each tile
+    shares dX = X(theta_t) - X(theta_e), 1/|dX|^2 and dX ox dX/|dX|^2
+    between V = -1/2 log(|dX|^2/sin2) I + dX ox dX/|dX|^2 and the S weight
+    (2pi/N)(1/pi)(dX . X'^perp(theta_t))/|dX|^2.  The diagonals are the
+    smooth limits -1/2 log|X'|^2 I + X' ox X'/|X'|^2 and
+    (2pi/N)(-1/2pi)(X'' . X'^perp) X' ox X'/|X'|^4.  The blocks live in the
+    grid's workspace: they are valid until the next sweep on the same grid
+    size, which leaves S untouched when it writes V only.
     """
     _arc_chord_guard(curve, arc_chord_floor)
     ik = (1j * curve.ks)[:, None]
@@ -193,13 +207,47 @@ def _pair_geometry(curve, arc_chord_floor=1e-8):
     samples = _grid_samples(np.hstack([curve.coeffs, xp, xp * ik]),
                             curve.grid_size)
     xs, ds, dds = samples[:, :2], samples[:, 2:4], samples[:, 4:]
-    ws = _workspace(curve.grid_size)
-    dx = np.subtract(xs[:, 0, None], xs[None, :, 0], out=ws.dx)
-    dy = np.subtract(xs[:, 1, None], xs[None, :, 1], out=ws.dy)
-    chord2 = np.multiply(dx, dx, out=ws.chord2)
-    chord2 += np.multiply(dy, dy, out=ws.tmp)
-    np.fill_diagonal(chord2, 1.0)
-    return _PairGeometry(ds, dds, np.sum(ds**2, axis=1), dx, dy, chord2)
+    n = curve.grid_size
+    ws = _workspace(n)
+    speed2 = np.sum(ds**2, axis=1)
+    outer = np.stack([ds[:, 0] * ds[:, 0], ds[:, 0] * ds[:, 1],
+                      ds[:, 1] * ds[:, 1]])
+    px, py = (-2.0 / n) * ds[:, 1], (2.0 / n) * ds[:, 0]  # (2/N) X'^perp
+    rows = ws.tile.shape[1]
+    for t0 in range(0, n, rows):
+        t1 = min(t0 + rows, n)
+        dx, dy, xx, yy, inv = ws.tile[:, :t1 - t0]
+        vxx, vxy, vyy = ws.v[:, t0:t1]
+        np.subtract(xs[t0:t1, 0, None], xs[None, :, 0], out=dx)
+        np.subtract(xs[t0:t1, 1, None], xs[None, :, 1], out=dy)
+        np.multiply(dx, dx, out=xx)
+        np.multiply(dy, dy, out=yy)
+        np.add(xx, yy, out=inv)
+        inv.reshape(-1)[t0::n + 1] = 1.0  # the diagonal, so it can divide
+        np.divide(1.0, inv, out=inv)
+        xx *= inv
+        yy *= inv
+        np.multiply(dx, dy, out=vxy)
+        vxy *= inv
+        # V = h I + dX ox dX/|dX|^2 with h = -1/2 log(|dX|^2/sin2) in vxx
+        np.log(np.multiply(inv, ws.sin2[t0:t1], out=vxx), out=vxx)
+        vxx *= 0.5
+        np.add(vxx, yy, out=vyy)
+        vxx += xx
+        if with_s:  # dx becomes the S weight (2/N)(dX . X'^perp)/|dX|^2
+            dx *= px[t0:t1, None]
+            dx += np.multiply(dy, py[t0:t1, None], out=dy)
+            dx *= inv
+            for block, q in zip(ws.s[:, t0:t1], (xx, vxy, yy)):
+                np.multiply(dx, q, out=block)
+    # the diagonals, through one strided slice of each (3, N^2) table
+    diag = outer / speed2
+    diag[::2] -= 0.5 * np.log(speed2)
+    ws.v.reshape(3, -1)[:, ::n + 1] = diag
+    if with_s:
+        wd = -(dds[:, 0] * px + dds[:, 1] * py) / (2.0 * speed2**2)
+        ws.s.reshape(3, -1)[:, ::n + 1] = wd * outer
+    return _PairGeometry(dds, ws.s_blocks if with_s else None, ws.v_blocks)
 
 
 def s_operator_matrix(curve, *, geometry=None):
@@ -207,42 +255,23 @@ def s_operator_matrix(curve, *, geometry=None):
     (sxx, sxy, syy): S(F)_x = sxx F_x + sxy F_y, S(F)_y = sxy F_x + syy F_y.
 
     The blocks live in the grid's workspace: they are valid until the next
-    `s_operator_matrix` call on the same grid size.  `geometry` is the
-    curve's `_pair_geometry` when the caller already has it; otherwise it
-    is built here, behind the degeneracy guard at floor 1e-8.
+    sweep that writes S on the same grid size.  `geometry` is the curve's
+    `_pair_geometry` built with S when the caller already has it; otherwise
+    one is built here, behind the degeneracy guard at floor 1e-8.
     """
-    g = geometry if geometry is not None else _pair_geometry(curve)
-    n = g.n
-    ws = _workspace(n)
-    px, py = -g.ds[:, 1], g.ds[:, 0]  # X'^perp
-    # off-diagonal: (2pi/n) (1/pi) (dX . X'^perp(theta)) dX ox dX / |dX|^4
-    w = np.multiply(g.dx, px[:, None], out=ws.w)
-    w += np.multiply(g.dy, py[:, None], out=ws.tmp)
-    w *= 2.0 / n
-    w /= np.multiply(g.chord2, g.chord2, out=ws.tmp)
-    wx = np.multiply(w, g.dx, out=ws.tmp)
-    np.multiply(wx, g.dx, out=ws.sxx)
-    np.multiply(wx, g.dy, out=ws.sxy)
-    wy = np.multiply(w, g.dy, out=ws.tmp)
-    np.multiply(wy, g.dy, out=ws.syy)
-    # diagonal limit: (2pi/n) (-1/2pi) (X'' . X'^perp) X' ox X' / |X'|^4
-    wd = -(g.dds[:, 0] * px + g.dds[:, 1] * py) / (n * g.speed2**2)
-    views = []
-    for block, i, j in ((ws.sxx, 0, 0), (ws.sxy, 0, 1), (ws.syy, 1, 1)):
-        np.fill_diagonal(block, wd * (g.ds[:, i] * g.ds[:, j]))
-        views.append(block.view())
-        views[-1].flags.writeable = False
-    return tuple(views)
+    return (geometry if geometry is not None else _pair_geometry(curve)).s
 
 
-def _apply_s(blocks, f):
-    """S f for a flattened (2N,) field f, as four block mat-vecs."""
-    sxx, sxy, syy = blocks
-    fx, fy = f[0::2], f[1::2]
-    out = np.empty_like(f)
-    out[0::2] = sxx @ fx + sxy @ fy
-    out[1::2] = sxy @ fx + syy @ fy
-    return out
+def _apply_blocks(blocks, f):
+    """B f for the symmetric 2x2-block matrix B = (bxx, bxy, byy) of S or V
+    and a field f, flattened (2N,) or (N, 2), returned in the shape of f:
+    bxy is read once, as one product with the (N, 2) samples."""
+    bxx, bxy, byy = blocks
+    f2 = f.reshape(-1, 2)
+    out = bxy @ f2[:, ::-1]
+    out[:, 0] += bxx @ f2[:, 0]
+    out[:, 1] += byy @ f2[:, 1]
+    return out.reshape(f.shape)
 
 
 def _dense_system(blocks, a_mu):
@@ -316,13 +345,15 @@ def solve_force(curve, params, method="richardson", geometry=None):
     part has zero radius.  method='direct' always factors the dense system
     and is the reference.  Either way the residual relative to
     max(1, max |b|) must end at most 1e-10, or SolverError is raised.
-    `geometry` is the curve's `_pair_geometry` when the caller already has
-    it; otherwise it is built here, behind the guard at floor 1e-8.
+    `geometry` is the curve's `_pair_geometry`, built with S when a_mu is
+    not zero, when the caller already has it; otherwise it is built here,
+    behind the guard at floor 1e-8.
     """
     if method not in ("direct", "richardson"):
         raise ValueError("method must be 'direct' or 'richardson'")
     a_mu, a_e = params.a_mu, params.a_e
-    g = geometry if geometry is not None else _pair_geometry(curve)
+    g = geometry if geometry is not None else _pair_geometry(
+        curve, with_s=a_mu != 0.0)
     n = g.n
     b = (2.0 * a_e * g.dds).reshape(-1)
     if a_mu == 0.0:
@@ -331,7 +362,7 @@ def solve_force(curve, params, method="richardson", geometry=None):
         blocks = s_operator_matrix(curve, geometry=g)
 
         def residual(f):
-            return b - f + 2.0 * a_mu * _apply_s(blocks, f)
+            return b - f + 2.0 * a_mu * _apply_blocks(blocks, f)
 
         solved = None
         if method == "richardson":

@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import peskin2d as pk
 from peskin2d.evolution import _apply, _l_action, _phi1, _phi2, _step_factors
+from peskin2d.force import _pair_geometry
 from peskin2d.spectral import _split, _symmetric_curve, hermitize
 
 
@@ -78,9 +79,9 @@ def test_force_and_velocity_follow_rigid_motions(seed, a_mu, log_eps, sx, sy,
     assert np.max(np.abs(u_r - u @ rot.T)) <= 1e-10 * scale
 
 
-def dense_velocity_reference(curve, force):
-    """Velocity with the regularized Stokeslet assembled as (N, N, 2, 2)
-    blocks through einsum, as a reference."""
+def dense_stokeslet_reference(curve):
+    """The regularized Stokeslet V assembled as (N, N, 2, 2) blocks through
+    einsum, as a reference."""
     xs = pk.synthesize(curve)
     ds = pk.synthesize(pk.derivative(curve))
     n = xs.shape[0]
@@ -98,14 +99,31 @@ def dense_velocity_reference(curve, force):
     idx = np.arange(n)
     blocks[idx, idx] = (-0.5 * np.log(speed2))[:, None, None] * np.eye(2) + (
         ds[:, :, None] * ds[:, None, :]) / speed2[:, None, None]
-    u_reg = np.einsum("teij,ej->ti", blocks, force.samples) / (2.0 * n)
+    return blocks
+
+
+def dense_velocity_reference(curve, force):
+    """Velocity with the regularized Stokeslet assembled as (N, N, 2, 2)
+    blocks through einsum, as a reference."""
+    blocks = dense_stokeslet_reference(curve)
+    u_reg = np.einsum("teij,ej->ti", blocks, force.samples) / (2.0 * len(blocks))
     return u_reg + pk.log_convolve(force)
+
+
+def random_force(rng, m, n):
+    fc = np.zeros((2 * m + 1, 2), complex)
+    fc[m - 6:m + 7] = rng.normal(size=(13, 2)) + 1j * rng.normal(size=(13, 2))
+    return pk.ForceDensity.from_coeffs(hermitize(fc), n)
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([32, 48, 64, 96, 128]),
        st.floats(1e-3, 0.2))
+@example(seed=1, n=256, eps=0.1)
+@example(seed=2, n=300, eps=0.1)
 def test_velocity_matches_dense_reference(seed, n, eps):
+    """The V blocks and the velocity; the draws are one row tile of the pair
+    sweep, the examples several (at N 300 the last of six is partial)."""
     rng = np.random.default_rng(seed)
     m = n // 4
     c = pk.circle_curve(max_mode=m, grid_size=n).coeffs.copy()
@@ -114,12 +132,21 @@ def test_velocity_matches_dense_reference(seed, n, eps):
         c[m + k] += v
         c[m - k] += np.conj(v)
     curve = pk.FourierCurve(c, n)
-    fc = np.zeros((2 * m + 1, 2), complex)
-    fc[m - 6:m + 7] = rng.normal(size=(13, 2)) + 1j * rng.normal(size=(13, 2))
-    force = pk.ForceDensity.from_coeffs(hermitize(fc), n)
+    force = random_force(rng, m, n)
+    vxx, vxy, vyy = _pair_geometry(curve, with_s=False).v
+    v = np.stack([np.stack([vxx, vxy], -1), np.stack([vxy, vyy], -1)], -2)
+    v_ref = dense_stokeslet_reference(curve)
+    assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
     ref = dense_velocity_reference(curve, force)
     u = pk.velocity_on_curve(curve, force)
     assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_velocity_rejects_a_force_on_another_grid():
+    curve = pk.circle_curve(max_mode=8, grid_size=32)
+    force = random_force(np.random.default_rng(0), 8, 48)
+    with pytest.raises(ValueError, match="grid"):
+        pk.velocity_on_curve(curve, force)
 
 
 @settings(max_examples=8, deadline=None)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import peskin2d as pk
-from peskin2d.force import _apply_s
+from peskin2d.force import _apply_blocks
 from peskin2d.spectral import hermitize
 
 
@@ -167,7 +167,11 @@ def dense_s_reference(curve):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([32, 48, 64, 96, 128]),
        st.floats(1e-3, 0.2))
+@example(seed=1, n=256, eps=0.1)
+@example(seed=2, n=300, eps=0.1)
 def test_s_operator_matches_dense_reference(seed, n, eps):
+    """The draws are one row tile of the pair sweep; the examples take
+    several (four full ones at N 256; at N 300 the last of six is partial)."""
     c = perturbed_circle(eps, seed=seed, max_mode=n // 4, grid_size=n)
     ref = dense_s_reference(c)
     mat = dense(pk.s_operator_matrix(c))
@@ -178,22 +182,23 @@ def test_s_operator_matches_dense_reference(seed, n, eps):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([32, 48, 64, 96, 128]),
        st.floats(1e-3, 0.2))
 def test_blocked_s_apply_matches_dense_reference(seed, n, eps):
-    """The four block mat-vecs of the solver equal the dense matrix times
-    the interleaved field (worst of 300 random cases: 2.4e-15)."""
+    """The three block reads of the solver's apply equal the dense matrix
+    times the interleaved field (worst of 300 random cases: 2.4e-15)."""
     c = perturbed_circle(eps, seed=seed, max_mode=n // 4, grid_size=n)
     f = np.random.default_rng(seed).normal(size=2 * n)
     ref = dense_s_reference(c) @ f
-    out = _apply_s(pk.s_operator_matrix(c), f)
+    out = _apply_blocks(pk.s_operator_matrix(c), f)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("a_mu, method", [(-0.5, "richardson"), (0.5, "direct"),
                                           (0.0, "richardson")])
 def test_results_do_not_alias_the_workspace(a_mu, method):
-    """The pair tables and S blocks of a grid size are reused from call to
-    call, but the force and the velocity are arrays of their own: the same
-    calls on a second curve of the grid leave them unchanged.  The S blocks
-    are read-only."""
+    """The S and V blocks of a grid size are reused from call to call, but
+    the force and the velocity are arrays of their own: the same calls on a
+    second curve of the grid leave them unchanged.  The S blocks are
+    read-only, and a sweep that writes V only (a standalone velocity, a
+    right-hand side at a_mu = 0) leaves earlier S views unchanged."""
     p = pk.PhysicsParams.from_contrast(a_mu, 1.0)
     c1, c2 = perturbed_circle(0.05, seed=1), perturbed_circle(0.1, seed=2)
     f1 = pk.solve_force(c1, p, method=method)
@@ -203,7 +208,12 @@ def test_results_do_not_alias_the_workspace(a_mu, method):
     pk.velocity_on_curve(c2, f2)
     for now, before in zip((f1.samples, f1.coeffs, u1), kept):
         assert np.array_equal(now, before)
-    for block in pk.s_operator_matrix(c1):
+    blocks = pk.s_operator_matrix(c1)
+    kept = [b.copy() for b in blocks]
+    pk.velocity_on_curve(c2, f2)
+    pk.rhs_nonlinear(c2, pk.PhysicsParams.from_contrast(0.0, 1.0))
+    for block, before in zip(blocks, kept):
+        assert np.array_equal(block, before)
         assert not block.flags.writeable
         with pytest.raises(ValueError):
             block[0, 0] = 0.0
