@@ -391,6 +391,9 @@ def main(argv=None):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print("error: %s" % (exc or "out of memory"), file=sys.stderr)
+        return 1
     except spectral.CurveDegenerateError as exc:
         print("degenerate geometry: %s" % exc, file=sys.stderr)
         return 2

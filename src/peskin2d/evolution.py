@@ -6,16 +6,16 @@ The interface moves with the fluid,
 
 where F solves the contrast equation (see force.py).  The quadrature
 splits the Stokeslet into a smooth part, handled by the trapezoid rule at
-spectral accuracy, and the periodic log kernel, applied exactly on the
-Fourier side:
+spectral accuracy, and the periodic log kernel, integrated exactly on the
+band |k| <= M (`kernels.log_convolve`), which on the grid is a circulant:
 
     G(dX) = Greg + K(dtheta) I,
     Greg  = (1/4pi) ( -log( |dX| / 2|sin(dtheta/2)| ) I + dX ox dX / |dX|^2 ),
 
 whose diagonal limit is (1/4pi) ( -log|X'| I + X' ox X' / |X'|^2 ).  The
-pair sweep of `force._pair_geometry` writes 4pi Greg on the grid as three
-read-only (N, N) blocks V (xx, xy, yy), so the trapezoid rule is one block
-apply of V, the one the force solve uses for S, divided by 2N.
+pair sweep of `force._pair_geometry` writes 4pi Greg plus 2N times that
+circulant as three read-only (N, N) blocks V (xx, xy, yy), so the velocity
+is one block apply of V to the force samples, divided by 2N.
 
 The stiff part is the linearization about the circles, one 2x2 symbol per
 mode; n collects everything beyond it:
@@ -41,8 +41,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .constants import OutOfRegimeError, balance_lhs, k_threshold, margin
-from .force import PhysicsParams, _apply_blocks, _pair_geometry, solve_force
-from .kernels import log_convolve
+from .force import PhysicsParams, _apply_blocks, _force_samples, _pair_geometry
 from .spectral import (
     CurveDegenerateError,
     FourierCurve,
@@ -61,20 +60,24 @@ CSV_HEADER = (
 )
 
 
-def velocity_on_curve(curve, force, geometry=None):
-    """Fluid velocity on the interface driven by the ForceDensity `force`,
-    as (N, 2) samples.
+def _samples_on(curve, force):
+    """The samples of the ForceDensity `force`, which must share the curve's
+    band and grid: V carries the log kernel of the curve's band."""
+    if (force.max_mode, force.grid_size) != (curve.max_mode, curve.grid_size):
+        raise ValueError("force band or grid differs from the curve's")
+    return force.samples
 
-    Trapezoid on the regularized Stokeslet, the block apply of V over 2N,
-    plus the exact log convolution.  `geometry` is the curve's
-    `_pair_geometry` when the caller already has it; otherwise it is built
-    here, behind the same degeneracy guard, writing V but not S.
+
+def velocity_on_curve(curve, force):
+    """Fluid velocity on the interface driven by the ForceDensity `force`,
+    of the curve's band and grid, as (N, 2) samples.
+
+    The block apply of V, the whole single layer, over 2N, built here
+    behind the same degeneracy guard, writing V but not S.
     """
-    if force.grid_size != curve.grid_size:
-        raise ValueError("force samples and curve grid disagree")
-    g = geometry if geometry is not None else _pair_geometry(curve, with_s=False)
-    u_reg = _apply_blocks(g.v, force.samples) / (2.0 * g.n)
-    return u_reg + log_convolve(force)
+    samples = _samples_on(curve, force)
+    g = _pair_geometry(curve, with_s=False)
+    return _apply_blocks(g.v, samples) / (2.0 * g.n)
 
 
 def _l_action(coeffs, ks):
@@ -92,12 +95,13 @@ def rhs_nonlinear(curve, params, force=None, arc_chord_floor=1e-8):
     The curve's pair geometry is built once, behind the degeneracy guard,
     and shared by the force solve and the velocity quadrature; it writes S
     only when the force solve reads it (a_mu != 0 and no `force` given).
+    A given `force` must share the curve's band and grid.
     """
-    geometry = _pair_geometry(curve, arc_chord_floor,
-                              with_s=force is None and params.a_mu != 0.0)
-    if force is None:
-        force = solve_force(curve, params, geometry=geometry)
-    u = velocity_on_curve(curve, force, geometry=geometry)
+    g = _pair_geometry(curve, arc_chord_floor,
+                       with_s=force is None and params.a_mu != 0.0)
+    samples = (_force_samples(curve, params, g) if force is None
+               else _samples_on(curve, force))
+    u = _apply_blocks(g.v, samples) / (2.0 * g.n)
     uhat = analyze(u, curve.max_mode).coeffs
     nhat = uhat + 0.5 * params.a_e * _l_action(curve.coeffs, curve.ks)
     return _symmetric_curve(nhat, curve.grid_size)

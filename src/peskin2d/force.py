@@ -30,15 +30,15 @@ circle converges in a few matrix-vector products; when the residual stops
 halving (large deviations at |a_mu| near 1) it falls back to the dense LU,
 which method='direct' always uses.
 
-Every (N, N) table lives in one workspace per grid size, filled in place
-and reused, so a step allocates none (the module is single-threaded).
-`_pair_geometry`, behind the one degeneracy guard, makes one row-tiled sweep
-over the pairs that writes the (xx, xy, yy) blocks of S (when a solve will
-read them) and of the regularized Stokeslet V of `evolution` together; the
-pair differences live only in bounded tile buffers.  Each comes as
-read-only blocks, valid until the next sweep on its grid that writes it,
-and one block apply serves both.  `solve_force` and `velocity_on_curve`
-return arrays of their own.
+Every (N, N) table lives in one workspace per band and grid (M, N), filled
+in place and reused, so a step allocates none (the module is
+single-threaded).  `_pair_geometry`, behind the one degeneracy guard, makes
+one row-tiled sweep over the pairs that writes the (xx, xy, yy) blocks of S
+(when a solve will read them) and of V, the whole single layer of
+`evolution`, together; the pair differences live only in bounded tile
+buffers.  Each comes as read-only blocks, valid until the next sweep on its
+(M, N) that writes it, and one block apply serves both.  `solve_force` and
+`velocity_on_curve` return arrays of their own.
 """
 
 import functools
@@ -48,6 +48,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .kernels import log_convolve
 from .spectral import (
     FourierCurve,
     _arc_chord_guard,
@@ -145,28 +146,34 @@ def elastic_force(curve, params=None):
 
 
 @functools.lru_cache(maxsize=4)
-def _workspace(n):
-    """The tables of one grid size.
+def _workspace(m, n):
+    """The tables of band m on grid size n.
 
-    Read-only: sin2 = (2 sin(|theta_t - theta_e|/2))^2 (1 on the diagonal)
-    and the flattened fields (1, 0), (0, 1), u = (cos, sin), v = (-sin, cos)
-    as circle_basis.  Written by each `_pair_geometry` sweep: the blocks
-    (xx, xy, yy) of S in `s` and of V in `v`, each (3, N, N) with read-only
-    views `s_blocks` and `v_blocks`, and the five row-tile buffers `tile`,
-    (5, rows, N) with rows * N about _TILE_PAIRS.
+    Read-only: V's circulant weight w(t - e) = sin2 exp(4N c_M(t - e)), with
+    sin2 = (2 sin((theta_t - theta_e)/2))^2 (1 on the diagonal) and c_M the
+    band-m `log_convolve` of a unit impulse, so -1/2 log(|dX|^2/w) carries
+    2N times the periodic log kernel; and the flattened fields (1, 0),
+    (0, 1), u = (cos, sin), v = (-sin, cos) as circle_basis.  Written by
+    each `_pair_geometry` sweep: the blocks (xx, xy, yy) of S in `s` and of
+    V in `v`, each (3, N, N) with read-only views `s_blocks` and `v_blocks`,
+    and the five row-tile buffers `tile`, (5, rows, N), rows * N ~ _TILE_PAIRS.
     """
+    lags = np.arange(n)
+    w = (2.0 * np.sin(np.pi * lags / n)) ** 2
+    w[0] = 1.0
+    # column 0 of eye(n, 2) is a unit impulse at theta_0
+    w *= np.exp((4.0 * n) * log_convolve(analyze(np.eye(n, 2), m))[:, 0])
+    weight = w[(lags[:, None] - lags) % n]  # weight[t, e] = w(t - e mod N)
     th = theta_grid(n)
-    sin2 = (2.0 * np.sin(0.5 * (th[:, None] - th[None, :]))) ** 2
-    np.fill_diagonal(sin2, 1.0)
     cos, sin, one, zero = np.cos(th), np.sin(th), np.ones(n), np.zeros(n)
     circle_basis = np.array([np.column_stack(f).ravel() for f in
                              ((one, zero), (zero, one), (cos, sin), (-sin, cos))])
     s, v = np.empty((3, n, n)), np.empty((3, n, n))
     s_ro, v_ro = s.view(), v.view()
-    for table in (sin2, circle_basis, s_ro, v_ro):
+    for table in (weight, circle_basis, s_ro, v_ro):
         table.flags.writeable = False
     rows = min(n, max(1, _TILE_PAIRS // n))
-    return SimpleNamespace(sin2=sin2, circle_basis=circle_basis, s=s, v=v,
+    return SimpleNamespace(weight=weight, circle_basis=circle_basis, s=s, v=v,
                            s_blocks=tuple(s_ro), v_blocks=tuple(v_ro),
                            tile=np.empty((5, rows, n)))
 
@@ -193,12 +200,12 @@ def _pair_geometry(curve, arc_chord_floor=1e-8, with_s=True):
 
     The sweep goes by row tiles of about _TILE_PAIRS pairs, and each tile
     shares dX = X(theta_t) - X(theta_e), 1/|dX|^2 and dX ox dX/|dX|^2
-    between V = -1/2 log(|dX|^2/sin2) I + dX ox dX/|dX|^2 and the S weight
-    (2pi/N)(1/pi)(dX . X'^perp(theta_t))/|dX|^2.  The diagonals are the
-    smooth limits -1/2 log|X'|^2 I + X' ox X'/|X'|^2 and
-    (2pi/N)(-1/2pi)(X'' . X'^perp) X' ox X'/|X'|^4.  The blocks live in the
-    grid's workspace: they are valid until the next sweep on the same grid
-    size, which leaves S untouched when it writes V only.
+    between V = -1/2 log(|dX|^2/w) I + dX ox dX/|dX|^2 (w of `_workspace`)
+    and the S weight (2pi/N)(1/pi)(dX . X'^perp(theta_t))/|dX|^2.  The
+    diagonals are the smooth limits -1/2 log(|X'|^2/w(0)) I + X' ox X'/|X'|^2
+    and (2pi/N)(-1/2pi)(X'' . X'^perp) X' ox X'/|X'|^4.  The blocks live in
+    the workspace of (M, N): they are valid until the next sweep there,
+    which leaves S untouched when it writes V only.
     """
     _arc_chord_guard(curve, arc_chord_floor)
     ik = (1j * curve.ks)[:, None]
@@ -208,7 +215,11 @@ def _pair_geometry(curve, arc_chord_floor=1e-8, with_s=True):
                             curve.grid_size)
     xs, ds, dds = samples[:, :2], samples[:, 2:4], samples[:, 4:]
     n = curve.grid_size
-    ws = _workspace(n)
+    try:
+        ws = _workspace(curve.max_mode, n)
+    except MemoryError:
+        raise MemoryError("grid size %d: its (N, N) pair tables do not fit in "
+                          "memory" % n) from None
     speed2 = np.sum(ds**2, axis=1)
     outer = np.stack([ds[:, 0] * ds[:, 0], ds[:, 0] * ds[:, 1],
                       ds[:, 1] * ds[:, 1]])
@@ -229,8 +240,8 @@ def _pair_geometry(curve, arc_chord_floor=1e-8, with_s=True):
         yy *= inv
         np.multiply(dx, dy, out=vxy)
         vxy *= inv
-        # V = h I + dX ox dX/|dX|^2 with h = -1/2 log(|dX|^2/sin2) in vxx
-        np.log(np.multiply(inv, ws.sin2[t0:t1], out=vxx), out=vxx)
+        # V = h I + dX ox dX/|dX|^2 with h = -1/2 log(|dX|^2/w) in vxx
+        np.log(np.multiply(inv, ws.weight[t0:t1], out=vxx), out=vxx)
         vxx *= 0.5
         np.add(vxx, yy, out=vyy)
         vxx += xx
@@ -242,7 +253,7 @@ def _pair_geometry(curve, arc_chord_floor=1e-8, with_s=True):
                 np.multiply(dx, q, out=block)
     # the diagonals, through one strided slice of each (3, N^2) table
     diag = outer / speed2
-    diag[::2] -= 0.5 * np.log(speed2)
+    diag[::2] -= 0.5 * np.log(speed2 / ws.weight[0, 0])
     ws.v.reshape(3, -1)[:, ::n + 1] = diag
     if with_s:
         wd = -(dds[:, 0] * px + dds[:, 1] * py) / (2.0 * speed2**2)
@@ -250,16 +261,14 @@ def _pair_geometry(curve, arc_chord_floor=1e-8, with_s=True):
     return _PairGeometry(dds, ws.s_blocks if with_s else None, ws.v_blocks)
 
 
-def s_operator_matrix(curve, *, geometry=None):
+def s_operator_matrix(curve):
     """S(., X) including quadrature weight, as three read-only (N, N) blocks
     (sxx, sxy, syy): S(F)_x = sxx F_x + sxy F_y, S(F)_y = sxy F_x + syy F_y.
 
-    The blocks live in the grid's workspace: they are valid until the next
-    sweep that writes S on the same grid size.  `geometry` is the curve's
-    `_pair_geometry` built with S when the caller already has it; otherwise
-    one is built here, behind the degeneracy guard at floor 1e-8.
+    They are built here, behind the degeneracy guard at floor 1e-8, and live
+    in the workspace of (M, N) until the next sweep there that writes S.
     """
-    return (geometry if geometry is not None else _pair_geometry(curve)).s
+    return _pair_geometry(curve).s
 
 
 def _apply_blocks(blocks, f):
@@ -306,7 +315,7 @@ def _circle_preconditioner(curve, n, a_mu):
     up, out = 1.0 / (1.0 + a_mu) - 1.0, 1.0 / (1.0 - a_mu) - 1.0
     weights = np.diag([up, up, 0.0, 0.0]) / n
     weights[2:, 2:] = rot @ np.diag([out, up]) @ rot.T / n  # on e_r, e_t
-    basis = _workspace(n).circle_basis
+    basis = _workspace(curve.max_mode, n).circle_basis
     return lambda v: v + (weights @ (basis @ v)) @ basis
 
 
@@ -330,7 +339,7 @@ def _richardson(residual, precondition, b):
     return None
 
 
-def solve_force(curve, params, method="richardson", geometry=None):
+def solve_force(curve, params, method="richardson"):
     """Solve (I - 2 a_mu S) F = 2 a_e X'' for the force density.
 
     method='richardson' (the default) runs the preconditioned Richardson
@@ -345,40 +354,41 @@ def solve_force(curve, params, method="richardson", geometry=None):
     part has zero radius.  method='direct' always factors the dense system
     and is the reference.  Either way the residual relative to
     max(1, max |b|) must end at most 1e-10, or SolverError is raised.
-    `geometry` is the curve's `_pair_geometry`, built with S when a_mu is
-    not zero, when the caller already has it; otherwise it is built here,
-    behind the guard at floor 1e-8.
+    The pair geometry is built here, behind the guard at floor 1e-8.
     """
     if method not in ("direct", "richardson"):
         raise ValueError("method must be 'direct' or 'richardson'")
+    g = _pair_geometry(curve, with_s=params.a_mu != 0.0)
+    samples = _force_samples(curve, params, g, method)
+    return ForceDensity.from_samples(samples, curve.max_mode)
+
+
+def _force_samples(curve, params, g, method="richardson"):
+    """The force of `solve_force` as (N, 2) grid samples, solved on the
+    curve's `_pair_geometry` g, which carries S when a_mu is not zero."""
     a_mu, a_e = params.a_mu, params.a_e
-    g = geometry if geometry is not None else _pair_geometry(
-        curve, with_s=a_mu != 0.0)
-    n = g.n
     b = (2.0 * a_e * g.dds).reshape(-1)
     if a_mu == 0.0:
         f = b
     else:
-        blocks = s_operator_matrix(curve, geometry=g)
-
         def residual(f):
-            return b - f + 2.0 * a_mu * _apply_blocks(blocks, f)
+            return b - f + 2.0 * a_mu * _apply_blocks(g.s, f)
 
         solved = None
         if method == "richardson":
-            precondition = _circle_preconditioner(curve, n, a_mu)
+            precondition = _circle_preconditioner(curve, g.n, a_mu)
             solved = _richardson(residual, precondition, b)
         if solved is None:
-            f = np.linalg.solve(_dense_system(blocks, a_mu), b)
+            f = np.linalg.solve(_dense_system(g.s, a_mu), b)
             solved = f, residual(f)
         f, r = solved
         resid = np.abs(r).max() / max(1.0, np.abs(b).max())
         if not (resid <= 1e-10):
             raise SolverError(
                 "force system residual %.3e (condition number %.3e)"
-                % (resid, np.linalg.cond(_dense_system(blocks, a_mu)))
+                % (resid, np.linalg.cond(_dense_system(g.s, a_mu)))
             )
-    return ForceDensity.from_samples(f.reshape(-1, 2), curve.max_mode)
+    return f.reshape(-1, 2)
 
 
 def force_zero_linear(curve, params):

@@ -5,15 +5,17 @@ The 2D Stokeslet
     G(x) = (1/4pi) ( -log|x| I + x ox x / |x|^2 )
 
 appears in the boundary-integral representation of interface velocity.
-`log_convolve` handles the logarithmically singular part of the single
-layer in closed form on the Fourier side: the periodic kernel
+`log_convolve` is the closed form of the logarithmically singular part of
+the single layer on the Fourier side: the periodic kernel
 
     K(z) = -(1/4pi) log( 2 |sin(z/2)| )
 
 (the part of G left after factoring |x| = (|x| / 2|sin(dtheta/2)|) *
 2|sin(dtheta/2)|) acts diagonally with multiplier 1/(4|k|) and annihilates
 the mean.  (The multiplier was frozen against adaptive quadrature of
-int K(z) cos(kz) dz; see the test suite.)
+int K(z) cos(kz) dz; see the test suite.)  On a grid its band |k| <= M is
+a circulant, which `force._workspace` builds into the weight of the
+single-layer matrix V, once per (M, N): a run does not call it per step.
 """
 
 import warnings

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from peskin2d import cli
+from peskin2d import cli, force
 
 
 BASE_CONFIG = {
@@ -260,6 +260,29 @@ def test_usage_error_exits_1(tmp_path, capsys, argv):
     assert code == 1
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, n", [("simulate", 16000),
+                                        ("verify-linear", 16024)])
+def test_a_grid_too_large_for_memory_exits_1(tmp_path, capsys, monkeypatch,
+                                             command, n):
+    """A band whose (N, N) pair tables do not fit in memory ends in one
+    error line that names the grid size, not a traceback.  The tables'
+    allocation is made to fail; none is asked for."""
+    def no_memory(m, n):
+        raise MemoryError
+
+    monkeypatch.setattr(force, "_workspace", no_memory)
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["discretization"] = {"max_mode": 4000}
+    argv = {"simulate": ["simulate", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")],
+            "verify-linear": ["verify-linear", "--modes", "4000"]}[command]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [
+        "error: grid size %d: its (N, N) pair tables do not fit in memory" % n]
 
 
 def test_main_calls_in_one_process_are_independent(tmp_path, capsys):
