@@ -317,7 +317,7 @@ def cmd_verify_linear(args):
         coeffs[-k + m] += np.conj(add)
         curve = spectral.FourierCurve(coeffs, n)
         f = force.solve_force(curve, params)
-        u = evolution.velocity_on_curve(curve, f)
+        u = force.velocity_on_curve(curve, f)
         dx = spectral.analyze(u, m).coeffs[k + m]
         lx = evolution._l_action(curve.coeffs, curve.ks)[k + m]
         pred = -0.5 * params.a_e * lx

@@ -15,7 +15,8 @@ band |k| <= M (`kernels.log_convolve`), which on the grid is a circulant:
 whose diagonal limit is (1/4pi) ( -log|X'| I + X' ox X' / |X'|^2 ).  The
 pair sweep of `force._pair_geometry` writes 4pi Greg plus 2N times that
 circulant as three read-only (N, N) blocks V (xx, xy, yy), so the velocity
-is one block apply of V to the force samples, divided by 2N.
+is one block apply of V to the force samples, divided by 2N, in `force`
+(`velocity_on_curve`, re-exported here, and the right-hand side's sweep).
 
 The stiff part is the linearization about the circles, one 2x2 symbol per
 mode; n collects everything beyond it:
@@ -41,7 +42,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .constants import OutOfRegimeError, balance_lhs, k_threshold, margin
-from .force import PhysicsParams, _apply_blocks, _force_samples, _pair_geometry
+from .force import PhysicsParams, _interface_velocity, velocity_on_curve
 from .spectral import (
     CurveDegenerateError,
     FourierCurve,
@@ -60,48 +61,23 @@ CSV_HEADER = (
 )
 
 
-def _samples_on(curve, force):
-    """The samples of the ForceDensity `force`, which must share the curve's
-    band and grid: V carries the log kernel of the curve's band."""
-    if (force.max_mode, force.grid_size) != (curve.max_mode, curve.grid_size):
-        raise ValueError("force band or grid differs from the curve's")
-    return force.samples
-
-
-def velocity_on_curve(curve, force):
-    """Fluid velocity on the interface driven by the ForceDensity `force`,
-    of the curve's band and grid, as (N, 2) samples.
-
-    The block apply of V, the whole single layer, over 2N, built here
-    behind the same degeneracy guard, writing V but not S.
-    """
-    samples = _samples_on(curve, force)
-    g = _pair_geometry(curve, with_s=False)
-    return _apply_blocks(g.v, samples) / (2.0 * g.n)
-
-
 def _l_action(coeffs, ks):
     """Rowwise L(k) c_k = |k| c_k + J(k) c_k."""
     return np.abs(ks)[:, None] * coeffs + _j_action(coeffs)
 
 
-def rhs_nonlinear(curve, params, force=None, arc_chord_floor=1e-8):
+def rhs_nonlinear(curve, params, arc_chord_floor=1e-8):
     """The beyond-linear part of the dynamics, as a coefficient container.
 
     nhat(k) = uhat(k) + (a_e/2) L(k) xhat(k)   (k != 0; L(0) = 0 covers k=0).
 
     L annihilates the circle family (its mode-(+-1) coefficients are in
     the kernel of L(+-1)), so xhat may be the full curve's coefficients.
-    The curve's pair geometry is built once, behind the degeneracy guard,
-    and shared by the force solve and the velocity quadrature; it writes S
-    only when the force solve reads it (a_mu != 0 and no `force` given).
-    A given `force` must share the curve's band and grid.
+    The velocity u comes from `force._interface_velocity`, whose one pair
+    sweep, behind the degeneracy guard at `arc_chord_floor`, serves the
+    force solve and the single layer.
     """
-    g = _pair_geometry(curve, arc_chord_floor,
-                       with_s=force is None and params.a_mu != 0.0)
-    samples = (_force_samples(curve, params, g) if force is None
-               else _samples_on(curve, force))
-    u = _apply_blocks(g.v, samples) / (2.0 * g.n)
+    u = _interface_velocity(curve, params, arc_chord_floor)
     uhat = analyze(u, curve.max_mode).coeffs
     nhat = uhat + 0.5 * params.a_e * _l_action(curve.coeffs, curve.ks)
     return _symmetric_curve(nhat, curve.grid_size)

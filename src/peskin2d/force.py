@@ -33,12 +33,12 @@ which method='direct' always uses.
 Every (N, N) table lives in one workspace per band and grid (M, N), filled
 in place and reused, so a step allocates none (the module is
 single-threaded).  `_pair_geometry`, behind the one degeneracy guard, makes
-one row-tiled sweep over the pairs that writes the (xx, xy, yy) blocks of S
-(when a solve will read them) and of V, the whole single layer of
-`evolution`, together; the pair differences live only in bounded tile
-buffers.  Each comes as read-only blocks, valid until the next sweep on its
-(M, N) that writes it, and one block apply serves both.  `solve_force` and
-`velocity_on_curve` return arrays of their own.
+one row-tiled sweep over the pairs that writes only the blocks its caller
+reads: the (xx, xy, yy) blocks of S for a solve at a_mu != 0 and of V, the
+whole single layer, for a velocity (`velocity_on_curve`, or the one sweep
+of a right-hand side's `_interface_velocity`).  Each comes as read-only
+blocks, valid until the next sweep on its (M, N) that writes it.
+`solve_force` and `velocity_on_curve` return arrays of their own.
 """
 
 import functools
@@ -154,9 +154,10 @@ def _workspace(m, n):
     band-m `log_convolve` of a unit impulse, so -1/2 log(|dX|^2/w) carries
     2N times the periodic log kernel; and the flattened fields (1, 0),
     (0, 1), u = (cos, sin), v = (-sin, cos) as circle_basis.  Written by
-    each `_pair_geometry` sweep: the blocks (xx, xy, yy) of S in `s` and of
-    V in `v`, each (3, N, N) with read-only views `s_blocks` and `v_blocks`,
-    and the five row-tile buffers `tile`, (5, rows, N), rows * N ~ _TILE_PAIRS.
+    the `_pair_geometry` sweeps that ask for them: the blocks (xx, xy, yy)
+    of S in `s` and of V in `v`, each (3, N, N) with read-only views
+    `s_blocks` and `v_blocks`; and by every sweep, the five row-tile
+    buffers `tile`, (5, rows, N), rows * N ~ _TILE_PAIRS.
     """
     lags = np.arange(n)
     w = (2.0 * np.sin(np.pi * lags / n)) ** 2
@@ -178,25 +179,13 @@ def _workspace(m, n):
                            tile=np.empty((5, rows, n)))
 
 
-@dataclass(frozen=True, eq=False)
-class _PairGeometry:
-    """One curve on its grid: samples of X'' and the read-only (xx, xy, yy)
-    blocks of S (None when not asked for) and of V, the regularized
-    Stokeslet of `evolution`."""
-
-    dds: np.ndarray
-    s: tuple | None
-    v: tuple
-
-    @property
-    def n(self):
-        return self.dds.shape[0]
-
-
-def _pair_geometry(curve, arc_chord_floor=1e-8, with_s=True):
+def _pair_geometry(curve, arc_chord_floor=1e-8, with_s=False, with_v=False):
     """Synthesize X, X', X'' once, behind the one degeneracy guard
     `spectral._arc_chord_guard` at `arc_chord_floor`, and fill the blocks of
-    V, and of S when `with_s`, in one sweep over the pairs.
+    S when `with_s` and of V when `with_v` in one sweep over the pairs.
+    Returns (dds, s, v): the (N, 2) samples of X'' and the read-only
+    (xx, xy, yy) blocks of S and of V, None where not asked for; asked for
+    neither, it builds no workspace and makes no sweep.
 
     The sweep goes by row tiles of about _TILE_PAIRS pairs, and each tile
     shares dX = X(theta_t) - X(theta_e), 1/|dX|^2 and dX ox dX/|dX|^2
@@ -204,8 +193,8 @@ def _pair_geometry(curve, arc_chord_floor=1e-8, with_s=True):
     and the S weight (2pi/N)(1/pi)(dX . X'^perp(theta_t))/|dX|^2.  The
     diagonals are the smooth limits -1/2 log(|X'|^2/w(0)) I + X' ox X'/|X'|^2
     and (2pi/N)(-1/2pi)(X'' . X'^perp) X' ox X'/|X'|^4.  The blocks live in
-    the workspace of (M, N): they are valid until the next sweep there,
-    which leaves S untouched when it writes V only.
+    the workspace of (M, N): they are valid until the next sweep there that
+    writes them, and a sweep leaves the blocks it does not write untouched.
     """
     _arc_chord_guard(curve, arc_chord_floor)
     ik = (1j * curve.ks)[:, None]
@@ -214,6 +203,8 @@ def _pair_geometry(curve, arc_chord_floor=1e-8, with_s=True):
     samples = _grid_samples(np.hstack([curve.coeffs, xp, xp * ik]),
                             curve.grid_size)
     xs, ds, dds = samples[:, :2], samples[:, 2:4], samples[:, 4:]
+    if not (with_s or with_v):
+        return dds, None, None
     n = curve.grid_size
     try:
         ws = _workspace(curve.max_mode, n)
@@ -229,6 +220,7 @@ def _pair_geometry(curve, arc_chord_floor=1e-8, with_s=True):
         t1 = min(t0 + rows, n)
         dx, dy, xx, yy, inv = ws.tile[:, :t1 - t0]
         vxx, vxy, vyy = ws.v[:, t0:t1]
+        xy = vxy if with_v else ws.s[1, t0:t1]  # S scales it in place below
         np.subtract(xs[t0:t1, 0, None], xs[None, :, 0], out=dx)
         np.subtract(xs[t0:t1, 1, None], xs[None, :, 1], out=dy)
         np.multiply(dx, dx, out=xx)
@@ -238,27 +230,29 @@ def _pair_geometry(curve, arc_chord_floor=1e-8, with_s=True):
         np.divide(1.0, inv, out=inv)
         xx *= inv
         yy *= inv
-        np.multiply(dx, dy, out=vxy)
-        vxy *= inv
-        # V = h I + dX ox dX/|dX|^2 with h = -1/2 log(|dX|^2/w) in vxx
-        np.log(np.multiply(inv, ws.weight[t0:t1], out=vxx), out=vxx)
-        vxx *= 0.5
-        np.add(vxx, yy, out=vyy)
-        vxx += xx
+        np.multiply(dx, dy, out=xy)
+        xy *= inv
+        if with_v:  # V = h I + dX ox dX/|dX|^2, h = -1/2 log(|dX|^2/w) in vxx
+            np.log(np.multiply(inv, ws.weight[t0:t1], out=vxx), out=vxx)
+            vxx *= 0.5
+            np.add(vxx, yy, out=vyy)
+            vxx += xx
         if with_s:  # dx becomes the S weight (2/N)(dX . X'^perp)/|dX|^2
             dx *= px[t0:t1, None]
             dx += np.multiply(dy, py[t0:t1, None], out=dy)
             dx *= inv
-            for block, q in zip(ws.s[:, t0:t1], (xx, vxy, yy)):
+            for block, q in zip(ws.s[:, t0:t1], (xx, xy, yy)):
                 np.multiply(dx, q, out=block)
     # the diagonals, through one strided slice of each (3, N^2) table
-    diag = outer / speed2
-    diag[::2] -= 0.5 * np.log(speed2 / ws.weight[0, 0])
-    ws.v.reshape(3, -1)[:, ::n + 1] = diag
+    if with_v:
+        diag = outer / speed2
+        diag[::2] -= 0.5 * np.log(speed2 / ws.weight[0, 0])
+        ws.v.reshape(3, -1)[:, ::n + 1] = diag
     if with_s:
         wd = -(dds[:, 0] * px + dds[:, 1] * py) / (2.0 * speed2**2)
         ws.s.reshape(3, -1)[:, ::n + 1] = wd * outer
-    return _PairGeometry(dds, ws.s_blocks if with_s else None, ws.v_blocks)
+    return (dds, ws.s_blocks if with_s else None,
+            ws.v_blocks if with_v else None)
 
 
 def s_operator_matrix(curve):
@@ -268,7 +262,7 @@ def s_operator_matrix(curve):
     They are built here, behind the degeneracy guard at floor 1e-8, and live
     in the workspace of (M, N) until the next sweep there that writes S.
     """
-    return _pair_geometry(curve).s
+    return _pair_geometry(curve, with_s=True)[1]
 
 
 def _apply_blocks(blocks, f):
@@ -294,7 +288,7 @@ def _dense_system(blocks, a_mu):
     return np.eye(2 * n) - 2.0 * a_mu * mat.reshape(2 * n, 2 * n)
 
 
-def _circle_preconditioner(curve, n, a_mu):
+def _circle_preconditioner(curve, a_mu):
     """P = (I - 2 a_mu S_circle)^{-1} for the circle part of `curve`, read
     from its modes 0 and +-1 (`circle_part`), as a function on flattened
     (2N,) fields, or None when that circle has zero radius.
@@ -307,7 +301,7 @@ def _circle_preconditioner(curve, n, a_mu):
     e_r = (a u + b v)/R and e_t = (a v - b u)/R in the grid's fixed fields
     u = (cos, sin) and v = (-sin, cos).
     """
-    circle = circle_part(curve)
+    circle, n = circle_part(curve), curve.grid_size
     r = circle.radius
     if not r > 0.0:
         return None
@@ -358,37 +352,59 @@ def solve_force(curve, params, method="richardson"):
     """
     if method not in ("direct", "richardson"):
         raise ValueError("method must be 'direct' or 'richardson'")
-    g = _pair_geometry(curve, with_s=params.a_mu != 0.0)
-    samples = _force_samples(curve, params, g, method)
+    dds, s, _ = _pair_geometry(curve, with_s=params.a_mu != 0.0)
+    samples = _force_samples(curve, params, dds, s, method)
     return ForceDensity.from_samples(samples, curve.max_mode)
 
 
-def _force_samples(curve, params, g, method="richardson"):
-    """The force of `solve_force` as (N, 2) grid samples, solved on the
-    curve's `_pair_geometry` g, which carries S when a_mu is not zero."""
+def _force_samples(curve, params, dds, s, method="richardson"):
+    """The force of `solve_force` as (N, 2) grid samples, from the samples
+    dds of X'' and the S blocks s (None at a_mu = 0) of `_pair_geometry`."""
     a_mu, a_e = params.a_mu, params.a_e
-    b = (2.0 * a_e * g.dds).reshape(-1)
+    b = (2.0 * a_e * dds).reshape(-1)
     if a_mu == 0.0:
         f = b
     else:
         def residual(f):
-            return b - f + 2.0 * a_mu * _apply_blocks(g.s, f)
+            return b - f + 2.0 * a_mu * _apply_blocks(s, f)
 
         solved = None
         if method == "richardson":
-            precondition = _circle_preconditioner(curve, g.n, a_mu)
+            precondition = _circle_preconditioner(curve, a_mu)
             solved = _richardson(residual, precondition, b)
         if solved is None:
-            f = np.linalg.solve(_dense_system(g.s, a_mu), b)
+            f = np.linalg.solve(_dense_system(s, a_mu), b)
             solved = f, residual(f)
         f, r = solved
         resid = np.abs(r).max() / max(1.0, np.abs(b).max())
         if not (resid <= 1e-10):
             raise SolverError(
                 "force system residual %.3e (condition number %.3e)"
-                % (resid, np.linalg.cond(_dense_system(g.s, a_mu)))
+                % (resid, np.linalg.cond(_dense_system(s, a_mu)))
             )
     return f.reshape(-1, 2)
+
+
+def velocity_on_curve(curve, force):
+    """Fluid velocity on the interface driven by the ForceDensity `force`
+    as (N, 2) samples: the block apply of V over 2N, with V built here
+    behind the degeneracy guard at floor 1e-8.  V carries the log kernel of
+    the curve's band, so the force must share the curve's band and grid.
+    """
+    if (force.max_mode, force.grid_size) != (curve.max_mode, curve.grid_size):
+        raise ValueError("force band or grid differs from the curve's")
+    v = _pair_geometry(curve, with_v=True)[2]
+    return _apply_blocks(v, force.samples) / (2.0 * curve.grid_size)
+
+
+def _interface_velocity(curve, params, arc_chord_floor):
+    """The velocity of a right-hand side as (N, 2) samples: one sweep behind
+    the guard at `arc_chord_floor` writes V, and S when a_mu != 0, for the
+    force solve and the block apply of V over 2N."""
+    dds, s, v = _pair_geometry(curve, arc_chord_floor,
+                               with_s=params.a_mu != 0.0, with_v=True)
+    f = _force_samples(curve, params, dds, s)
+    return _apply_blocks(v, f) / (2.0 * curve.grid_size)
 
 
 def force_zero_linear(curve, params):

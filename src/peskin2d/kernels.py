@@ -14,8 +14,9 @@ the single layer on the Fourier side: the periodic kernel
 2|sin(dtheta/2)|) acts diagonally with multiplier 1/(4|k|) and annihilates
 the mean.  (The multiplier was frozen against adaptive quadrature of
 int K(z) cos(kz) dz; see the test suite.)  On a grid its band |k| <= M is
-a circulant, which `force._workspace` builds into the weight of the
-single-layer matrix V, once per (M, N): a run does not call it per step.
+a circulant, which `force._workspace` builds, once per (M, N), into the
+weight of V, the single layer that `force.velocity_on_curve` applies: a run
+does not call it per step.
 """
 
 import warnings

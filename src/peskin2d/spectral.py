@@ -153,13 +153,17 @@ def analyze(samples, max_mode=None):
 
     Default max_mode is (N-1)//2, the largest unaliased band (the Nyquist
     bin of even grids is dropped: it cannot be assigned a sign of k).
+    max_mode must be a whole number >= 1, as FourierCurve requires.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 2 or s.shape[1] != 2:
         raise ValueError("samples must have shape (N, 2)")
     n = s.shape[0]
     limit = (n - 1) // 2
-    m = limit if max_mode is None else int(max_mode)
+    m = limit if max_mode is None else max_mode
+    if not (float(m).is_integer() and m >= 1):
+        raise ValueError("max_mode must be a whole number >= 1, not %r" % (m,))
+    m = int(m)
     if m > limit:
         raise AliasingError("cannot extract modes up to %d from %d samples" % (m, n))
     index, phase = _grid_index(m, n)

@@ -140,7 +140,8 @@ def test_velocity_matches_dense_reference(seed, n, eps):
         c[m - k] += np.conj(v)
     curve = pk.FourierCurve(c, n)
     force = random_force(rng, m, n)
-    vxx, vxy, vyy = _pair_geometry(curve, with_s=False).v
+    _, s, (vxx, vxy, vyy) = _pair_geometry(curve, with_v=True)
+    assert s is None
     v = np.stack([np.stack([vxx, vxy], -1), np.stack([vxy, vyy], -1)], -2)
     v_ref = dense_stokeslet_reference(curve)
     assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
@@ -151,17 +152,13 @@ def test_velocity_matches_dense_reference(seed, n, eps):
 
 def test_velocity_rejects_a_force_on_another_grid():
     """V carries the curve's band and grid, so a force of another grid, or
-    of another band on the same grid, is refused, also as an injected
-    right-hand-side force."""
+    of another band on the same grid, is refused."""
     curve = pk.circle_curve(max_mode=8, grid_size=32)
-    p = pk.PhysicsParams.from_contrast(0.5, 1.0)
     rng = np.random.default_rng(0)
     for force, word in ((random_force(rng, 8, 48), "grid"),
                         (random_force(rng, 12, 32), "band")):
         with pytest.raises(ValueError, match=word):
             pk.velocity_on_curve(curve, force)
-        with pytest.raises(ValueError, match=word):
-            pk.rhs_nonlinear(curve, p, force=force)
 
 
 @settings(max_examples=8, deadline=None)

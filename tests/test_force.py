@@ -4,7 +4,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import peskin2d as pk
-from peskin2d.force import _apply_blocks
+from peskin2d.force import _apply_blocks, _workspace
 from peskin2d.spectral import hermitize
 
 
@@ -197,8 +197,10 @@ def test_results_do_not_alias_the_workspace(a_mu, method):
     """The S and V blocks of a grid size are reused from call to call, but
     the force and the velocity are arrays of their own: the same calls on a
     second curve of the grid leave them unchanged.  The S blocks are
-    read-only, and a sweep that writes V only (a standalone velocity, a
-    right-hand side at a_mu = 0) leaves earlier S views unchanged."""
+    read-only, and a sweep writes only the blocks its caller reads: one for
+    a velocity (standalone, or a right-hand side at a_mu = 0) leaves earlier
+    S views unchanged, a standalone force solve or S leaves V unchanged, and
+    a force solve at a_mu = 0 makes no sweep and builds no workspace."""
     p = pk.PhysicsParams.from_contrast(a_mu, 1.0)
     c1, c2 = perturbed_circle(0.05, seed=1), perturbed_circle(0.1, seed=2)
     f1 = pk.solve_force(c1, p, method=method)
@@ -217,6 +219,18 @@ def test_results_do_not_alias_the_workspace(a_mu, method):
         assert not block.flags.writeable
         with pytest.raises(ValueError):
             block[0, 0] = 0.0
+    v = _workspace(c1.max_mode, c1.grid_size).v
+    pk.velocity_on_curve(c1, f1)
+    kept = v.copy()
+    pk.solve_force(c2, p, method=method)
+    pk.s_operator_matrix(c2)
+    assert np.array_equal(v, kept)
+    if a_mu == 0.0:
+        _workspace.cache_clear()
+        f0 = pk.solve_force(c2, p, method=method)
+        assert _workspace.cache_info().currsize == 0
+        el = pk.elastic_force(c2, p)
+        assert np.array_equal(f0.samples, 2.0 * el.samples)
 
 
 def test_rhs_nonlinear_guards_figure_eight():
@@ -305,12 +319,16 @@ def test_run_with_direct_and_default_force_agree():
     p = pk.PhysicsParams.from_contrast(-0.5, 1.0)
     c = perturbed_circle(5e-5, max_mode=8, grid_size=32)  # below k(-0.5)
     cfg = pk.StepperConfig(dt=1e-2, t_final=0.2, scheme="etdrk2")
-    floor = cfg.arc_chord_floor
 
     def direct(curve, params):
+        """The right-hand side u + (a_e/2)(|k| c + J c) from public calls,
+        with J(k) = [[0, -i sgn k], [i sgn k, 0]]."""
         force = pk.solve_force(curve, params, method="direct")
-        return pk.rhs_nonlinear(curve, params, force=force,
-                                arc_chord_floor=floor)
+        u = pk.analyze(pk.velocity_on_curve(curve, force), curve.max_mode)
+        c, ks = curve.coeffs, curve.ks
+        jc = 1j * np.sign(ks)[:, None] * np.column_stack([-c[:, 1], c[:, 0]])
+        lc = np.abs(ks)[:, None] * c + jc
+        return curve.with_coeffs(u.coeffs + 0.5 * params.a_e * lc)
 
     state = pk.SimulationState.make(0.0, c, p)
     for _ in range(20):

@@ -57,6 +57,11 @@ def test_aliasing_guard():
         pk.FourierCurve(c, 10)  # < 2M+1
     with pytest.raises(pk.AliasingError):
         pk.analyze(np.zeros((16, 2)), 8)
+    # a band FourierCurve would reject is refused, not truncated
+    for m in (-1, 0, 2.7):
+        with pytest.raises(ValueError, match="whole number"):
+            pk.analyze(np.zeros((16, 2)), m)
+    assert pk.analyze(np.zeros((16, 2)), np.float64(7.0)).max_mode == 7
 
 
 def test_conjugate_symmetry_enforced():
