@@ -14,9 +14,11 @@ band |k| <= M (`kernels.log_convolve`), which on the grid is a circulant:
 
 whose diagonal limit is (1/4pi) ( -log|X'| I + X' ox X' / |X'|^2 ).  The
 pair sweep of `force._pair_geometry` writes 4pi Greg plus 2N times that
-circulant as three read-only (N, N) blocks V (xx, xy, yy), so the velocity
-is one block apply of V to the force samples, divided by 2N, in `force`
-(`velocity_on_curve`, re-exported here, and the right-hand side's sweep).
+circulant as V = 1/2 (g I + c diag(1, -1)) + e [[0, 1], [1, 0]] in three
+read-only (N, N) tables: g = log(e w/|dX|^2) with e = exp(1) folded into
+the circulant weight w, c = (dx^2 - dy^2)/|dX|^2, e = dx dy/|dX|^2, and dX
+from exact rank-2 products.  The velocity is one apply of V to the force
+samples over 2N, in `force` (`velocity_on_curve`, re-exported here).
 
 The stiff part is the linearization about the circles, one 2x2 symbol per
 mode; n collects everything beyond it:
@@ -35,6 +37,7 @@ change and builds no operator.
 
 import ast
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -122,8 +125,11 @@ class StepperConfig:
             raise ValueError("dt and t_final must be positive and finite")
         if self.scheme not in ("exponential-euler", "etdrk2"):
             raise ValueError("scheme must be 'exponential-euler' or 'etdrk2'")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        r = self.record_every
+        if isinstance(r, bool) or not (isinstance(r, numbers.Real) and r >= 1
+                                       and r % 1 == 0):
+            raise ValueError("record_every must be a whole number >= 1, got %r"
+                             % (r,))
         if not (0 <= self.nu_max < math.inf
                 and 0 <= self.arc_chord_floor < math.inf):
             raise ValueError("nu_max and arc_chord_floor must be >= 0 and finite")

@@ -33,12 +33,14 @@ which method='direct' always uses.
 Every (N, N) table lives in one workspace per band and grid (M, N), filled
 in place and reused, so a step allocates none (the module is
 single-threaded).  `_pair_geometry`, behind the one degeneracy guard, makes
-one row-tiled sweep over the pairs that writes only the blocks its caller
-reads: the (xx, xy, yy) blocks of S for a solve at a_mu != 0 and of V, the
-whole single layer, for a velocity (`velocity_on_curve`, or the one sweep
-of a right-hand side's `_interface_velocity`).  Each comes as read-only
-blocks, valid until the next sweep on its (M, N) that writes it.
-`solve_force` and `velocity_on_curve` return arrays of their own.
+one row-tiled sweep over the pairs, dX from exact rank-2 products, that
+writes only the tables its caller reads: S for a solve at a_mu != 0, and V,
+the whole single layer, for a velocity (`velocity_on_curve`, or the sweep
+of a right-hand side's `_interface_velocity`).  Each is three read-only
+tables (g, c, e), B = 1/2 (g I + c diag(1, -1)) + e [[0, 1], [1, 0]] per
+pair (V's g reads a weight with e = exp(1) folded in), valid until the next
+sweep on its (M, N) that writes it.  `solve_force`, `velocity_on_curve`
+and `s_operator_matrix` return arrays of their own.
 """
 
 import functools
@@ -149,22 +151,23 @@ def elastic_force(curve, params=None):
 def _workspace(m, n):
     """The tables of band m on grid size n.
 
-    Read-only: V's circulant weight w(t - e) = sin2 exp(4N c_M(t - e)), with
-    sin2 = (2 sin((theta_t - theta_e)/2))^2 (1 on the diagonal) and c_M the
-    band-m `log_convolve` of a unit impulse, so -1/2 log(|dX|^2/w) carries
-    2N times the periodic log kernel; and the flattened fields (1, 0),
-    (0, 1), u = (cos, sin), v = (-sin, cos) as circle_basis.  Written by
-    the `_pair_geometry` sweeps that ask for them: the blocks (xx, xy, yy)
-    of S in `s` and of V in `v`, each (3, N, N) with read-only views
-    `s_blocks` and `v_blocks`; and by every sweep, the five row-tile
-    buffers `tile`, (5, rows, N), rows * N ~ _TILE_PAIRS.
+    Read-only: V's circulant weight e w(t - e), e = exp(1) and
+    w = sin2 exp(4N c_M(t - e)), with sin2 = (2 sin((theta_t - theta_e)/2))^2
+    (1 on the diagonal) and c_M the band-m `log_convolve` of a unit impulse,
+    so 1/2 log(e w/|dX|^2) is 1/2 plus 2N times the periodic log kernel; and
+    the flattened fields (1, 0), (0, 1), u = (cos, sin), v = (-sin, cos) as
+    circle_basis.  Written by the `_pair_geometry` sweeps that ask for them:
+    the tables (g, c, e) of S in `s` and of V in `v`, each (3, N, N) with
+    read-only views `s_blocks` and `v_blocks`; and by every sweep, the
+    operands [x, 1] `lhs` and [1; -x] `rhs` of the differences in x and y,
+    and the five row-tile buffers `tile`, (5, rows, N), rows * N ~ _TILE_PAIRS.
     """
     lags = np.arange(n)
     w = (2.0 * np.sin(np.pi * lags / n)) ** 2
     w[0] = 1.0
     # column 0 of eye(n, 2) is a unit impulse at theta_0
-    w *= np.exp((4.0 * n) * log_convolve(analyze(np.eye(n, 2), m))[:, 0])
-    weight = w[(lags[:, None] - lags) % n]  # weight[t, e] = w(t - e mod N)
+    w *= np.exp(1.0 + (4.0 * n) * log_convolve(analyze(np.eye(n, 2), m))[:, 0])
+    weight = w[(lags[:, None] - lags) % n]  # weight[t, e] = e w(t - e mod N)
     th = theta_grid(n)
     cos, sin, one, zero = np.cos(th), np.sin(th), np.ones(n), np.zeros(n)
     circle_basis = np.array([np.column_stack(f).ravel() for f in
@@ -176,25 +179,29 @@ def _workspace(m, n):
     rows = min(n, max(1, _TILE_PAIRS // n))
     return SimpleNamespace(weight=weight, circle_basis=circle_basis, s=s, v=v,
                            s_blocks=tuple(s_ro), v_blocks=tuple(v_ro),
+                           lhs=np.ones((2, n, 2)), rhs=np.ones((2, 2, n)),
                            tile=np.empty((5, rows, n)))
 
 
 def _pair_geometry(curve, arc_chord_floor=1e-8, with_s=False, with_v=False):
     """Synthesize X, X', X'' once, behind the one degeneracy guard
-    `spectral._arc_chord_guard` at `arc_chord_floor`, and fill the blocks of
+    `spectral._arc_chord_guard` at `arc_chord_floor`, and fill the tables of
     S when `with_s` and of V when `with_v` in one sweep over the pairs.
     Returns (dds, s, v): the (N, 2) samples of X'' and the read-only
-    (xx, xy, yy) blocks of S and of V, None where not asked for; asked for
+    (g, c, e) tables of S and of V, None where not asked for; asked for
     neither, it builds no workspace and makes no sweep.
 
-    The sweep goes by row tiles of about _TILE_PAIRS pairs, and each tile
-    shares dX = X(theta_t) - X(theta_e), 1/|dX|^2 and dX ox dX/|dX|^2
-    between V = -1/2 log(|dX|^2/w) I + dX ox dX/|dX|^2 (w of `_workspace`)
-    and the S weight (2pi/N)(1/pi)(dX . X'^perp(theta_t))/|dX|^2.  The
-    diagonals are the smooth limits -1/2 log(|X'|^2/w(0)) I + X' ox X'/|X'|^2
-    and (2pi/N)(-1/2pi)(X'' . X'^perp) X' ox X'/|X'|^4.  The blocks live in
-    the workspace of (M, N): they are valid until the next sweep there that
-    writes them, and a sweep leaves the blocks it does not write untouched.
+    A row tile of about _TILE_PAIRS pairs takes dX from the products
+    [x_t, 1][1; -x_e] (and for y), whose two exact terms round once to
+    x_t - x_e.  It shares 1/|dX|^2, c = (dx^2 - dy^2)/|dX|^2 and
+    e = dx dy/|dX|^2 between V, g = log(e w/|dX|^2) with the weight of
+    `_workspace`, and S, (g, c, e) = sigma (1, c, e) with the weight
+    sigma = (2/N)(dX . X'^perp(theta_t))/|dX|^2; by xx + yy = 1 each holds
+    B = 1/2 (g I + c diag(1, -1)) + e [[0, 1], [1, 0]] per pair.  After the
+    products it makes 10 elementwise passes for V, 14 for S, 16 for both.
+    The diagonals are the smooth limits g = log(e w(0)/|X'|^2),
+    c = (x'^2 - y'^2)/|X'|^2, e = x'y'/|X'|^2 and sigma = -(X'' . X'^perp)
+    /(N |X'|^2).  The tables hold until the next sweep on (M, N) writes them.
     """
     _arc_chord_guard(curve, arc_chord_floor)
     ik = (1j * curve.ks)[:, None]
@@ -211,81 +218,77 @@ def _pair_geometry(curve, arc_chord_floor=1e-8, with_s=False, with_v=False):
     except MemoryError:
         raise MemoryError("grid size %d: its (N, N) pair tables do not fit in "
                           "memory" % n) from None
+    ws.lhs[:, :, 0] = xs.T
+    np.negative(xs.T, out=ws.rhs[:, 1])
     speed2 = np.sum(ds**2, axis=1)
-    outer = np.stack([ds[:, 0] * ds[:, 0], ds[:, 0] * ds[:, 1],
-                      ds[:, 1] * ds[:, 1]])
+    ce = np.stack([ds[:, 0]**2 - ds[:, 1]**2, ds[:, 0] * ds[:, 1]]) / speed2
     px, py = (-2.0 / n) * ds[:, 1], (2.0 / n) * ds[:, 0]  # (2/N) X'^perp
     rows = ws.tile.shape[1]
     for t0 in range(0, n, rows):
         t1 = min(t0 + rows, n)
         dx, dy, xx, yy, inv = ws.tile[:, :t1 - t0]
-        vxx, vxy, vyy = ws.v[:, t0:t1]
-        xy = vxy if with_v else ws.s[1, t0:t1]  # S scales it in place below
-        np.subtract(xs[t0:t1, 0, None], xs[None, :, 0], out=dx)
-        np.subtract(xs[t0:t1, 1, None], xs[None, :, 1], out=dy)
+        vg, c, e = ws.v[:, t0:t1] if with_v else (None, xx, yy)
+        np.matmul(ws.lhs[:, t0:t1], ws.rhs, out=ws.tile[:2, :t1 - t0])
         np.multiply(dx, dx, out=xx)
         np.multiply(dy, dy, out=yy)
         np.add(xx, yy, out=inv)
         inv.reshape(-1)[t0::n + 1] = 1.0  # the diagonal, so it can divide
         np.divide(1.0, inv, out=inv)
-        xx *= inv
-        yy *= inv
-        np.multiply(dx, dy, out=xy)
-        xy *= inv
-        if with_v:  # V = h I + dX ox dX/|dX|^2, h = -1/2 log(|dX|^2/w) in vxx
-            np.log(np.multiply(inv, ws.weight[t0:t1], out=vxx), out=vxx)
-            vxx *= 0.5
-            np.add(vxx, yy, out=vyy)
-            vxx += xx
-        if with_s:  # dx becomes the S weight (2/N)(dX . X'^perp)/|dX|^2
+        np.multiply(np.subtract(xx, yy, out=c), inv, out=c)
+        np.multiply(np.multiply(dx, dy, out=e), inv, out=e)
+        if with_v:
+            np.log(np.multiply(inv, ws.weight[t0:t1], out=vg), out=vg)
+        if with_s:  # sigma = (2/N)(dX . X'^perp)/|dX|^2 in S's g table
+            sg, sc, se = ws.s[:, t0:t1]
             dx *= px[t0:t1, None]
             dx += np.multiply(dy, py[t0:t1, None], out=dy)
-            dx *= inv
-            for block, q in zip(ws.s[:, t0:t1], (xx, xy, yy)):
-                np.multiply(dx, q, out=block)
+            np.multiply(dx, inv, out=sg)
+            np.multiply(sg, c, out=sc)
+            np.multiply(sg, e, out=se)
     # the diagonals, through one strided slice of each (3, N^2) table
     if with_v:
-        diag = outer / speed2
-        diag[::2] -= 0.5 * np.log(speed2 / ws.weight[0, 0])
-        ws.v.reshape(3, -1)[:, ::n + 1] = diag
+        ws.v.reshape(3, -1)[:, ::n + 1] = np.vstack(
+            [np.log(ws.weight[0, 0] / speed2), ce])
     if with_s:
-        wd = -(dds[:, 0] * px + dds[:, 1] * py) / (2.0 * speed2**2)
-        ws.s.reshape(3, -1)[:, ::n + 1] = wd * outer
+        sigma = -(dds[:, 0] * px + dds[:, 1] * py) / (2.0 * speed2)
+        ws.s.reshape(3, -1)[:, ::n + 1] = sigma * np.vstack([np.ones(n), ce])
     return (dds, ws.s_blocks if with_s else None,
             ws.v_blocks if with_v else None)
 
 
 def s_operator_matrix(curve):
-    """S(., X) including quadrature weight, as three read-only (N, N) blocks
+    """S(., X) including quadrature weight, as three (N, N) blocks
     (sxx, sxy, syy): S(F)_x = sxx F_x + sxy F_y, S(F)_y = sxy F_x + syy F_y.
 
-    They are built here, behind the degeneracy guard at floor 1e-8, and live
-    in the workspace of (M, N) until the next sweep there that writes S.
+    They are arrays of their own, (1/2 (g + c), e, 1/2 (g - c)) from the
+    (g, c, e) tables of a sweep behind the degeneracy guard at floor 1e-8.
     """
-    return _pair_geometry(curve, with_s=True)[1]
+    g, c, e = _pair_geometry(curve, with_s=True)[1]
+    return 0.5 * (g + c), e.copy(), 0.5 * (g - c)
 
 
 def _apply_blocks(blocks, f):
-    """B f for the symmetric 2x2-block matrix B = (bxx, bxy, byy) of S or V
-    and a field f, flattened (2N,) or (N, 2), returned in the shape of f:
-    bxy is read once, as one product with the (N, 2) samples."""
-    bxx, bxy, byy = blocks
+    """B f for the (g, c, e) tables of S or V (see `_pair_geometry`) and a
+    field f, flattened (2N,) or (N, 2), returned in the shape of f: each
+    table is read once, as one product with the (N, 2) samples."""
+    g, c, e = blocks
     f2 = f.reshape(-1, 2)
-    out = bxy @ f2[:, ::-1]
-    out[:, 0] += bxx @ f2[:, 0]
-    out[:, 1] += byy @ f2[:, 1]
+    out = c @ f2
+    out[:, 1] *= -1.0
+    out += g @ f2
+    out *= 0.5
+    out += e @ f2[:, ::-1]
     return out.reshape(f.shape)
 
 
 def _dense_system(blocks, a_mu):
-    """The dense (2N, 2N) I - 2 a_mu S on interleaved (x, y) samples."""
-    sxx, sxy, syy = blocks
-    n = sxx.shape[0]
+    """The dense (2N, 2N) I - 2 a_mu S on interleaved samples, S as (g, c, e)."""
+    g, c, e = blocks
+    n = g.shape[0]
     mat = np.empty((n, 2, n, 2))
-    mat[:, 0, :, 0] = sxx
-    mat[:, 0, :, 1] = mat[:, 1, :, 0] = sxy
-    mat[:, 1, :, 1] = syy
-    return np.eye(2 * n) - 2.0 * a_mu * mat.reshape(2 * n, 2 * n)
+    mat[:, 0, :, 0], mat[:, 1, :, 1] = g + c, g - c
+    mat[:, 0, :, 1] = mat[:, 1, :, 0] = 2.0 * e
+    return np.eye(2 * n) - a_mu * mat.reshape(2 * n, 2 * n)
 
 
 def _circle_preconditioner(curve, a_mu):

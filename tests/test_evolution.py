@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 
@@ -129,8 +130,9 @@ def random_force(rng, m, n):
 @example(seed=1, n=256, eps=0.1)
 @example(seed=2, n=300, eps=0.1)
 def test_velocity_matches_dense_reference(seed, n, eps):
-    """The V blocks and the velocity; the draws are one row tile of the pair
-    sweep, the examples several (at N 300 the last of six is partial)."""
+    """V, rebuilt as (xx, xy, yy) blocks from the sweep's (g, c, e) tables,
+    and the velocity; the draws are one row tile of the pair sweep, the
+    examples several (at N 300 the last of six is partial)."""
     rng = np.random.default_rng(seed)
     m = n // 4
     c = pk.circle_curve(max_mode=m, grid_size=n).coeffs.copy()
@@ -140,8 +142,9 @@ def test_velocity_matches_dense_reference(seed, n, eps):
         c[m - k] += np.conj(v)
     curve = pk.FourierCurve(c, n)
     force = random_force(rng, m, n)
-    _, s, (vxx, vxy, vyy) = _pair_geometry(curve, with_v=True)
+    _, s, (g, c, e) = _pair_geometry(curve, with_v=True)
     assert s is None
+    vxx, vxy, vyy = 0.5 * (g + c), e, 0.5 * (g - c)
     v = np.stack([np.stack([vxx, vxy], -1), np.stack([vxy, vyy], -1)], -2)
     v_ref = dense_stokeslet_reference(curve)
     assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
@@ -497,6 +500,16 @@ def test_energy_lhs_is_the_trapezoid_balance():
     assert cert.balance_margin == pytest.approx(
         np.max(rec.energy_lhs[1:]) / rec.x0 - 1.0, abs=1e-15)
     assert cert.balance_margin < 0.0
+
+
+@pytest.mark.parametrize("value", [2.5, True, float("nan"), "10", 0])
+def test_stepper_config_takes_only_whole_record_every(value):
+    """record_every is a whole number >= 1: 2.5 used to record every 5th
+    step, NaN only the first and last rows, and True every step."""
+    with pytest.raises(ValueError, match="record_every must be a whole number"
+                                         " >= 1, got %s" % re.escape(repr(value))):
+        pk.StepperConfig(dt=1e-3, t_final=1.0, record_every=value)
+    assert pk.StepperConfig(dt=1e-3, t_final=1.0, record_every=5.0)
 
 
 def test_stepper_config_rejects_nan_and_unknown_method():

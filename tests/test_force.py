@@ -4,7 +4,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import peskin2d as pk
-from peskin2d.force import _apply_blocks, _workspace
+from peskin2d.force import _apply_blocks, _pair_geometry, _workspace
 from peskin2d.spectral import hermitize
 
 
@@ -182,25 +182,56 @@ def test_s_operator_matches_dense_reference(seed, n, eps):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([32, 48, 64, 96, 128]),
        st.floats(1e-3, 0.2))
 def test_blocked_s_apply_matches_dense_reference(seed, n, eps):
-    """The three block reads of the solver's apply equal the dense matrix
-    times the interleaved field (worst of 300 random cases: 2.4e-15)."""
+    """The three table reads of the solver's apply, on the sweep's (g, c, e)
+    form of S, equal the dense matrix times the interleaved field."""
     c = perturbed_circle(eps, seed=seed, max_mode=n // 4, grid_size=n)
     f = np.random.default_rng(seed).normal(size=2 * n)
     ref = dense_s_reference(c) @ f
-    out = _apply_blocks(pk.s_operator_matrix(c), f)
+    out = _apply_blocks(_pair_geometry(c, with_s=True)[1], f)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-6.0, 0.0),
+       st.integers(0, 2**32 - 1))
+@example(cx=1e6, cy=-1e6, log_r=-6.0, seed=0)
+def test_rank2_differences_are_bitwise_subtractions(cx, cy, log_r, seed):
+    """The sweep takes dX from the rank-2 products [x_t, 1][1; -x_e]: both
+    terms are exact and round once, so each is bitwise x_t - x_e, on every
+    row tile of N 300 (the last of six partial), for centres up to 1e6 and
+    radii down to 1e-6."""
+    n, m, r = 300, 75, 10.0 ** log_r
+    coeffs = pk.circle_curve(a=r, c=cx, d=cy, max_mode=m,
+                             grid_size=n).coeffs.copy()
+    rng = np.random.default_rng(seed)
+    for k in range(2, 6):
+        v = 0.02 * r * (rng.normal(size=2) + 1j * rng.normal(size=2)) / k
+        coeffs[m + k] += v
+        coeffs[m - k] += np.conj(v)
+    _pair_geometry(pk.FourierCurve(coeffs, n), 0.0, with_v=True)
+    ws = _workspace(m, n)
+    xs = ws.lhs[:, :, 0]
+    assert np.all(ws.lhs[:, :, 1] == 1.0) and np.all(ws.rhs[:, 0] == 1.0)
+    assert np.array_equal(ws.rhs[:, 1], -xs)
+    rows = ws.tile.shape[1]
+    out = np.empty((2, rows, n))
+    for t0 in range(0, n, rows):  # the sweep's call, x and y in one
+        d = out[:, :min(rows, n - t0)]
+        np.matmul(ws.lhs[:, t0:t0 + rows], ws.rhs, out=d)
+        assert np.array_equal(d, xs[:, t0:t0 + rows, None] - xs[:, None, :])
 
 
 @pytest.mark.parametrize("a_mu, method", [(-0.5, "richardson"), (0.5, "direct"),
                                           (0.0, "richardson")])
 def test_results_do_not_alias_the_workspace(a_mu, method):
-    """The S and V blocks of a grid size are reused from call to call, but
-    the force and the velocity are arrays of their own: the same calls on a
-    second curve of the grid leave them unchanged.  The S blocks are
-    read-only, and a sweep writes only the blocks its caller reads: one for
-    a velocity (standalone, or a right-hand side at a_mu = 0) leaves earlier
-    S views unchanged, a standalone force solve or S leaves V unchanged, and
-    a force solve at a_mu = 0 makes no sweep and builds no workspace."""
+    """The S and V tables of a grid size are reused from call to call, but
+    the force, the velocity and the blocks of `s_operator_matrix` are arrays
+    of their own: the same calls on a second curve of the grid leave them
+    unchanged.  The sweep's S tables are read-only, and a sweep writes only
+    the tables its caller reads: one for a velocity (standalone, or a
+    right-hand side at a_mu = 0) leaves earlier S views unchanged, a
+    standalone force solve or S leaves V unchanged, and a force solve at
+    a_mu = 0 makes no sweep and builds no workspace."""
     p = pk.PhysicsParams.from_contrast(a_mu, 1.0)
     c1, c2 = perturbed_circle(0.05, seed=1), perturbed_circle(0.1, seed=2)
     f1 = pk.solve_force(c1, p, method=method)
@@ -210,21 +241,23 @@ def test_results_do_not_alias_the_workspace(a_mu, method):
     pk.velocity_on_curve(c2, f2)
     for now, before in zip((f1.samples, f1.coeffs, u1), kept):
         assert np.array_equal(now, before)
-    blocks = pk.s_operator_matrix(c1)
-    kept = [b.copy() for b in blocks]
+    ws = _workspace(c1.max_mode, c1.grid_size)
+    for block in pk.s_operator_matrix(c1):
+        assert not any(np.shares_memory(block, t) for t in (ws.s, ws.v))
+    tables = _pair_geometry(c1, with_s=True)[1]
+    kept = [t.copy() for t in tables]
     pk.velocity_on_curve(c2, f2)
     pk.rhs_nonlinear(c2, pk.PhysicsParams.from_contrast(0.0, 1.0))
-    for block, before in zip(blocks, kept):
-        assert np.array_equal(block, before)
-        assert not block.flags.writeable
+    for table, before in zip(tables, kept):
+        assert np.array_equal(table, before)
+        assert not table.flags.writeable
         with pytest.raises(ValueError):
-            block[0, 0] = 0.0
-    v = _workspace(c1.max_mode, c1.grid_size).v
+            table[0, 0] = 0.0
     pk.velocity_on_curve(c1, f1)
-    kept = v.copy()
+    kept = ws.v.copy()
     pk.solve_force(c2, p, method=method)
     pk.s_operator_matrix(c2)
-    assert np.array_equal(v, kept)
+    assert np.array_equal(ws.v, kept)
     if a_mu == 0.0:
         _workspace.cache_clear()
         f0 = pk.solve_force(c2, p, method=method)
