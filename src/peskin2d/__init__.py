@@ -29,11 +29,9 @@ from .kernels import (
     stokeslet,
 )
 from .force import (
-    ForceDensity,
     PhysicsParams,
     SolverError,
     elastic_force,
-    force_split_residual,
     force_zero_linear,
     s_operator_matrix,
     solve_force,
@@ -74,9 +72,8 @@ __all__ = [
     # kernels
     "SingularEvaluation", "eval_velocity_field", "log_convolve", "stokeslet",
     # force
-    "ForceDensity", "PhysicsParams", "SolverError", "elastic_force",
-    "force_split_residual", "force_zero_linear", "s_operator_matrix",
-    "solve_force",
+    "PhysicsParams", "SolverError", "elastic_force", "force_zero_linear",
+    "s_operator_matrix", "solve_force",
     # evolution
     "CSV_HEADER", "SimulationState", "StepperConfig", "TrajectoryRecord",
     "read_final_state", "rhs_nonlinear", "run", "step", "velocity_on_curve",

@@ -17,8 +17,8 @@ pair sweep of `force._pair_geometry` writes 4pi Greg plus 2N times that
 circulant as V = 1/2 (g I + c diag(1, -1)) + e [[0, 1], [1, 0]] in three
 read-only (N, N) tables: g = log(e w/|dX|^2) with e = exp(1) folded into
 the circulant weight w, c = (dx^2 - dy^2)/|dX|^2, e = dx dy/|dX|^2, and dX
-from exact rank-2 products.  The velocity is one apply of V to the force
-samples over 2N, in `force` (`velocity_on_curve`, re-exported here).
+from exact rank-2 products.  The velocity is one apply of V to the (N, 2)
+force samples over 2N, in `force` (`velocity_on_curve`, re-exported here).
 
 The stiff part is the linearization about the circles, one 2x2 symbol per
 mode; n collects everything beyond it:
@@ -49,6 +49,7 @@ from .force import PhysicsParams, _interface_velocity, velocity_on_curve
 from .spectral import (
     CurveDegenerateError,
     FourierCurve,
+    _check_reals,
     _j_action,
     _split,
     _symmetric_curve,
@@ -121,6 +122,8 @@ class StepperConfig:
     arc_chord_floor: float = 0.05
 
     def __post_init__(self):
+        _check_reals(dt=self.dt, t_final=self.t_final, nu_max=self.nu_max,
+                     arc_chord_floor=self.arc_chord_floor)
         if not (0 < self.dt < math.inf and 0 < self.t_final < math.inf):
             raise ValueError("dt and t_final must be positive and finite")
         if self.scheme not in ("exponential-euler", "etdrk2"):

@@ -39,8 +39,9 @@ the whole single layer, for a velocity (`velocity_on_curve`, or the sweep
 of a right-hand side's `_interface_velocity`).  Each is three read-only
 tables (g, c, e), B = 1/2 (g I + c diag(1, -1)) + e [[0, 1], [1, 0]] per
 pair (V's g reads a weight with e = exp(1) folded in), valid until the next
-sweep on its (M, N) that writes it.  `solve_force`, `velocity_on_curve`
-and `s_operator_matrix` return arrays of their own.
+sweep on its (M, N) that writes it.  A force is its (N, 2) grid samples,
+the Nystrom unknowns (its band-M coefficients are `analyze(f, M)`); forces,
+velocities and the blocks of `s_operator_matrix` are arrays of their own.
 """
 
 import functools
@@ -50,10 +51,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .kernels import log_convolve
+from .kernels import _grid_force, log_convolve
 from .spectral import (
-    FourierCurve,
     _arc_chord_guard,
+    _check_reals,
     _grid_samples,
     _j_action,
     _split,
@@ -83,6 +84,7 @@ class PhysicsParams:
     k0: float
 
     def __post_init__(self):
+        _check_reals(mu1=self.mu1, mu2=self.mu2, k0=self.k0)
         if not (0 < self.mu1 < math.inf and 0 < self.mu2 < math.inf):
             raise ValueError("viscosities must be positive and finite")
         if not 0 < self.k0 < math.inf:
@@ -91,6 +93,7 @@ class PhysicsParams:
     @classmethod
     def from_contrast(cls, a_mu, a_e):
         """Build from (a_mu, a_e) with the normalization mu1 + mu2 = 1."""
+        _check_reals(a_mu=a_mu, a_e=a_e)
         if not -1.0 < a_mu < 1.0:
             raise ValueError("a_mu must lie in (-1, 1)")
         if not 0 < a_e < math.inf:
@@ -106,45 +109,10 @@ class PhysicsParams:
         return self.k0 / (self.mu1 + self.mu2)
 
 
-@dataclass(frozen=True, eq=False)
-class ForceDensity:
-    """Force density on the interface, stored both ways.
-
-    samples : (N, 2) values on the uniform grid
-    coeffs  : (2M+1, 2) Fourier coefficients (band-limited projection)
-    """
-
-    samples: np.ndarray
-    coeffs: np.ndarray
-
-    @property
-    def grid_size(self):
-        return self.samples.shape[0]
-
-    @property
-    def max_mode(self):
-        return (self.coeffs.shape[0] - 1) // 2
-
-    @classmethod
-    def from_samples(cls, samples, max_mode=None):
-        s = np.asarray(samples, dtype=float)
-        fc = analyze(s, max_mode)
-        return cls(s, fc.coeffs)
-
-    @classmethod
-    def from_coeffs(cls, coeffs, grid_size):
-        fc = FourierCurve(np.asarray(coeffs, dtype=complex), grid_size)
-        return cls(synthesize(fc), fc.coeffs)
-
-    def __sub__(self, other):
-        return ForceDensity(self.samples - other.samples, self.coeffs - other.coeffs)
-
-
 def elastic_force(curve, params=None):
-    """k0 * d^2 X / dtheta^2 (k0 = 1 when params is None)."""
+    """k0 X'' as (N, 2) grid samples (k0 = 1 when params is None)."""
     k0 = 1.0 if params is None else params.k0
-    dd = derivative(derivative(curve))
-    return ForceDensity(k0 * synthesize(dd), k0 * dd.coeffs)
+    return k0 * synthesize(derivative(derivative(curve)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -337,7 +305,7 @@ def _richardson(residual, precondition, b):
 
 
 def solve_force(curve, params, method="richardson"):
-    """Solve (I - 2 a_mu S) F = 2 a_e X'' for the force density.
+    """Solve (I - 2 a_mu S) F = 2 a_e X'' for the (N, 2) grid samples of F.
 
     method='richardson' (the default) runs the preconditioned Richardson
     iteration F <- F + P (b - (I - 2 a_mu S) F) from F = P b, where P
@@ -356,8 +324,7 @@ def solve_force(curve, params, method="richardson"):
     if method not in ("direct", "richardson"):
         raise ValueError("method must be 'direct' or 'richardson'")
     dds, s, _ = _pair_geometry(curve, with_s=params.a_mu != 0.0)
-    samples = _force_samples(curve, params, dds, s, method)
-    return ForceDensity.from_samples(samples, curve.max_mode)
+    return _force_samples(curve, params, dds, s, method)
 
 
 def _force_samples(curve, params, dds, s, method="richardson"):
@@ -389,15 +356,12 @@ def _force_samples(curve, params, dds, s, method="richardson"):
 
 
 def velocity_on_curve(curve, force):
-    """Fluid velocity on the interface driven by the ForceDensity `force`
-    as (N, 2) samples: the block apply of V over 2N, with V built here
-    behind the degeneracy guard at floor 1e-8.  V carries the log kernel of
-    the curve's band, so the force must share the curve's band and grid.
-    """
-    if (force.max_mode, force.grid_size) != (curve.max_mode, curve.grid_size):
-        raise ValueError("force band or grid differs from the curve's")
+    """Fluid velocity on the interface driven by the (N, 2) force samples on
+    the curve's grid, as (N, 2) samples: the block apply of V over 2N, with
+    V built here behind the degeneracy guard at floor 1e-8."""
+    f = _grid_force(force, curve)
     v = _pair_geometry(curve, with_v=True)[2]
-    return _apply_blocks(v, force.samples) / (2.0 * curve.grid_size)
+    return _apply_blocks(v, f) / (2.0 * curve.grid_size)
 
 
 def _interface_velocity(curve, params, arc_chord_floor):
@@ -411,7 +375,7 @@ def _interface_velocity(curve, params, arc_chord_floor):
 
 
 def force_zero_linear(curve, params):
-    """Equilibrium and linear parts of the force about the circle family.
+    """(N, 2) samples of the force's parts F0 and FL about the circle family.
 
     F0 acts on the circle part alone: (2 a_e / (1 - a_mu)) X_c''.
     FL acts on the deviation Z: -2 a_e k^2 Z_k + (2 a_e a_mu/(1-a_mu)) |k| J Z_k
@@ -420,14 +384,9 @@ def force_zero_linear(curve, params):
     """
     a_mu, a_e = params.a_mu, params.a_e
     circle, dev = _split(curve)
-    ks, z, n = curve.ks, dev.coeffs, curve.grid_size
+    ks, z = curve.ks, dev.coeffs
     k2 = (ks**2)[:, None]
     f0 = (2.0 * a_e / (1.0 - a_mu)) * -k2 * circle._coeffs(curve.max_mode)
     jz = np.abs(ks)[:, None] * _j_action(z)
     fl = -2.0 * a_e * k2 * z + (2.0 * a_e * a_mu / (1.0 - a_mu)) * jz
-    return ForceDensity.from_coeffs(f0, n), ForceDensity.from_coeffs(fl, n)
-
-
-def force_split_residual(force, f0, fl):
-    """Quadratic remainder F - F0 - FL as a ForceDensity."""
-    return force - f0 - fl
+    return _grid_samples(f0, curve.grid_size), _grid_samples(fl, curve.grid_size)

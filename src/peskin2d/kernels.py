@@ -16,14 +16,15 @@ the mean.  (The multiplier was frozen against adaptive quadrature of
 int K(z) cos(kz) dz; see the test suite.)  On a grid its band |k| <= M is
 a circulant, which `force._workspace` builds, once per (M, N), into the
 weight of V, the single layer that `force.velocity_on_curve` applies: a run
-does not call it per step.
+does not call it per step.  `eval_velocity_field` takes a force as its
+(N, 2) grid samples.
 """
 
 import warnings
 
 import numpy as np
 
-from .spectral import _symmetric_curve, synthesize
+from .spectral import _grid_samples, synthesize
 
 _CLEARANCE = 0.1  # distance to the interface below which the rule degrades
 
@@ -51,33 +52,35 @@ def stokeslet(x):
 def log_convolve(f):
     """Convolve with K(z) = -(1/4pi) log(2 |sin(z/2)|); returns grid samples.
 
-    `f` is a FourierCurve or a ForceDensity; the result lives on its grid.
-    Acts mode-by-mode as multiplication by 1/(4|k|) (k != 0); the mean is
-    sent to zero.
+    `f` is a FourierCurve (a force's is `analyze(f, M)`); the result lives
+    on its grid.  Acts mode-by-mode as multiplication by 1/(4|k|) (k != 0);
+    the mean is sent to zero.
     """
-    m = f.max_mode
-    ks = np.arange(-m, m + 1)
-    fac = np.zeros(len(ks))
-    nz = ks != 0
-    fac[nz] = 1.0 / (4.0 * np.abs(ks[nz]))
-    return synthesize(_symmetric_curve(f.coeffs * fac[:, None], f.grid_size))
+    absk = np.abs(f.ks)[:, None]
+    fac = np.divide(0.25, absk, out=np.zeros(absk.shape), where=absk > 0)
+    return _grid_samples(f.coeffs * fac, f.grid_size)
+
+
+def _grid_force(force, curve):
+    """`force` as float (N, 2) samples on `curve`'s grid, else ValueError."""
+    f = np.asarray(force, dtype=float)
+    if f.shape != (curve.grid_size, 2):
+        raise ValueError("force has shape %s, not (%d, 2) of the curve's grid"
+                         % (f.shape, curve.grid_size))
+    return f
 
 
 def eval_velocity_field(points, curve, force):
     """Velocity at off-interface points: u(x) = int G(x - X(eta)) F(eta) deta,
-    for the ForceDensity F on `curve`'s grid.
+    for the force F as (N, 2) samples on `curve`'s grid.
 
     Plain trapezoid quadrature on the force grid; accurate away from the
     interface, and it warns (but still evaluates) whenever a target point
     comes within 0.1 of the quadrature nodes, where the rule degrades.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    xs = synthesize(curve)
-    fs = force.samples
-    if fs.shape[0] != xs.shape[0]:
-        raise ValueError("force samples and curve grid disagree")
-    n = xs.shape[0]
-    diff = pts[:, None, :] - xs[None, :, :]  # (P, N, 2)
+    fs = _grid_force(force, curve)
+    diff = pts[:, None, :] - synthesize(curve)[None, :, :]  # (P, N, 2)
     dmin = float(np.min(_norms(diff)))
     if dmin == 0.0:
         raise SingularEvaluation("target point lies on a quadrature node")
@@ -88,5 +91,5 @@ def eval_velocity_field(points, curve, force):
             RuntimeWarning,
         )
     g = stokeslet(diff)  # (P, N, 2, 2)
-    u = np.einsum("pnij,nj->pi", g, fs) * (2.0 * np.pi / n)
+    u = np.einsum("pnij,nj->pi", g, fs) * (2.0 * np.pi / curve.grid_size)
     return u if np.asarray(points).ndim > 1 else u[0]

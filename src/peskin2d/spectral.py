@@ -28,6 +28,7 @@ the X frame (`_j_action`); to_Y / from_Y are the frame's public reference.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,13 @@ class AliasingError(ValueError):
 
 class CurveDegenerateError(RuntimeError):
     """Curve failed a geometric sanity check (self-touching or collapsed)."""
+
+
+def _check_reals(**fields):
+    """Refuse a field that is a bool or not a real number, naming it."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError("%s must be a real number, got %r" % (name, value))
 
 
 def theta_grid(n):
@@ -161,6 +169,7 @@ def analyze(samples, max_mode=None):
     n = s.shape[0]
     limit = (n - 1) // 2
     m = limit if max_mode is None else max_mode
+    _check_reals(max_mode=m)
     if not (float(m).is_integer() and m >= 1):
         raise ValueError("max_mode must be a whole number >= 1, not %r" % (m,))
     m = int(m)
@@ -324,8 +333,7 @@ def circle_decompose(curve):
     b = _SQRT2 * float(y1[1].imag)
     yc[m] = 0.0
     yc[m + 1, 1] = 0.0
-    if m >= 1:
-        yc[m - 1, 1] = 0.0
+    yc[m - 1, 1] = 0.0  # a FourierCurve has M >= 1
     deviation = from_Y(_symmetric_curve(yc, y.grid_size))
     return CirclePart(a, b, c, d), deviation
 

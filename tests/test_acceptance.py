@@ -36,7 +36,7 @@ def test_criterion_01_steady_circle():
         er = np.stack([np.cos(th), np.sin(th)], axis=-1)
         f_star = -(2 * p.a_e / (1 - p.a_mu)) * er
         worst_u = max(worst_u, float(np.max(np.abs(u))))
-        worst_f = max(worst_f, float(np.max(np.abs(f.samples - f_star))))
+        worst_f = max(worst_f, float(np.max(np.abs(f - f_star))))
     elapsed = time.perf_counter() - t0
     ok = worst_u <= 1e-10 and worst_f <= 1e-10 and elapsed < 5.0
     check(1, ok, "max |u| = %.2e, max |F - F*| = %.2e, %.2fs"
@@ -60,8 +60,7 @@ def test_criterion_02_linearization_order():
         c = base.with_coeffs(base.coeffs + eps * direction)
         f = pk.solve_force(c, p)
         f0, fl = pk.force_zero_linear(c, p)
-        fn = pk.force_split_residual(f, f0, fl)
-        residuals.append(pk.fnorm(pk.FourierCurve(fn.coeffs, n), s=0.0))
+        residuals.append(pk.fnorm(pk.analyze(f - f0 - fl, m), s=0.0))
     slopes = np.diff(np.log(residuals)) / np.diff(np.log(eps_list))
     elapsed = time.perf_counter() - t0
     ok = bool(np.all(slopes >= 1.9) and np.all(slopes <= 2.1)) and elapsed < 30
@@ -257,7 +256,7 @@ def test_criterion_11_invariances():
     moved = curve.with_coeffs(curve.coeffs + shift)
     fm = pk.solve_force(moved, p)
     um = pk.velocity_on_curve(moved, fm)
-    trans = max(float(np.max(np.abs(fm.samples - f.samples))),
+    trans = max(float(np.max(np.abs(fm - f))),
                 float(np.max(np.abs(um - u))))
 
     # rotation: F and u rotate with the frame
@@ -266,7 +265,7 @@ def test_criterion_11_invariances():
     turned = curve.with_coeffs(curve.coeffs @ rot.T)
     ft = pk.solve_force(turned, p)
     ut = pk.velocity_on_curve(turned, ft)
-    rot_err = max(float(np.max(np.abs(ft.samples - f.samples @ rot.T))),
+    rot_err = max(float(np.max(np.abs(ft - f @ rot.T))),
                   float(np.max(np.abs(ut - u @ rot.T))))
 
     # the mean mode moves exactly by the zero-frequency forcing per step

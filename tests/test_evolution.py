@@ -1,6 +1,7 @@
 import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_force_and_velocity_follow_rigid_motions(seed, a_mu, log_eps, sx, sy,
     def force_and_velocity(coeffs):
         curve = pk.FourierCurve(coeffs, n)
         f = pk.solve_force(curve, p)
-        return f.samples, pk.velocity_on_curve(curve, f)
+        return f, pk.velocity_on_curve(curve, f)
 
     f, u = force_and_velocity(c)
     scale = np.max(np.abs(f))
@@ -114,14 +115,15 @@ def dense_velocity_reference(curve, force):
     """Velocity with the single layer assembled as (N, N, 2, 2) blocks
     through einsum, as a reference."""
     blocks = dense_stokeslet_reference(curve)
-    u = np.einsum("teij,ej->ti", blocks, force.samples)
+    u = np.einsum("teij,ej->ti", blocks, force)
     return u / (2.0 * len(blocks))
 
 
 def random_force(rng, m, n):
+    """(N, 2) samples of a random force on modes |k| <= 6."""
     fc = np.zeros((2 * m + 1, 2), complex)
     fc[m - 6:m + 7] = rng.normal(size=(13, 2)) + 1j * rng.normal(size=(13, 2))
-    return pk.ForceDensity.from_coeffs(hermitize(fc), n)
+    return pk.synthesize(pk.FourierCurve(hermitize(fc), n))
 
 
 @settings(max_examples=15, deadline=None)
@@ -154,14 +156,17 @@ def test_velocity_matches_dense_reference(seed, n, eps):
 
 
 def test_velocity_rejects_a_force_on_another_grid():
-    """V carries the curve's band and grid, so a force of another grid, or
-    of another band on the same grid, is refused."""
+    """A force is its samples on the curve's grid of N points, so a force of
+    another grid, or of any shape but (N, 2), is refused on and off the
+    interface."""
     curve = pk.circle_curve(max_mode=8, grid_size=32)
     rng = np.random.default_rng(0)
-    for force, word in ((random_force(rng, 8, 48), "grid"),
-                        (random_force(rng, 12, 32), "band")):
-        with pytest.raises(ValueError, match=word):
+    for force in (random_force(rng, 8, 48), random_force(rng, 8, 32).T,
+                  random_force(rng, 8, 32).reshape(-1)):
+        with pytest.raises(ValueError, match=r"\(32, 2\) of the curve's grid"):
             pk.velocity_on_curve(curve, force)
+        with pytest.raises(ValueError, match=r"\(32, 2\) of the curve's grid"):
+            pk.eval_velocity_field([[3.0, 0.0]], curve, force)
 
 
 @settings(max_examples=8, deadline=None)
@@ -339,40 +344,38 @@ def test_run_makes_no_frame_change(monkeypatch, scheme):
 
 @pytest.mark.parametrize("scheme", ["exponential-euler", "etdrk2"])
 def test_run_reads_only_force_samples(monkeypatch, scheme):
-    """The velocity is one block apply of the force samples: a run calls
-    log_convolve at most once, to build V's weight for a new band and grid,
-    none once that table is warm, and it analyzes no force."""
+    """The velocity is one block apply of the force samples: a warm run
+    makes one analyze per right-hand side, of its velocity, and calls no
+    log_convolve; a cold one adds the analyze and the one log_convolve that
+    build V's weight for a new band and grid."""
     calls = []
-    log_convolve, from_samples = pk.log_convolve, pk.ForceDensity.from_samples
+    originals = {"analyze": pk.analyze, "log_convolve": pk.log_convolve}
 
-    def counted_log_convolve(f):
-        calls.append("log_convolve")
-        return log_convolve(f)
+    def counted(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return originals[name](*args, **kwargs)
+        return call
 
-    def counted_from_samples(cls, *args, **kwargs):
-        calls.append("from_samples")
-        return from_samples(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "peskin2d" or name.startswith("peskin2d."):
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "peskin2d" or module_name.startswith("peskin2d."):
             for attr, value in list(vars(module).items()):
-                if value is log_convolve:
-                    monkeypatch.setattr(module, attr, counted_log_convolve)
-    monkeypatch.setattr(pk.ForceDensity, "from_samples",
-                        classmethod(counted_from_samples))
+                for name, fn in originals.items():
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted(name))
     _workspace.cache_clear()
     p = pk.PhysicsParams.from_contrast(-0.5, 1.0)
     cfg = pk.StepperConfig(dt=1e-3, t_final=0.01, scheme=scheme,
                            record_every=5)
+    rhs = {"exponential-euler": 10, "etdrk2": 20}[scheme]
     counts = []
     for _ in range(2):  # a cold table, then a warm one
         calls.clear()
         rec = pk.run(small_deviation_curve(1e-5), p, cfg)
         assert rec.failure is None and rec.t.size == 3
-        counts.append((calls.count("log_convolve"),
-                       calls.count("from_samples")))
-    assert counts[0][0] <= 1 and counts[1][0] == 0
-    assert counts[0][1] == counts[1][1] == 0
+        counts.append((calls.count("analyze"), calls.count("log_convolve")))
+    assert counts[0][0] == rhs + 1 and counts[0][1] <= 1
+    assert counts[1] == (rhs, 0)
 
 
 def test_exponential_euler_is_exact_for_pure_linear():
@@ -521,6 +524,62 @@ def test_stepper_config_rejects_nan_and_unknown_method():
         for value in (-1e-3, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=">= 0 and finite"):
                 pk.StepperConfig(dt=1e-3, t_final=1.0, **{key: value})
+
+
+@pytest.mark.parametrize("field, build, good", [
+    ("dt", lambda v: pk.StepperConfig(dt=v, t_final=1.0), 1e-3),
+    ("t_final", lambda v: pk.StepperConfig(dt=1e-3, t_final=v), 1.0),
+    ("nu_max", lambda v: pk.StepperConfig(dt=1e-3, t_final=1.0, nu_max=v),
+     0.05),
+    ("arc_chord_floor",
+     lambda v: pk.StepperConfig(dt=1e-3, t_final=1.0, arc_chord_floor=v), 0.1),
+    ("mu1", lambda v: pk.PhysicsParams(v, 1.0, 1.0), 0.5),
+    ("mu2", lambda v: pk.PhysicsParams(1.0, v, 1.0), 0.5),
+    ("k0", lambda v: pk.PhysicsParams(1.0, 1.0, v), 2.0),
+    ("a_mu", lambda v: pk.PhysicsParams.from_contrast(v, 1.0), 0.5),
+    ("a_e", lambda v: pk.PhysicsParams.from_contrast(0.0, v), 2.0),
+    ("max_mode", lambda v: pk.analyze(np.zeros((8, 2)), v), 2),
+])
+def test_number_fields_refuse_bools_and_non_reals(field, build, good):
+    """A bool, a string or a complex number in a number field is refused
+    with a one-line ValueError that names the field: True used to pass as 1
+    (a step of 1, k0 = True, band 1) and a string raised a bare TypeError.
+    numpy's floats and ints pass."""
+    for bad in (True, False, str(good), complex(good)):
+        with pytest.raises(ValueError, match="^%s must be a real number, got %s$"
+                           % (field, re.escape(repr(bad)))):
+            build(bad)
+    build(np.float64(good))
+
+
+def test_at_or_above_the_threshold_the_run_only_warns():
+    """From x0 in [k(a_mu), 3 k(a_mu)] a run warns that the decay certificate
+    does not apply, names the certified threshold, and still integrates to
+    t_final with no margin (script_C NaN); just below k it gives no such
+    warning and records a positive margin."""
+    p = pk.PhysicsParams.from_contrast(-0.5, 1.0)
+    k = pk.k_threshold(p.a_mu)["k"]
+    cfg = pk.StepperConfig(dt=1e-3, t_final=3e-3)
+    named = "not below the certified threshold %.3e" % k
+    # small_deviation_curve(x) has deviation norm x / 2: hermitize halves it
+    scale = 1e-3 / pk.fnorm(_split(small_deviation_curve(1e-3))[1])
+
+    def warned_run(x0):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rec = pk.run(small_deviation_curve(scale * x0), p, cfg)
+        return rec, [str(w.message) for w in seen
+                     if w.category is RuntimeWarning]
+
+    for x0 in (1.001 * k, 2.0 * k, 3.0 * k):
+        rec, messages = warned_run(x0)
+        assert rec.x0 >= k and any(named in m for m in messages)
+        assert rec.failure is None and rec.t.size == 4
+        assert rec.t[-1] == pytest.approx(cfg.t_final, rel=1e-12)
+        assert np.isnan(rec.script_C)
+    rec, messages = warned_run(0.999 * k)
+    assert rec.x0 < k and not any("certified threshold" in m for m in messages)
+    assert rec.failure is None and rec.script_C > 0
 
 
 def test_simulation_state_splits_circle_lazily():

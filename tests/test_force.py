@@ -18,9 +18,9 @@ def dense(blocks):
 
 
 def apply_s(curve, force):
-    """S(F, X) on the grid: the Nystrom matrix applied to the samples of F."""
-    out = dense(pk.s_operator_matrix(curve)) @ force.samples.reshape(-1)
-    return pk.ForceDensity.from_samples(out.reshape(-1, 2))
+    """S(F, X) on the grid: the Nystrom matrix applied to the (N, 2) samples
+    of F."""
+    return (dense(pk.s_operator_matrix(curve)) @ force.reshape(-1)).reshape(-1, 2)
 
 
 def perturbed_circle(eps, seed=3, max_mode=16, grid_size=64, kmax=5):
@@ -73,7 +73,8 @@ def test_elastic_force_is_minus_k_squared():
     f = pk.elastic_force(c)
     ks = c.ks
     assert np.array_equal(pk.derivative(c).coeffs, 1j * ks[:, None] * c.coeffs)
-    assert np.allclose(f.coeffs, -(ks[:, None] ** 2) * c.coeffs)
+    assert np.allclose(pk.analyze(f, c.max_mode).coeffs,
+                       -(ks[:, None] ** 2) * c.coeffs)
 
 
 def test_elastic_force_scales_with_k0():
@@ -83,7 +84,7 @@ def test_elastic_force_scales_with_k0():
     # circle: X'' = -e_r, scaled by k0 = a_e (mu1 + mu2) = 3
     th = pk.theta_grid(16)
     er = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    assert np.allclose(f.samples, -3.0 * er, atol=1e-13)
+    assert np.allclose(f, -3.0 * er, atol=1e-13)
 
 
 # ------------------------------------------------------------- S on circles
@@ -95,12 +96,8 @@ def test_s_operator_circle_eigenfunctions():
     th = pk.theta_grid(48)
     er = np.stack([np.cos(th), np.sin(th)], axis=-1)
     et = np.stack([-np.sin(th), np.cos(th)], axis=-1)
-    fr = pk.ForceDensity.from_samples(er)
-    ft = pk.ForceDensity.from_samples(et)
-    sr = apply_s(c, fr)
-    st = apply_s(c, ft)
-    assert np.allclose(sr.samples, 0.5 * er, atol=1e-13)
-    assert np.allclose(st.samples, -0.5 * et, atol=1e-13)
+    assert np.allclose(apply_s(c, er), 0.5 * er, atol=1e-13)
+    assert np.allclose(apply_s(c, et), -0.5 * et, atol=1e-13)
 
 
 @settings(max_examples=25, deadline=None)
@@ -130,8 +127,7 @@ def test_s_operator_translation_invariance():
     c = pk.circle_curve(c=1.3, d=-0.7, max_mode=8, grid_size=48)
     th = pk.theta_grid(48)
     er = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    sr = apply_s(c, pk.ForceDensity.from_samples(er))
-    assert np.allclose(sr.samples, 0.5 * er, atol=1e-13)
+    assert np.allclose(apply_s(c, er), 0.5 * er, atol=1e-13)
 
 
 def test_s_operator_degenerate_curve():
@@ -236,10 +232,10 @@ def test_results_do_not_alias_the_workspace(a_mu, method):
     c1, c2 = perturbed_circle(0.05, seed=1), perturbed_circle(0.1, seed=2)
     f1 = pk.solve_force(c1, p, method=method)
     u1 = pk.velocity_on_curve(c1, f1)
-    kept = [a.copy() for a in (f1.samples, f1.coeffs, u1)]
+    kept = [a.copy() for a in (f1, u1)]
     f2 = pk.solve_force(c2, p, method=method)
     pk.velocity_on_curve(c2, f2)
-    for now, before in zip((f1.samples, f1.coeffs, u1), kept):
+    for now, before in zip((f1, u1), kept):
         assert np.array_equal(now, before)
     ws = _workspace(c1.max_mode, c1.grid_size)
     for block in pk.s_operator_matrix(c1):
@@ -263,7 +259,7 @@ def test_results_do_not_alias_the_workspace(a_mu, method):
         f0 = pk.solve_force(c2, p, method=method)
         assert _workspace.cache_info().currsize == 0
         el = pk.elastic_force(c2, p)
-        assert np.array_equal(f0.samples, 2.0 * el.samples)
+        assert np.array_equal(f0, 2.0 * el)
 
 
 def test_rhs_nonlinear_guards_figure_eight():
@@ -293,7 +289,7 @@ def test_solve_force_steady_circle():
         th = pk.theta_grid(64)
         er = np.stack([np.cos(th), np.sin(th)], axis=-1)
         expect = -(2 * p.a_e / (1 - p.a_mu)) * er
-        assert np.max(np.abs(f.samples - expect)) < 1e-12
+        assert np.max(np.abs(f - expect)) < 1e-12
 
 
 def test_solve_force_methods_agree():
@@ -301,7 +297,7 @@ def test_solve_force_methods_agree():
     c = perturbed_circle(0.05)
     fd = pk.solve_force(c, p, method="direct")
     fp = pk.solve_force(c, p, method="richardson")
-    assert np.max(np.abs(fd.samples - fp.samples)) < 1e-10
+    assert np.max(np.abs(fd - fp)) < 1e-10
 
 
 class _CountLU:
@@ -329,8 +325,7 @@ def test_default_solve_matches_direct(seed, a_mu, log_eps, n):
     except pk.CurveDegenerateError:
         reject()
     f = pk.solve_force(c, p)
-    assert (np.max(np.abs(f.samples - fd.samples))
-            <= 1e-12 * np.max(np.abs(fd.samples)))
+    assert np.max(np.abs(f - fd)) <= 1e-12 * np.max(np.abs(fd))
 
 
 @pytest.mark.parametrize("a_mu, eps, factorizations",
@@ -344,8 +339,7 @@ def test_default_solve_falls_back_to_lu(monkeypatch, a_mu, eps, factorizations):
     lu = _CountLU(monkeypatch)
     f = pk.solve_force(c, p)
     assert lu.calls == factorizations
-    assert (np.max(np.abs(f.samples - fd.samples))
-            <= 1e-12 * np.max(np.abs(fd.samples)))
+    assert np.max(np.abs(f - fd)) <= 1e-12 * np.max(np.abs(fd))
 
 
 def test_run_with_direct_and_default_force_agree():
@@ -377,7 +371,7 @@ def test_solve_force_matched_viscosity_shortcut():
     f = pk.solve_force(c, p)
     # F = 2 a_e X'' exactly when a_mu = 0  (elastic_force carries k0 = a_e)
     el = pk.elastic_force(c, p)
-    assert np.allclose(f.samples, 2 * el.samples, atol=1e-13)
+    assert np.allclose(f, 2 * el, atol=1e-13)
 
 
 def test_solve_force_spectral_convergence():
@@ -387,7 +381,7 @@ def test_solve_force_spectral_convergence():
     for n in (64, 128, 256):
         c = perturbed_circle(0.1, max_mode=24, grid_size=n)
         f = pk.solve_force(c, p)
-        sols[n] = pk.evaluate(pk.FourierCurve(f.coeffs, n), np.array([0.3, 2.1]))
+        sols[n] = pk.evaluate(pk.analyze(f, 24), np.array([0.3, 2.1]))
     e1 = np.max(np.abs(sols[64] - sols[256]))
     e2 = np.max(np.abs(sols[128] - sols[256]))
     assert e2 < 1e-10 and e1 < 1e-6
@@ -401,8 +395,8 @@ def test_force_zero_on_circle():
     c = pk.circle_curve(max_mode=8, grid_size=32)
     f0, fl = pk.force_zero_linear(c, p)
     full = pk.solve_force(c, p)
-    assert np.max(np.abs(fl.samples)) < 1e-14
-    assert np.max(np.abs(f0.samples - full.samples)) < 1e-12
+    assert np.max(np.abs(fl)) < 1e-14
+    assert np.max(np.abs(f0 - full)) < 1e-12
 
 
 def test_linearized_force_matches_frechet_derivative():
@@ -417,11 +411,11 @@ def test_linearized_force_matches_frechet_derivative():
     eps = 1e-6
     fp = pk.solve_force(base.with_coeffs(base.coeffs + eps * z), p)
     fm = pk.solve_force(base.with_coeffs(base.coeffs - eps * z), p)
-    dnum = (fp.coeffs - fm.coeffs) / (2 * eps)
+    dnum = (pk.analyze(fp, 12).coeffs - pk.analyze(fm, 12).coeffs) / (2 * eps)
     _, fl = pk.force_zero_linear(base.with_coeffs(base.coeffs + z), p)
     # fl is linear in the deviation so evaluating at z directly is exact
     scale = np.max(np.abs(dnum))
-    assert np.max(np.abs(dnum - fl.coeffs)) < 1e-4 * scale
+    assert np.max(np.abs(dnum - pk.analyze(fl, 12).coeffs)) < 1e-4 * scale
 
 
 def test_nonlinear_remainder_is_quadratic():
@@ -432,7 +426,6 @@ def test_nonlinear_remainder_is_quadratic():
         c = perturbed_circle(eps, seed=7, max_mode=32, grid_size=128)
         f = pk.solve_force(c, p)
         f0, fl = pk.force_zero_linear(c, p)
-        fn = pk.force_split_residual(f, f0, fl)
-        res.append(pk.fnorm(pk.FourierCurve(fn.coeffs, fn.grid_size), s=0.0))
+        res.append(pk.fnorm(pk.analyze(f - f0 - fl, 32), s=0.0))
     slopes = np.diff(np.log(res)) / np.diff(np.log(eps_list))
     assert np.all(slopes > 1.9) and np.all(slopes < 2.1)

@@ -65,15 +65,6 @@ def test_log_convolve_kills_mean():
     assert np.max(np.abs(out)) < 1e-15
 
 
-def test_log_convolve_accepts_curve_and_force():
-    rng = np.random.default_rng(0)
-    c = hermitize(rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2)))
-    curve = pk.FourierCurve(c, 32)
-    out1 = pk.log_convolve(curve)
-    out2 = pk.log_convolve(pk.ForceDensity.from_coeffs(c, 32))
-    assert np.allclose(out1, out2)
-
-
 def test_log_convolve_vs_direct_quadrature():
     """Spectral multiplier vs singularity-subtracted midpoint rule."""
     rng = np.random.default_rng(11)
