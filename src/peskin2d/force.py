@@ -33,10 +33,11 @@ which method='direct' always uses.
 Every (N, N) table lives in one workspace per band and grid (M, N), filled
 in place and reused, so a step allocates none (the module is
 single-threaded).  `_pair_geometry`, behind the one degeneracy guard, makes
-one row-tiled sweep over the pairs, dX from exact rank-2 products, that
-writes only the tables its caller reads: S for a solve at a_mu != 0, and V,
-the whole single layer, for a velocity (`velocity_on_curve`, or the sweep
-of a right-hand side's `_interface_velocity`).  Each is three read-only
+one row-tiled sweep over the pairs, dX from exact rank-2 products and the
+diagonals' smooth limits from the same passes, that writes only the tables
+its caller reads: S for a solve at a_mu != 0, and V, the whole single
+layer, for a velocity (`velocity_on_curve`, or the sweep of a right-hand
+side's `_interface_velocity`).  Each is three read-only
 tables (g, c, e), B = 1/2 (g I + c diag(1, -1)) + e [[0, 1], [1, 0]] per
 pair (V's g reads a weight with e = exp(1) folded in), valid until the next
 sweep on its (M, N) that writes it.  A force is its (N, 2) grid samples,
@@ -159,67 +160,63 @@ def _pair_geometry(curve, arc_chord_floor=1e-8, with_s=False, with_v=False):
     (g, c, e) tables of S and of V, None where not asked for; asked for
     neither, it builds no workspace and makes no sweep.
 
-    A row tile of about _TILE_PAIRS pairs takes dX from the products
-    [x_t, 1][1; -x_e] (and for y), whose two exact terms round once to
-    x_t - x_e.  It shares 1/|dX|^2, c = (dx^2 - dy^2)/|dX|^2 and
+    X, X' and X'' come from one real inverse FFT of their (M+1, 3, 2)
+    spectrum of modes k >= 0, X'' as (c ik) ik, the multiplies of
+    `derivative`.  A row tile of about _TILE_PAIRS pairs takes dX from the
+    products [x_t, 1][1; -x_e] (and for y), whose two exact terms round once
+    to x_t - x_e.  It shares 1/|dX|^2, c = (dx^2 - dy^2)/|dX|^2 and
     e = dx dy/|dX|^2 between V, g = log(e w/|dX|^2) with the weight of
     `_workspace`, and S, (g, c, e) = sigma (1, c, e) with the weight
     sigma = (2/N)(dX . X'^perp(theta_t))/|dX|^2; by xx + yy = 1 each holds
     B = 1/2 (g I + c diag(1, -1)) + e [[0, 1], [1, 0]] per pair.  After the
     products it makes 10 elementwise passes for V, 14 for S, 16 for both.
-    The diagonals are the smooth limits g = log(e w(0)/|X'|^2),
-    c = (x'^2 - y'^2)/|X'|^2, e = x'y'/|X'|^2 and sigma = -(X'' . X'^perp)
-    /(N |X'|^2).  The tables hold until the next sweep on (M, N) writes them.
+    The diagonals come from the same passes: dX(theta_t, theta_t) is set to
+    X'(theta_t), which gives the smooth limits g = log(e w(0)/|X'|^2),
+    c = (x'^2 - y'^2)/|X'|^2 and e = x'y'/|X'|^2, and then, for S, to
+    -X''(theta_t)/2, which gives sigma = -(X'' . X'^perp)/(N |X'|^2).  The
+    tables hold until the next sweep on (M, N) writes them.
     """
     _arc_chord_guard(curve, arc_chord_floor)
-    ik = (1j * curve.ks)[:, None]
-    xp = curve.coeffs * ik
-    # X, X' and X'' from one inverse FFT of their (2M+1, 6) spectrum
-    samples = _grid_samples(np.hstack([curve.coeffs, xp, xp * ik]),
-                            curve.grid_size)
-    xs, ds, dds = samples[:, :2], samples[:, 2:4], samples[:, 4:]
+    m, n = curve.max_mode, curve.grid_size
+    ik = (1j * np.arange(m + 1))[:, None]
+    spectrum = np.empty((m + 1, 3, 2), dtype=complex)
+    spectrum[:, 0] = curve.coeffs[m:]
+    np.multiply(spectrum[:, 0], ik, out=spectrum[:, 1])
+    np.multiply(spectrum[:, 1], ik, out=spectrum[:, 2])
+    xs, ds, dds = _grid_samples(spectrum, n).transpose(1, 0, 2)
     if not (with_s or with_v):
         return dds, None, None
-    n = curve.grid_size
     try:
-        ws = _workspace(curve.max_mode, n)
+        ws = _workspace(m, n)
     except MemoryError:
         raise MemoryError("grid size %d: its (N, N) pair tables do not fit in "
                           "memory" % n) from None
     ws.lhs[:, :, 0] = xs.T
     np.negative(xs.T, out=ws.rhs[:, 1])
-    speed2 = np.sum(ds**2, axis=1)
-    ce = np.stack([ds[:, 0]**2 - ds[:, 1]**2, ds[:, 0] * ds[:, 1]]) / speed2
     px, py = (-2.0 / n) * ds[:, 1], (2.0 / n) * ds[:, 0]  # (2/N) X'^perp
     rows = ws.tile.shape[1]
     for t0 in range(0, n, rows):
         t1 = min(t0 + rows, n)
         dx, dy, xx, yy, inv = ws.tile[:, :t1 - t0]
+        diag = ws.tile[:2, :t1 - t0].reshape(2, -1)[:, t0::n + 1]  # dX(t, t)
         vg, c, e = ws.v[:, t0:t1] if with_v else (None, xx, yy)
         np.matmul(ws.lhs[:, t0:t1], ws.rhs, out=ws.tile[:2, :t1 - t0])
+        diag[...] = ds[t0:t1].T
         np.multiply(dx, dx, out=xx)
         np.multiply(dy, dy, out=yy)
-        np.add(xx, yy, out=inv)
-        inv.reshape(-1)[t0::n + 1] = 1.0  # the diagonal, so it can divide
-        np.divide(1.0, inv, out=inv)
+        np.divide(1.0, np.add(xx, yy, out=inv), out=inv)
         np.multiply(np.subtract(xx, yy, out=c), inv, out=c)
         np.multiply(np.multiply(dx, dy, out=e), inv, out=e)
         if with_v:
             np.log(np.multiply(inv, ws.weight[t0:t1], out=vg), out=vg)
         if with_s:  # sigma = (2/N)(dX . X'^perp)/|dX|^2 in S's g table
             sg, sc, se = ws.s[:, t0:t1]
+            np.multiply(dds[t0:t1].T, -0.5, out=diag)
             dx *= px[t0:t1, None]
             dx += np.multiply(dy, py[t0:t1, None], out=dy)
             np.multiply(dx, inv, out=sg)
             np.multiply(sg, c, out=sc)
             np.multiply(sg, e, out=se)
-    # the diagonals, through one strided slice of each (3, N^2) table
-    if with_v:
-        ws.v.reshape(3, -1)[:, ::n + 1] = np.vstack(
-            [np.log(ws.weight[0, 0] / speed2), ce])
-    if with_s:
-        sigma = -(dds[:, 0] * px + dds[:, 1] * py) / (2.0 * speed2)
-        ws.s.reshape(3, -1)[:, ::n + 1] = sigma * np.vstack([np.ones(n), ce])
     return (dds, ws.s_blocks if with_s else None,
             ws.v_blocks if with_v else None)
 
@@ -276,10 +273,12 @@ def _circle_preconditioner(curve, a_mu):
     r = circle.radius
     if not r > 0.0:
         return None
-    rot = np.array([[circle.a, -circle.b], [circle.b, circle.a]]) / r
-    up, out = 1.0 / (1.0 + a_mu) - 1.0, 1.0 / (1.0 - a_mu) - 1.0
-    weights = np.diag([up, up, 0.0, 0.0]) / n
-    weights[2:, 2:] = rot @ np.diag([out, up]) @ rot.T / n  # on e_r, e_t
+    cos, sin = circle.a / r, circle.b / r  # e_r = cos u + sin v
+    up, out = (1.0 / (1.0 + a_mu) - 1.0) / n, (1.0 / (1.0 - a_mu) - 1.0) / n
+    cross = cos * sin * (out - up)
+    weights = np.array([[up, 0.0, 0.0, 0.0], [0.0, up, 0.0, 0.0],
+                        [0.0, 0.0, cos * cos * out + sin * sin * up, cross],
+                        [0.0, 0.0, cross, sin * sin * out + cos * cos * up]])
     basis = _workspace(curve.max_mode, n).circle_basis
     return lambda v: v + (weights @ (basis @ v)) @ basis
 
@@ -389,4 +388,5 @@ def force_zero_linear(curve, params):
     f0 = (2.0 * a_e / (1.0 - a_mu)) * -k2 * circle._coeffs(curve.max_mode)
     jz = np.abs(ks)[:, None] * _j_action(z)
     fl = -2.0 * a_e * k2 * z + (2.0 * a_e * a_mu / (1.0 - a_mu)) * jz
-    return _grid_samples(f0, curve.grid_size), _grid_samples(fl, curve.grid_size)
+    m, n = curve.max_mode, curve.grid_size
+    return _grid_samples(f0[m:], n), _grid_samples(fl[m:], n)

@@ -56,9 +56,10 @@ def log_convolve(f):
     on its grid.  Acts mode-by-mode as multiplication by 1/(4|k|) (k != 0);
     the mean is sent to zero.
     """
-    absk = np.abs(f.ks)[:, None]
-    fac = np.divide(0.25, absk, out=np.zeros(absk.shape), where=absk > 0)
-    return _grid_samples(f.coeffs * fac, f.grid_size)
+    m = f.max_mode
+    ks = np.arange(m + 1)[:, None]
+    fac = np.divide(0.25, ks, out=np.zeros(ks.shape), where=ks > 0)
+    return _grid_samples(f.coeffs[m:] * fac, f.grid_size)
 
 
 def _grid_force(force, curve):

@@ -12,8 +12,10 @@ Real curves satisfy c_{-k} = conj(c_k).  Samples live on the uniform grid
 
     theta_j = -pi + 2*pi*j/N,   j = 0..N-1,
 
-so the DFT picks up an alternating phase: with ``fhat = fft(samples)/N``
-computed on that grid, ``c_k = (-1)^k * fhat[k mod N]``.
+so the DFT picks up an alternating phase: with ``fhat = rfft(samples)/N``
+computed on that grid, ``c_k = (-1)^k * fhat[k]`` for k >= 0 and
+``c_{-k} = conj(c_k)``.  Samples and coefficients pass through one real
+FFT each way (`synthesize`, `analyze`) of the modes k >= 0.
 
 The diagonalizing frame for the linearized dynamics ("Y variables") is
 
@@ -133,35 +135,29 @@ def _symmetric_curve(coeffs, grid_size):
     return curve
 
 
-@functools.lru_cache(maxsize=16)
-def _grid_index(m, n):
-    """Rows np.mod(k, n) of modes k = -m..m in a length-n DFT; phases (-1)^k."""
-    ks = np.arange(-m, m + 1)
-    index, phase = np.mod(ks, n), np.where(ks % 2 == 0, 1.0, -1.0)[:, None]
-    index.flags.writeable = phase.flags.writeable = False
-    return index, phase
-
-
-def _grid_samples(coeffs, n):
-    """Real (n, C) grid samples of (2M+1, C) conjugate-symmetric coefficients."""
-    index, phase = _grid_index((coeffs.shape[0] - 1) // 2, n)
-    spectrum = np.zeros((n, coeffs.shape[1]), dtype=complex)
-    spectrum[index] = coeffs * phase
-    return np.ascontiguousarray((n * np.fft.ifft(spectrum, axis=0)).real)
+def _grid_samples(half, n):
+    """Real (n, ...) grid samples of a conjugate-symmetric spectrum from its
+    modes k = 0..M, the rows of `half`: one real inverse FFT, with the
+    grid's phase (-1)^k and the modes above M zero."""
+    spectrum = np.array(half, dtype=complex)
+    np.negative(spectrum[1::2], out=spectrum[1::2])
+    return np.fft.irfft(spectrum, n, axis=0, norm="forward")
 
 
 def synthesize(curve):
     """Evaluate the curve on its own uniform grid of `curve.grid_size`
     points, which resolves its band; returns (N, 2) real samples."""
-    return _grid_samples(curve.coeffs, curve.grid_size)
+    return _grid_samples(curve.coeffs[curve.max_mode:], curve.grid_size)
 
 
 def analyze(samples, max_mode=None):
     """Project grid samples onto modes |k| <= max_mode.
 
-    Default max_mode is (N-1)//2, the largest unaliased band (the Nyquist
-    bin of even grids is dropped: it cannot be assigned a sign of k).
-    max_mode must be a whole number >= 1, as FourierCurve requires.
+    One real FFT gives the modes k >= 0; those with k < 0 are their
+    conjugates, so the result is exactly conjugate-symmetric.  Default
+    max_mode is (N-1)//2, the largest unaliased band (the Nyquist bin of
+    even grids is dropped: it cannot be assigned a sign of k).  max_mode
+    must be a whole number >= 1, as FourierCurve requires.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 2 or s.shape[1] != 2:
@@ -175,9 +171,10 @@ def analyze(samples, max_mode=None):
     m = int(m)
     if m > limit:
         raise AliasingError("cannot extract modes up to %d from %d samples" % (m, n))
-    index, phase = _grid_index(m, n)
-    coeffs = np.fft.fft(s, axis=0)[index] / n * phase
-    return _symmetric_curve(hermitize(coeffs), n)
+    half = np.fft.rfft(s, axis=0, norm="forward")[:m + 1]
+    np.negative(half[1::2], out=half[1::2])  # the grid's phase (-1)^k
+    # rfft's DC bin is real, so mirroring k > 0 is exactly conjugate-symmetric
+    return _symmetric_curve(np.concatenate([np.conj(half[:0:-1]), half]), n)
 
 
 def evaluate(curve, thetas):

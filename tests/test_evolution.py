@@ -17,10 +17,12 @@ from peskin2d.spectral import _split, _symmetric_curve, hermitize
 
 def small_deviation_curve(x0=1e-3, max_mode=8, grid_size=32, mode=2,
                           vec=(1.0 + 0.5j, -0.3 + 0.2j)):
+    """The unit circle plus a deviation of F^{1,1} norm x0 on the +-mode
+    pair, along `vec` at +mode and its conjugate at -mode."""
     c = pk.circle_curve(max_mode=max_mode, grid_size=grid_size)
     add = np.zeros_like(c.coeffs)
     add[max_mode + mode] = vec
-    add = hermitize(add)
+    add[max_mode - mode] = np.conj(vec)
     # deviation norm of a +/-k pair with coefficient vector v is 2k|v|
     add *= x0 / (2 * mode * np.linalg.norm(np.asarray(vec)))
     return c.with_coeffs(c.coeffs + add)
@@ -201,6 +203,37 @@ def test_runs_below_the_threshold_meet_the_energy_certificate(seed, a_mu, a_e,
         assert rec.failure is None and cert.ok, (
             "%s: balance margin %+.3e, decay margin %+.3e, failure %s"
             % (scheme, cert.balance_margin, cert.decay_margin, rec.failure))
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.1, 0.3))
+@example(seed=0, frac=0.2)
+def test_slow_channel_runs_meet_the_certificate_at_the_full_rate(seed, frac):
+    """The certificate at the decay rate it needs: a random circle plus data
+    in the slow channel (I - J)/2 of mode 2 alone, scaled to x0 = frac k(0)
+    with frac <= 0.3, at M 16 / N 64, a_mu 0, a_e 1, exponential Euler to
+    T 0.2.  That channel's norm decays at rate a_e/2, and the balance asks
+    for (a_e/2) C with C = 1 - frac, so the margin is near zero at the true
+    rate (-9.9e-4 at frac 0.2) and far above the slack 1e-2 at a halved one
+    (+2.9e-2 at frac 0.2, +2.0e-2 at frac 0.3).  Content in faster channels
+    adds decay that can hide a halved rate, so the draws put none there."""
+    rng = np.random.default_rng(seed)
+    m, n = 16, 64
+    phase = rng.uniform(-np.pi, np.pi)
+    circle = pk.circle_curve(np.cos(phase), np.sin(phase),
+                             *rng.uniform(-1.0, 1.0, size=2), m, n)
+    w = rng.normal(size=(2, 2)) @ [1, 1j]
+    dev = np.zeros((2 * m + 1, 2), complex)
+    dev[m + 2] = 0.5 * (w - [-1j * w[1], 1j * w[0]])
+    dev[m - 2] = np.conj(dev[m + 2])
+    dev *= frac * pk.k_threshold(0.0)["k"] / pk.fnorm(pk.FourierCurve(dev, n))
+    p = pk.PhysicsParams.from_contrast(0.0, 1.0)
+    cfg = pk.StepperConfig(dt=1e-3, t_final=0.2, record_every=10)
+    rec = pk.run(circle.with_coeffs(circle.coeffs + dev), p, cfg)
+    cert = pk.energy_certificate(rec, p, x0=rec.x0, nu_m=cfg.nu_max)
+    assert rec.failure is None and cert.ok, (
+        "balance margin %+.3e, decay margin %+.3e, failure %s"
+        % (cert.balance_margin, cert.decay_margin, rec.failure))
 
 
 def test_phi_functions_match_series_and_exact():
@@ -561,13 +594,13 @@ def test_at_or_above_the_threshold_the_run_only_warns():
     k = pk.k_threshold(p.a_mu)["k"]
     cfg = pk.StepperConfig(dt=1e-3, t_final=3e-3)
     named = "not below the certified threshold %.3e" % k
-    # small_deviation_curve(x) has deviation norm x / 2: hermitize halves it
-    scale = 1e-3 / pk.fnorm(_split(small_deviation_curve(1e-3))[1])
+    assert pk.fnorm(_split(small_deviation_curve(k))[1]) == pytest.approx(
+        k, rel=1e-14, abs=0.0)
 
     def warned_run(x0):
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            rec = pk.run(small_deviation_curve(scale * x0), p, cfg)
+            rec = pk.run(small_deviation_curve(x0), p, cfg)
         return rec, [str(w.message) for w in seen
                      if w.category is RuntimeWarning]
 

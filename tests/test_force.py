@@ -217,6 +217,23 @@ def test_rank2_differences_are_bitwise_subtractions(cx, cy, log_r, seed):
         assert np.array_equal(d, xs[:, t0:t0 + rows, None] - xs[:, None, :])
 
 
+@pytest.mark.parametrize("n", [64, 300])
+def test_combined_sweep_writes_the_tables_of_single_sweeps(n):
+    """An S + V sweep writes S tables equal to those of an S-only sweep and
+    V tables equal to those of a V-only sweep, on one row tile (N 64) and on
+    six (N 300, the last partial).  The tile's dX diagonal holds X' while
+    V's smooth limits are read from it, and -X''/2 only once S's weight
+    reads it; a sweep that rewrote it too early would give V another
+    diagonal."""
+    c = perturbed_circle(0.1, seed=3, max_mode=n // 4, grid_size=n)
+    _, s, v = _pair_geometry(c, with_s=True, with_v=True)
+    both = [t.copy() for t in s + v]
+    alone = (_pair_geometry(c, with_s=True)[1]
+             + _pair_geometry(c, with_v=True)[2])
+    for table, single in zip(both, alone):
+        assert np.array_equal(table, single)
+
+
 @pytest.mark.parametrize("a_mu, method", [(-0.5, "richardson"), (0.5, "direct"),
                                           (0.0, "richardson")])
 def test_results_do_not_alias_the_workspace(a_mu, method):
