@@ -55,22 +55,15 @@ class ConstantsReport:
         return out
 
 
-def constants_chain(x, a_mu=0.0, nu_m=0.0, a_e=None):
-    """Evaluate C1..C17, D1..D5 and the margin at deviation norm x.
-
-    Raises OutOfRegimeError (naming the first failing constant) when x is
-    too large for the chain: C1 needs x < sqrt2, C2 a smallness condition,
-    and C17 another one that takes over near |a_mu| -> 1.
-    """
-    x = float(x)
-    a_mu = float(a_mu)
-    nu_m = float(nu_m)
-    if x < 0:
-        raise ValueError("norm x must be nonnegative")
+def _chain(x, a_mu, nu_m):
+    """(C1..C17, D1..D5) as two tuples at the floats (x, a_mu, nu_m); raises
+    as `constants_chain` does, a_e aside."""
+    if not 0.0 <= x < math.inf:
+        raise ValueError("norm x must be nonnegative and finite")
     if not -1.0 < a_mu < 1.0:
         raise ValueError("a_mu must lie in (-1, 1)")
-    if nu_m < 0:
-        raise ValueError("nu_m must be nonnegative")
+    if not 0.0 <= nu_m < math.inf:
+        raise ValueError("nu_m must be nonnegative and finite")
 
     e1 = math.exp(nu_m)
     e2 = math.exp(2 * nu_m)
@@ -148,31 +141,47 @@ def constants_chain(x, a_mu=0.0, nu_m=0.0, a_e=None):
         + 2250.0 * mu_ratio * d3 * d4
     )
 
+    return ((c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14,
+             c15, c16, c17), (d1, d2, d3, d4, d5))
+
+
+def _script_c(x, a_mu, nu_m, a_e, d5):
+    """The margin from D5 at the chain's point; None when nu_m > 0 and a_e
+    is None.  Raises ValueError unless a given a_e is positive and finite."""
+    if a_e is not None and not 0.0 < a_e < math.inf:
+        raise ValueError("a_e must be positive and finite")
     nonlinear_term = _MARGIN_SLOPE * d5 * x / (1.0 - a_mu)
     if nu_m == 0.0:
-        script_c = 1.0 - nonlinear_term
-    elif a_e is not None:
-        if a_e <= 0:
-            raise ValueError("a_e must be positive")
-        script_c = 1.0 - 4.0 * nu_m / float(a_e) - nonlinear_term
-    else:
-        script_c = None
+        return 1.0 - nonlinear_term
+    if a_e is None:
+        return None
+    return 1.0 - 4.0 * nu_m / float(a_e) - nonlinear_term
 
+
+def constants_chain(x, a_mu=0.0, nu_m=0.0, a_e=None):
+    """Evaluate C1..C17, D1..D5 and the margin at deviation norm x.
+
+    Raises ValueError on a non-finite, negative or out-of-range input, and
+    OutOfRegimeError (naming the first failing constant) when x is too
+    large for the chain: C1 needs x < sqrt2, C2 a smallness condition, and
+    C17 another one that takes over near |a_mu| -> 1.
+    """
+    x, a_mu, nu_m = float(x), float(a_mu), float(nu_m)
+    cs, ds = _chain(x, a_mu, nu_m)
+    script_c = _script_c(x, a_mu, nu_m, a_e, ds[4])
     tilde_c = None
     if script_c is not None and script_c > 0:
         # center-drift constant, with D5 standing in for its F^{0,1} analogue
-        tilde_c = d5 / ((1.0 - a_mu) * script_c)
-
-    cs = {i + 1: v for i, v in enumerate(
-        [c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15, c16, c17]
-    )}
-    ds = {i + 1: v for i, v in enumerate([d1, d2, d3, d4, d5])}
-    return ConstantsReport(x, a_mu, nu_m, cs, ds, script_c, tilde_c)
+        tilde_c = ds[4] / ((1.0 - a_mu) * script_c)
+    return ConstantsReport(x, a_mu, nu_m, dict(enumerate(cs, 1)),
+                           dict(enumerate(ds, 1)), script_c, tilde_c)
 
 
 def margin(x, a_mu, nu_m=0.0, a_e=None):
-    """1 - 4 nu_m/a_e - 676 sqrt2 D5(x) x/(1-a_mu); the certificate needs > 0."""
-    return constants_chain(x, a_mu, nu_m, a_e).script_C
+    """1 - 4 nu_m/a_e - 676 sqrt2 D5(x) x/(1-a_mu); the certificate needs > 0.
+    The same value, and the same errors, as constants_chain(...).script_C."""
+    x, a_mu, nu_m = float(x), float(a_mu), float(nu_m)
+    return _script_c(x, a_mu, nu_m, a_e, _chain(x, a_mu, nu_m)[1][4])
 
 
 def threshold_lower_bound(a_mu):
@@ -182,7 +191,7 @@ def threshold_lower_bound(a_mu):
     increases with x, the margin is not positive at the closed form, so this
     is an *upper* bound on k(a_mu); the name is kept for its callers."""
     a_mu = float(a_mu)
-    return (1.0 - a_mu) / (_MARGIN_SLOPE * constants_chain(0.0, a_mu).D[5])
+    return (1.0 - a_mu) / (_MARGIN_SLOPE * _chain(0.0, a_mu, 0.0)[1][4])
 
 
 def k_threshold(a_mu):

@@ -32,20 +32,28 @@ and B_{2n-1} = |sigma|.  Since T <= prod_{j=1}^{2n-1} B_j, every |I'_n|
 (and by the same counting |I_n|) is bounded by 2 pi.
 """
 
+import functools
 import math
+import numbers
 
 import numpy as np
 
+_TABLE_VALUES = 1 << 16  # factor-table values per block of `_product_quadrature`
 
-def _s_ratio(b, eta):
-    """sin(b*eta/2)/sin(eta/2) with the eta=0 limit b; b may be any integer."""
-    b = int(b)
-    if b == 0:
-        return np.zeros_like(eta)
-    s = np.sin(0.5 * eta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.sin(0.5 * b * eta) / s
-    return np.where(np.abs(s) < 1e-12, float(b), vals)
+
+def _whole(v):
+    """v as a Python int; refuses bools, non-reals, non-finite values and
+    fractional values."""
+    if type(v) is int:
+        return v
+    if not isinstance(v, bool):
+        if isinstance(v, numbers.Integral):
+            return int(v)
+        if isinstance(v, numbers.Real):
+            f = float(v)
+            if math.isfinite(f) and f.is_integer():
+                return int(f)
+    raise ValueError("frequencies must be whole numbers, got %r" % (v,))
 
 
 def _nodes_for(fmax):
@@ -55,28 +63,57 @@ def _nodes_for(fmax):
     return n
 
 
+@functools.lru_cache(maxsize=None)
+def _grid(n):
+    """Read-only (eta, sin(eta/2), cos(eta/2)) on the n trapezoid nodes of
+    [-pi, pi).  eta is exactly 0 at index n/2 (n is a power of two); there
+    sin(eta/2) holds 1 in place of 0, and the caller writes the limit."""
+    eta = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    sin_half = np.sin(0.5 * eta)
+    sin_half[n // 2] = 1.0
+    cos_half = np.cos(0.5 * eta)
+    for a in (eta, sin_half, cos_half):
+        a.flags.writeable = False
+    return eta, sin_half, cos_half
+
+
 def _product_quadrature(lead, bs, half_cos):
     """Trapezoid integral of [cos(eta/2)] s_lead(eta) prod_b s_b(eta)/b over
     [-pi, pi), with enough nodes to be exact for the integrand's bandwidth
-    (`half_cos` adds the cos(eta/2) factor, which raises it by 1/2)."""
+    (`half_cos` adds the cos(eta/2) factor, which raises it by 1/2).
+
+    The factors s_b = sin(b eta/2)/sin(eta/2), with the eta = 0 limit b, are
+    rows of a (factors, nodes) table, built and multiplied in, in order, in
+    one block buffer of at most _TABLE_VALUES values.  lead and every b must
+    be nonzero."""
     fmax = 0.5 * (sum(abs(b) for b in bs) + abs(lead)) - 0.5 * len(bs) - 0.5
     if half_cos:
         fmax += 0.5
     n = _nodes_for(int(math.ceil(fmax)))
-    eta = -np.pi + 2.0 * np.pi * np.arange(n) / n
-    vals = _s_ratio(lead, eta)
-    if half_cos:
-        vals = np.cos(0.5 * eta) * vals
-    for b in bs:
-        vals = vals * (_s_ratio(b, eta) / b)
-    return float(np.sum(vals)) * (2.0 * np.pi / n)
+    eta, sin_half, cos_half = _grid(n)
+    freqs = np.array([lead, *bs], dtype=float)
+    divisors = np.array([1.0, *bs], dtype=float)   # s_lead is not divided
+    rows = min(freqs.size, max(1, _TABLE_VALUES // n))
+    block = np.empty((rows, n))
+    vals = cos_half if half_cos else None
+    for start in range(0, freqs.size, rows):
+        b = freqs[start:start + rows]
+        table = block[:b.size]
+        np.sin(np.multiply.outer(0.5 * b, eta, out=table), out=table)
+        table /= sin_half
+        table[:, n // 2] = b
+        table /= divisors[start:start + rows, None]
+        if vals is not None:
+            table[0] *= vals
+        vals = table.prod(axis=0)
+    return float(vals.sum()) * (2.0 * np.pi / n)
 
 
 def _sigma_and_diffs(ks):
     """(sigma, [b_1 .. b_{2n-1}]) for the frequencies k_1 .. k_{2n}, with
     sigma = k_1 + k_{2n} and b_j = k_j - k_{j+1}; None when I'_n vanishes
     because sigma or some b_j is zero."""
-    ks = [int(v) for v in ks]
+    ks = [_whole(v) for v in ks]
     if len(ks) % 2 != 0 or not ks:
         raise ValueError("need an even, positive number of frequencies")
     sigma = ks[0] + ks[-1]
@@ -103,8 +140,8 @@ def integral_In(k, ks):
     vanishes when k = k_1 or when any two consecutive k_j coincide (a
     difference factor degenerates and pairs with the pv to give zero).
     """
-    k = int(k)
-    ks = [int(v) for v in ks]
+    k = _whole(k)
+    ks = [_whole(v) for v in ks]
     if len(ks) % 2 != 0 or not ks:
         raise ValueError("need frequencies k_1..k_{2n} with n >= 1")
     bs = [k - ks[0]] + [ks[j] - ks[j + 1] for j in range(len(ks) - 1)]
@@ -152,7 +189,7 @@ def integral_Sn_exact(ks):
 
 def integral_S1_closed(k1, k2):
     """n = 1 special case: I'_1 = 2 pi sgn(k1+k2) min(|k1-k2|, |k1+k2|)/|k1-k2|."""
-    k1, k2 = int(k1), int(k2)
+    k1, k2 = _whole(k1), _whole(k2)
     if k1 == k2 or k1 + k2 == 0:
         return 0.0
     return (

@@ -136,6 +136,42 @@ def test_threshold_vanishes_toward_extreme_contrast():
     assert all(ks[i] > ks[i + 1] for i in range(len(ks) - 1))
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("x, a_mu, nu_m, a_e", [
+    (_NAN, 0.0, 0.0, None),
+    (_INF, 0.0, 0.0, None),
+    (1e-3, 0.0, _NAN, 1.0),
+    (1e-3, 0.0, _INF, 1.0),
+    (1e-3, 0.0, 0.05, _NAN),
+    (1e-3, 0.0, 0.05, _INF),
+    (1e-3, 0.0, 0.0, _NAN),
+])
+def test_non_finite_input_is_refused(x, a_mu, nu_m, a_e):
+    for call in (pk.constants_chain, pk.margin):
+        with pytest.raises(ValueError, match="finite") as exc:
+            call(x, a_mu, nu_m, a_e)
+        assert not isinstance(exc.value, pk.OutOfRegimeError)
+
+
+def _chain_outcome(call, *args):
+    try:
+        return call(*args)
+    except pk.OutOfRegimeError as exc:
+        return exc.constant_name
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.5), st.floats(-0.999, 0.999), st.floats(0.0, 0.2),
+       st.none() | st.floats(0.01, 10.0))
+def test_property_margin_is_the_reports_script_C(x, a_mu, nu_m, a_e):
+    report = _chain_outcome(pk.constants_chain, x, a_mu, nu_m, a_e)
+    got = _chain_outcome(pk.margin, x, a_mu, nu_m, a_e)
+    want = report if isinstance(report, str) else report.script_C
+    assert type(got) is type(want) and got == want
+
+
 def test_flat_dict_keys():
     d = pk.constants_chain(1e-4, 0.2, 0.0, a_e=1.0).as_flat_dict()
     for i in range(1, 18):

@@ -1,11 +1,50 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import peskin2d as pk
+from peskin2d import multipliers
+from peskin2d.cli import _random_tuple
 
 
 TWO_PI = 2 * np.pi
+
+
+def _s_ratio(b, eta):
+    """sin(b*eta/2)/sin(eta/2) with the eta=0 limit b; b may be any integer."""
+    b = int(b)
+    if b == 0:
+        return np.zeros_like(eta)
+    s = np.sin(0.5 * eta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.sin(0.5 * b * eta) / s
+    return np.where(np.abs(s) < 1e-12, float(b), vals)
+
+
+def _loop_quadrature(lead, bs, half_cos):
+    """The per-factor loop that `_product_quadrature` replaces: the reference
+    it must match bit for bit."""
+    fmax = 0.5 * (sum(abs(b) for b in bs) + abs(lead)) - 0.5 * len(bs) - 0.5
+    if half_cos:
+        fmax += 0.5
+    n = multipliers._nodes_for(int(np.ceil(fmax)))
+    eta = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    vals = _s_ratio(lead, eta)
+    if half_cos:
+        vals = np.cos(0.5 * eta) * vals
+    for b in bs:
+        vals = vals * (_s_ratio(b, eta) / b)
+    return float(np.sum(vals)) * (2.0 * np.pi / n)
+
+
+def _quadratures(k, ks):
+    """The (lead, bs, half_cos) arguments of I'_n and I''_n for a tuple
+    whose differences are all nonzero."""
+    bs = [k - ks[0]] + [ks[j] - ks[j + 1] for j in range(len(ks) - 1)]
+    out = [(ks[0] + ks[-1], bs[1:], False), (k + ks[-1], bs, True)]
+    return [q for q in out if q[0] != 0]
 
 
 # ----------------------------------------------------------- I_n quadrature
@@ -88,3 +127,89 @@ def test_property_S1_sign_symmetry(k1, k2):
     # flipping both signs flips the integral (odd integrand in eta)
     assert pk.integral_Sn_exact((k1, k2)) == pytest.approx(
         -pk.integral_Sn_exact((-k1, -k2)), abs=1e-12)
+
+
+# ------------------------------------------ factor table vs per-factor loop
+
+
+def test_product_quadrature_matches_the_loop_bitwise():
+    rng = np.random.default_rng(21)
+    compared = 0
+    for _ in range(2000):
+        k, ks = _random_tuple(rng, 3, 20)
+        for args in _quadratures(k, ks):
+            assert multipliers._product_quadrature(*args) == \
+                _loop_quadrature(*args), (k, ks, args)
+            compared += 1
+    assert compared > 3000
+
+
+_nonzero_b = st.integers(10, 40).flatmap(
+    lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(_nonzero_b, st.lists(_nonzero_b, min_size=100, max_size=200),
+       st.booleans())
+def test_property_long_products_match_the_loop(lead, bs, half_cos):
+    # |b| >= 10 over >= 100 factors needs >= 1024 nodes, so a block holds at
+    # most 64 rows and the product spans several blocks
+    assert multipliers._product_quadrature(lead, bs, half_cos) == \
+        _loop_quadrature(lead, bs, half_cos)
+
+
+def test_product_of_201_factors_holds_one_block_at_a_time():
+    # an --nmax 100 tuple: 200 frequencies, so I''_n has 201 factor rows
+    rng = np.random.default_rng(100)
+    ks = [int(rng.integers(-20, 21))]
+    while len(ks) < 200:
+        v = int(rng.integers(-20, 21))
+        if v != ks[-1]:
+            ks.append(v)
+    (lead, bs, half_cos), = [q for q in _quadratures(25, ks) if q[2]]
+    assert len(bs) + 1 == 201
+    want = _loop_quadrature(lead, bs, half_cos)
+    multipliers._product_quadrature(lead, bs, half_cos)  # caches the grid
+    tracemalloc.start()
+    try:
+        got = multipliers._product_quadrature(lead, bs, half_cos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # one block and a few node vectors; the whole table would be 201 rows
+    # of 4096 nodes, about 12 blocks
+    assert peak < 1.5 * 8 * multipliers._TABLE_VALUES, peak
+
+
+# ---------------------------------------------------------- whole frequencies
+
+
+_NOT_WHOLE = [2.9, 1.7, True, np.bool_(False), "3", float("nan"),
+              float("inf"), None, 1 + 0j]
+
+
+@pytest.mark.parametrize("bad", _NOT_WHOLE, ids=repr)
+def test_fractional_or_non_numeric_frequencies_are_refused(bad):
+    calls = [
+        lambda: pk.integral_In(bad, (1, -1)),
+        lambda: pk.integral_In(2, (bad, -1)),
+        lambda: pk.integral_Sn_exact((3, bad)),
+        lambda: pk.integral_Sn_quadrature((bad, 1)),
+        lambda: pk.integral_S1_closed(bad, 1),
+        lambda: pk.integral_S1_closed(3, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="frequencies must be whole "
+                                             "numbers, got "):
+            call()
+
+
+def test_whole_floats_and_numpy_integers_are_accepted():
+    assert pk.integral_In(2.0, (np.int64(1), -1.0)) == pk.integral_In(2, (1, -1))
+    assert pk.integral_Sn_exact((np.int32(3), 1.0)) == \
+        pk.integral_Sn_exact((3, 1))
+    assert pk.integral_Sn_quadrature([np.float64(2.0), -5]) == \
+        pk.integral_Sn_quadrature([2, -5])
+    assert pk.integral_S1_closed(np.int16(1), -2.0) == \
+        pk.integral_S1_closed(1, -2)
