@@ -32,13 +32,14 @@ and B_{2n-1} = |sigma|.  Since T <= prod_{j=1}^{2n-1} B_j, every |I'_n|
 (and by the same counting |I_n|) is bounded by 2 pi.
 """
 
+import collections
 import functools
 import math
 import numbers
 
 import numpy as np
 
-_TABLE_VALUES = 1 << 16  # factor-table values per block of `_product_quadrature`
+_TABLE_VALUES = 1 << 16  # factor-row values the row cache holds at most
 
 
 def _whole(v):
@@ -77,35 +78,55 @@ def _grid(n):
     return eta, sin_half, cos_half
 
 
+class _RowCache:
+    """Factor rows s_b = sin(b eta/2)/sin(eta/2) on the n-node grid, with
+    the eta = 0 limit b, divided by b when `divided`; each read-only row is
+    built on first use and kept under the key (b, n, divided), up to
+    _TABLE_VALUES values in all, the least recently used row out first."""
+
+    def __init__(self):
+        self.rows = collections.OrderedDict()
+        self.values = 0
+
+    def row(self, b, n, divided):
+        key = (b, n, divided)
+        row = self.rows.get(key)
+        if row is not None:
+            self.rows.move_to_end(key)
+            return row
+        eta, sin_half, _ = _grid(n)
+        row = np.sin(np.multiply(0.5 * b, eta))
+        row /= sin_half
+        row[n // 2] = b
+        if divided:
+            row /= b
+        row.flags.writeable = False
+        if n <= _TABLE_VALUES:
+            while self.values + n > _TABLE_VALUES:
+                self.values -= self.rows.popitem(last=False)[1].size
+            self.rows[key] = row
+            self.values += n
+        return row
+
+
+_ROWS = _RowCache()
+
+
 def _product_quadrature(lead, bs, half_cos):
     """Trapezoid integral of [cos(eta/2)] s_lead(eta) prod_b s_b(eta)/b over
     [-pi, pi), with enough nodes to be exact for the integrand's bandwidth
     (`half_cos` adds the cos(eta/2) factor, which raises it by 1/2).
 
-    The factors s_b = sin(b eta/2)/sin(eta/2), with the eta = 0 limit b, are
-    rows of a (factors, nodes) table, built and multiplied in, in order, in
-    one block buffer of at most _TABLE_VALUES values.  lead and every b must
-    be nonzero."""
+    The factor rows come from _ROWS and are multiplied, in order, into one
+    accumulator of n values.  lead and every b must be nonzero."""
     fmax = 0.5 * (sum(abs(b) for b in bs) + abs(lead)) - 0.5 * len(bs) - 0.5
     if half_cos:
         fmax += 0.5
     n = _nodes_for(int(math.ceil(fmax)))
-    eta, sin_half, cos_half = _grid(n)
-    freqs = np.array([lead, *bs], dtype=float)
-    divisors = np.array([1.0, *bs], dtype=float)   # s_lead is not divided
-    rows = min(freqs.size, max(1, _TABLE_VALUES // n))
-    block = np.empty((rows, n))
-    vals = cos_half if half_cos else None
-    for start in range(0, freqs.size, rows):
-        b = freqs[start:start + rows]
-        table = block[:b.size]
-        np.sin(np.multiply.outer(0.5 * b, eta, out=table), out=table)
-        table /= sin_half
-        table[:, n // 2] = b
-        table /= divisors[start:start + rows, None]
-        if vals is not None:
-            table[0] *= vals
-        vals = table.prod(axis=0)
+    row = _ROWS.row
+    vals = row(lead, n, False) * (_grid(n)[2] if half_cos else 1.0)
+    for b in bs:
+        vals *= row(b, n, True)
     return float(vals.sum()) * (2.0 * np.pi / n)
 
 
@@ -147,8 +168,8 @@ def integral_In(k, ks):
     bs = [k - ks[0]] + [ks[j] - ks[j + 1] for j in range(len(ks) - 1)]
     if 0 in bs:
         return 0j
-    ip = integral_Sn_quadrature(ks)
-    sig2 = k + ks[-1]
+    sigma, sig2 = ks[0] + ks[-1], k + ks[-1]
+    ip = _product_quadrature(sigma, bs[1:], False) if sigma else 0.0
     idp = _product_quadrature(sig2, bs, True) if sig2 else 0.0
     return -0.5j * (ip - idp)
 
@@ -175,11 +196,8 @@ def integral_Sn_exact(ks):
     counts = np.zeros(target + 1, dtype=float)
     counts[0] = 1.0
     for cap in caps:
-        new = np.cumsum(counts)
-        shifted = np.zeros_like(new)
-        if cap <= target:
-            shifted[cap:] = new[:-cap]
-        counts = new - shifted
+        np.cumsum(counts, out=counts)
+        counts[cap:] -= counts[:-cap]  # numpy buffers the overlapping read
     t = float(counts[target])
     denom = 1.0
     for b in bs:

@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -180,6 +182,135 @@ def test_product_of_201_factors_holds_one_block_at_a_time():
     # one block and a few node vectors; the whole table would be 201 rows
     # of 4096 nodes, about 12 blocks
     assert peak < 1.5 * 8 * multipliers._TABLE_VALUES, peak
+
+
+# ------------------------------------------------------------- row cache
+
+
+class _BudgetedRows(collections.OrderedDict):
+    """Row storage that checks the cache's budget on every insert, the only
+    step at which the cache grows."""
+
+    def __setitem__(self, key, row):
+        super().__setitem__(key, row)
+        assert sum(r.size for r in self.values()) <= multipliers._TABLE_VALUES
+
+
+@contextlib.contextmanager
+def _cold_rows(budgeted=False):
+    """Run the block with an empty row cache (one that checks its budget on
+    every insert when `budgeted`), then put the module's own cache back."""
+    saved, multipliers._ROWS = multipliers._ROWS, multipliers._RowCache()
+    if budgeted:
+        multipliers._ROWS.rows = _BudgetedRows()
+    try:
+        yield multipliers._ROWS
+    finally:
+        multipliers._ROWS = saved
+
+
+def _assert_within_budget(cache):
+    assert cache.values == sum(r.size for r in cache.rows.values())
+    assert cache.values <= multipliers._TABLE_VALUES
+
+
+def test_cold_and_warm_rows_give_the_same_bits():
+    rng = np.random.default_rng(23)
+    args = [q for _ in range(300) for q in _quadratures(*_random_tuple(rng, 3, 20))]
+    with _cold_rows():
+        cold = [multipliers._product_quadrature(*a) for a in args]
+        warm = [multipliers._product_quadrature(*a) for a in args]
+    assert cold == warm
+    assert cold == [multipliers._product_quadrature(*a) for a in args]
+
+
+def test_row_cache_stays_within_its_budget():
+    rng = np.random.default_rng(61)
+    batch = [_random_tuple(rng, 3, 20) for _ in range(250)]
+    long_tuple = _random_tuple(np.random.default_rng(100), 100, 20)
+    with _cold_rows(budgeted=True) as cache:
+        for k, ks in batch + [long_tuple]:
+            pk.integral_In(k, ks)
+            pk.integral_Sn_quadrature(ks)
+            _assert_within_budget(cache)
+        assert len(cache.rows) > 0
+        # a row of 2^17 nodes is larger than the whole budget: built, not kept
+        big = multipliers._product_quadrature(40001, [30000], True)
+        assert big == _loop_quadrature(40001, [30000], True)
+        _assert_within_budget(cache)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_nonzero_b, st.lists(_nonzero_b, min_size=100, max_size=200),
+       st.booleans())
+def test_property_long_products_keep_the_row_budget(lead, bs, half_cos):
+    with _cold_rows(budgeted=True) as cache:
+        multipliers._product_quadrature(lead, bs, half_cos)
+        multipliers._product_quadrature(lead, bs, half_cos)
+        _assert_within_budget(cache)
+
+
+def test_cached_rows_refuse_writes():
+    multipliers._product_quadrature(3, [2, -5], True)
+    rows = list(multipliers._ROWS.rows.values())
+    assert rows
+    for row in rows:
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
+
+
+# ---------------------------------------------------------- lattice count
+
+
+def _four_call_exact(ks):
+    """integral_Sn_exact with the lattice count that the in-place one
+    replaces (cumsum, zeros_like, slice copy, subtract per cap): the
+    reference it must equal bit for bit."""
+    sigma = ks[0] + ks[-1]
+    bs = [ks[j] - ks[j + 1] for j in range(len(ks) - 1)]
+    if sigma == 0 or 0 in bs:
+        return 0.0
+    caps = [abs(b) for b in bs] + [abs(sigma)]
+    s = sum(caps)
+    if (s - len(caps)) % 2 != 0:
+        return 0.0
+    target = (s - len(caps)) // 2
+    counts = np.zeros(target + 1, dtype=float)
+    counts[0] = 1.0
+    for cap in caps:
+        new = np.cumsum(counts)
+        shifted = np.zeros_like(new)
+        if cap <= target:
+            shifted[cap:] = new[:-cap]
+        counts = new - shifted
+    denom = 1.0
+    for b in bs:
+        denom *= abs(b)
+    return 2.0 * np.pi * np.copysign(1.0, sigma) * float(counts[target]) / denom
+
+
+def test_lattice_count_equals_the_four_call_count():
+    rng = np.random.default_rng(22)
+    nonzero = 0
+    for _ in range(2000):
+        ks = _random_tuple(rng, 3, 20)[1]
+        want = _four_call_exact(ks)
+        assert pk.integral_Sn_exact(ks) == want, ks
+        nonzero += want != 0.0
+    assert nonzero > 1500
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(-20, 20),
+       st.lists(st.integers(1, 10).flatmap(lambda v: st.sampled_from([v, -v])),
+                min_size=99, max_size=199)
+       .filter(lambda d: len(d) % 2 == 1))
+def test_property_long_lattice_counts_equal_the_four_call_count(k1, diffs):
+    # 100 to 200 neighbour-distinct frequencies from k_1 and their steps
+    ks = [k1]
+    for d in diffs:
+        ks.append(ks[-1] - d)
+    assert pk.integral_Sn_exact(ks) == _four_call_exact(ks)
 
 
 # ---------------------------------------------------------- whole frequencies
