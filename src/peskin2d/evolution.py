@@ -263,7 +263,7 @@ def run(curve, params, cfg):
                 RuntimeWarning,
             )
         sc = margin(x0, params.a_mu, cfg.nu_max, params.a_e)
-        if sc is not None and sc > 0:
+        if sc > 0:
             script_c = sc
         else:
             warnings.warn("dissipation margin is not positive", RuntimeWarning)

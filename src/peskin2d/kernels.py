@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .spectral import _grid_samples, synthesize
+from .spectral import _grid_samples, _modulus, synthesize
 
 _CLEARANCE = 0.1  # distance to the interface below which the rule degrades
 
@@ -33,14 +33,10 @@ class SingularEvaluation(ValueError):
     """Kernel evaluated at (or unusably close to) its singularity."""
 
 
-def _norms(x):
-    return np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
-
-
 def stokeslet(x):
     """G(x) for x of shape (..., 2); returns (..., 2, 2)."""
     x = np.asarray(x, dtype=float)
-    r = _norms(x)
+    r = _modulus(x)
     if np.any(r == 0.0):
         raise SingularEvaluation("stokeslet evaluated at zero separation")
     outer = x[..., :, None] * x[..., None, :]
@@ -82,7 +78,7 @@ def eval_velocity_field(points, curve, force):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     fs = _grid_force(force, curve)
     diff = pts[:, None, :] - synthesize(curve)[None, :, :]  # (P, N, 2)
-    dmin = float(np.min(_norms(diff)))
+    dmin = float(np.min(_modulus(diff)))
     if dmin == 0.0:
         raise SingularEvaluation("target point lies on a quadrature node")
     if dmin < _CLEARANCE:
@@ -92,5 +88,5 @@ def eval_velocity_field(points, curve, force):
             RuntimeWarning,
         )
     g = stokeslet(diff)  # (P, N, 2, 2)
-    u = np.einsum("pnij,nj->pi", g, fs) * (2.0 * np.pi / curve.grid_size)
+    u = np.tensordot(g, fs, ([1, 3], [0, 1])) * (2.0 * np.pi / curve.grid_size)
     return u if np.asarray(points).ndim > 1 else u[0]

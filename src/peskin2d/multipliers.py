@@ -130,18 +130,14 @@ def _product_quadrature(lead, bs, half_cos):
     return float(vals.sum()) * (2.0 * np.pi / n)
 
 
-def _sigma_and_diffs(ks):
-    """(sigma, [b_1 .. b_{2n-1}]) for the frequencies k_1 .. k_{2n}, with
-    sigma = k_1 + k_{2n} and b_j = k_j - k_{j+1}; None when I'_n vanishes
-    because sigma or some b_j is zero."""
+def _parse(ks):
+    """The whole frequencies k_1 .. k_{2n} and their differences
+    [b_1 .. b_{2n-1}], b_j = k_j - k_{j+1}; ValueError unless their number
+    is even and positive."""
     ks = [_whole(v) for v in ks]
     if len(ks) % 2 != 0 or not ks:
-        raise ValueError("need an even, positive number of frequencies")
-    sigma = ks[0] + ks[-1]
-    bs = [ks[j] - ks[j + 1] for j in range(len(ks) - 1)]
-    if sigma == 0 or any(b == 0 for b in bs):
-        return None
-    return sigma, bs
+        raise ValueError("need frequencies k_1..k_{2n} with n >= 1")
+    return ks, [ks[j] - ks[j + 1] for j in range(len(ks) - 1)]
 
 
 def integral_Sn_quadrature(ks):
@@ -150,8 +146,11 @@ def integral_Sn_quadrature(ks):
     ks : the 2n frequencies (k_1 .. k_{2n}).  Returns a float (the
     integrand is even, hence the integral real).
     """
-    parsed = _sigma_and_diffs(ks)
-    return 0.0 if parsed is None else _product_quadrature(*parsed, False)
+    ks, bs = _parse(ks)
+    sigma = ks[0] + ks[-1]
+    if sigma == 0 or 0 in bs:  # a zero factor: I'_n vanishes
+        return 0.0
+    return _product_quadrature(sigma, bs, False)
 
 
 def integral_In(k, ks):
@@ -162,14 +161,12 @@ def integral_In(k, ks):
     difference factor degenerates and pairs with the pv to give zero).
     """
     k = _whole(k)
-    ks = [_whole(v) for v in ks]
-    if len(ks) % 2 != 0 or not ks:
-        raise ValueError("need frequencies k_1..k_{2n} with n >= 1")
-    bs = [k - ks[0]] + [ks[j] - ks[j + 1] for j in range(len(ks) - 1)]
+    ks, diffs = _parse(ks)
+    bs = [k - ks[0]] + diffs
     if 0 in bs:
         return 0j
     sigma, sig2 = ks[0] + ks[-1], k + ks[-1]
-    ip = _product_quadrature(sigma, bs[1:], False) if sigma else 0.0
+    ip = _product_quadrature(sigma, diffs, False) if sigma else 0.0
     idp = _product_quadrature(sig2, bs, True) if sig2 else 0.0
     return -0.5j * (ip - idp)
 
@@ -181,17 +178,15 @@ def integral_Sn_exact(ks):
     with B_j = |b_j|, B_sigma = |sigma|, S = sum B_j + B_sigma; then
     I'_n = 2 pi sgn(sigma) T / prod B_j  (product over the b_j only).
     """
-    parsed = _sigma_and_diffs(ks)
-    if parsed is None:
+    ks, bs = _parse(ks)
+    sigma = ks[0] + ks[-1]
+    if sigma == 0 or 0 in bs:  # a zero factor: I'_n vanishes
         return 0.0
-    sigma, bs = parsed
     caps = [abs(b) for b in bs] + [abs(sigma)]
     # Each factor sin(B phi)/sin(phi) = sum over exponents B-1-2m, m=0..B-1;
     # the product's constant Fourier mode needs sum(B_j - 1 - 2 m_j) = 0.
-    s = sum(caps)
-    if (s - len(caps)) % 2 != 0:
-        return 0.0  # odd total parity: no constant mode survives
-    target = (s - len(caps)) // 2
+    # exact: sum(caps) = 2 k_1 (mod 2) and there are 2n caps, so it is even
+    target = (sum(caps) - len(caps)) // 2
     # digit DP: number of (m_j), 0 <= m_j <= caps_j - 1, summing to target
     counts = np.zeros(target + 1, dtype=float)
     counts[0] = 1.0

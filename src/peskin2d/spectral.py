@@ -83,7 +83,7 @@ class FourierCurve:
     grid_size: int = 0  # 0 means "pick the 4M default"
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = np.ascontiguousarray(self.coeffs, dtype=complex)
         if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] % 2 == 0 or len(c) < 3:
             raise ValueError("coeffs must have shape (2M+1, 2) with M >= 1")
         m = (c.shape[0] - 1) // 2
@@ -197,19 +197,25 @@ def derivative(curve):
                             curve.grid_size)
 
 
+def _modulus(a):
+    """Euclidean norm over the last axis of a real array; a complex (rows, 2)
+    coefficient block enters as its float view, rows (re1, im1, re2, im2)."""
+    return np.sqrt(np.einsum("...i,...i->...", a, a))
+
+
 def fnorm(curve, s=1.0, nu=0.0):
     """Homogeneous Wiener norm ||X||_{F^{s,1}_nu} = sum_{k != 0} e^{nu|k|}
     |k|^s |c_k|.
 
     |c_k| is the Euclidean modulus of the coefficient pair; the mean c_0
-    does not enter.  A run's time-dependent weight nu = nu_max t/(1+t) is
-    passed as `nu`.
+    does not enter.  Conjugate symmetry makes |c_{-k}| = |c_k| exactly, so
+    the sum is twice that over k = 1..M.  A run's time-dependent weight
+    nu = nu_max t/(1+t) is passed as `nu`.
     """
-    ks = curve.ks
-    mags = np.sqrt(np.sum(np.abs(curve.coeffs) ** 2, axis=1))
-    absk = np.abs(ks).astype(float)
-    nz = ks != 0
-    return float(np.sum(np.exp(nu * absk[nz]) * absk[nz] ** s * mags[nz]))
+    m = curve.max_mode
+    ks = np.arange(1.0, m + 1)
+    mags = _modulus(curve.coeffs[m + 1:].view(float))
+    return 2.0 * float(np.sum(np.exp(nu * ks) * ks ** s * mags))
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +398,7 @@ def _arc_chord_guard(curve, floor):
     """
     m = curve.max_mode
     x, y = curve.mode(1).tolist()
-    tail = curve.coeffs[m + 2:].view(float)  # rows (re1, im1, re2, im2)
-    mags = np.sqrt(np.einsum("ij,ij->i", tail, tail))
+    mags = _modulus(curve.coeffs[m + 2:].view(float))
     bound = (2.0 * abs(x + 1j * y) / math.pi - _SQRT2 * abs(x - 1j * y)
              - 2.0 * float(np.arange(2, m + 1) @ mags))
     if not (bound > 0.0) or bound < floor:

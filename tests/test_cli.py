@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -329,6 +332,20 @@ def test_lemma_check_small(tmp_path, capsys):
     assert "within tolerance" in capsys.readouterr().out
 
 
+def test_lemma_check_fails_a_tuple_whose_closed_form_overflows(
+        tmp_path, capsys, monkeypatch):
+    """The lattice count of this tuple overflows to NaN, which compares
+    false against every tolerance; the row must still count as failed."""
+    ks = [300, -300] * 59 + [300, -299]
+    monkeypatch.setattr(cli, "_random_tuple", lambda rng, nmax, kmax: (0, ks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["lemma-check", "--out", str(tmp_path), "--count", "1"])
+    assert code == 3
+    row = (tmp_path / "lemma_check.csv").read_text().splitlines()[1]
+    assert row.split(",")[-3] == "nan"
+    assert "in 1 of 1 tuples (1 non-finite)" in capsys.readouterr().out
+
+
 def test_constants_json(tmp_path, capsys):
     out = tmp_path / "cc"
     code = cli.main(["constants", "--x", "1e-4", "--a-mu", "0.2",
@@ -353,3 +370,14 @@ def test_verify_linear_smoke(capsys):
     code = cli.main(["verify-linear", "--modes", "2,3", "--a-mu", "0.5"])
     assert code == 0
     assert "confirmed" in capsys.readouterr().out
+
+
+def test_module_entry_point_carries_the_exit_code(tmp_path):
+    """`python -m peskin2d.cli` passes main's exit code to the process."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "peskin2d.cli", "constants", "--x", "0.9"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 3
+    assert "out of regime" in proc.stdout

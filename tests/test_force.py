@@ -359,6 +359,43 @@ def test_default_solve_falls_back_to_lu(monkeypatch, a_mu, eps, factorizations):
     assert np.max(np.abs(f - fd)) <= 1e-12 * np.max(np.abs(fd))
 
 
+def clockwise_unit_circle(m=8, n=32):
+    """X = (cos t, -sin t): c_1 = (1/2, i/2), so a + ib = c_1[0] + i c_1[1]
+    is 0 and the circle part has radius 0."""
+    c = np.zeros((2 * m + 1, 2), complex)
+    c[m + 1] = (0.5, 0.5j)
+    c[m - 1] = np.conj(c[m + 1])
+    return pk.FourierCurve(c, n)
+
+
+def test_zero_radius_circle_part_goes_straight_to_lu(monkeypatch):
+    """With no circle to precondition on, the default solve skips the
+    iteration and makes one factorization, the direct solve's own."""
+    curve = clockwise_unit_circle()
+    p = pk.PhysicsParams.from_contrast(0.5, 1.0)
+    assert pk.spectral.circle_part(curve).radius == 0.0
+    fd = pk.solve_force(curve, p, method="direct")
+    lu = _CountLU(monkeypatch)
+    f = pk.solve_force(curve, p)
+    assert lu.calls == 1
+    assert np.array_equal(f, fd)
+
+
+def test_a_residual_above_tolerance_raises_solver_error(monkeypatch):
+    curve = clockwise_unit_circle()
+    p = pk.PhysicsParams.from_contrast(0.5, 1.0)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.zeros_like(b))
+    with pytest.raises(pk.SolverError,
+                       match=r"force system residual \S+ \(condition number "):
+        pk.solve_force(curve, p)
+
+
+def test_an_unknown_solve_method_is_refused():
+    with pytest.raises(ValueError, match="'direct' or 'richardson'"):
+        pk.solve_force(perturbed_circle(1e-3),
+                       pk.PhysicsParams.from_contrast(0.5, 1.0), method="lu")
+
+
 def test_run_with_direct_and_default_force_agree():
     p = pk.PhysicsParams.from_contrast(-0.5, 1.0)
     c = perturbed_circle(5e-5, max_mode=8, grid_size=32)  # below k(-0.5)

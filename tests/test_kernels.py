@@ -21,6 +21,18 @@ def test_stokeslet_symmetry_and_evenness():
     assert np.allclose(g, pk.stokeslet(-x))  # even kernel
 
 
+def test_stokeslet_is_bitwise_the_old_formula():
+    """G(x) from the shared modulus helper equals the former sum of squares
+    bit for bit."""
+    scales = 10.0 ** np.arange(-3, 4)[:, None]  # one per column of 7
+    x = np.random.default_rng(5).normal(size=(300, 7, 2)) * scales
+    r = np.sqrt(np.sum(x**2, axis=-1))
+    outer = x[..., :, None] * x[..., None, :]
+    old = (-np.log(r)[..., None, None] * np.eye(2)
+           + outer / (r**2)[..., None, None]) / (4.0 * np.pi)
+    assert np.array_equal(pk.stokeslet(x), old)
+
+
 def test_stokeslet_singularity():
     with pytest.raises(pk.SingularEvaluation):
         pk.stokeslet(np.zeros(2))

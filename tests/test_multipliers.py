@@ -336,6 +336,15 @@ def test_fractional_or_non_numeric_frequencies_are_refused(bad):
             call()
 
 
+@pytest.mark.parametrize("ks", [(), (1,), (1, 2, 3), [4, -2, 7, 1, 3]])
+def test_an_odd_or_empty_frequency_list_is_refused(ks):
+    for call in (lambda: pk.integral_In(0, ks),
+                 lambda: pk.integral_Sn_exact(ks),
+                 lambda: pk.integral_Sn_quadrature(ks)):
+        with pytest.raises(ValueError, match="k_1..k_{2n} with n >= 1"):
+            call()
+
+
 def test_whole_floats_and_numpy_integers_are_accepted():
     assert pk.integral_In(2.0, (np.int64(1), -1.0)) == pk.integral_In(2, (1, -1))
     assert pk.integral_Sn_exact((np.int32(3), 1.0)) == \

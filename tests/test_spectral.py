@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import peskin2d as pk
-from peskin2d.spectral import hermitize
+from peskin2d.spectral import _modulus, hermitize
 
 
 def random_curve(rng, m=8, n=32, amp=0.1):
@@ -155,6 +155,49 @@ def test_inhomogeneous_adds_mean():
     c[m - 1] = (0.5, 0.0)
     curve = pk.FourierCurve(c, 16)
     assert pk.fnorm(curve, 0.0) == pytest.approx(1.0)
+
+
+def old_fnorm(curve, s=1.0, nu=0.0):
+    """The full-spectrum formula fnorm used before it summed k = 1..M:
+    complex abs squared over all 2M+1 rows, the mean masked out."""
+    ks = curve.ks
+    mags = np.sqrt(np.sum(np.abs(curve.coeffs) ** 2, axis=1))
+    absk = np.abs(ks).astype(float)
+    nz = ks != 0
+    return float(np.sum(np.exp(nu * absk[nz]) * absk[nz] ** s * mags[nz]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.floats(-8.0, 2.0),
+       st.sampled_from([0.0, 1.0, 2.0, 0.5]), st.floats(0.0, 0.5))
+def test_fnorm_matches_the_full_spectrum_formula(seed, m, log_scale, s, nu):
+    """Summing the modes k >= 1 twice changes fnorm by round-off only."""
+    rng = np.random.default_rng(seed)
+    curve = random_curve(rng, m, 2 * m + 1, 10.0**log_scale)
+    assert pk.fnorm(curve, s, nu) == pytest.approx(old_fnorm(curve, s, nu),
+                                                   rel=1e-15, abs=0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.floats(-8.0, 2.0))
+def test_guard_moduli_are_the_old_einsum(seed, m, log_scale):
+    """The guard's tail moduli from the shared helper are bitwise those of
+    its former row einsum."""
+    curve = random_curve(np.random.default_rng(seed), m, 2 * m + 1,
+                         10.0**log_scale)
+    tail = curve.coeffs[m + 2:].view(float)
+    assert np.array_equal(_modulus(tail),
+                          np.sqrt(np.einsum("ij,ij->i", tail, tail)))
+
+
+def test_fortran_ordered_coefficients_are_stored_row_contiguous():
+    """The moduli read each coefficient row as one float view, so a curve
+    built from a Fortran-ordered array stores its rows contiguously."""
+    c = pk.circle_curve(max_mode=4, grid_size=16).coeffs
+    curve = pk.FourierCurve(np.asfortranarray(c), 16)
+    assert curve.coeffs.flags.c_contiguous
+    assert pk.fnorm(curve) == pk.fnorm(pk.FourierCurve(c, 16))
+    assert pk.geometry_diagnostics(curve)["arc_chord"] > 0.6
 
 
 @settings(max_examples=25, deadline=None)
