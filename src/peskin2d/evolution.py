@@ -126,6 +126,9 @@ class StepperConfig:
                      arc_chord_floor=self.arc_chord_floor)
         if not (0 < self.dt < math.inf and 0 < self.t_final < math.inf):
             raise ValueError("dt and t_final must be positive and finite")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ValueError("t_final / dt must be finite, got dt = %r and "
+                             "t_final = %r" % (self.dt, self.t_final))
         if self.scheme not in ("exponential-euler", "etdrk2"):
             raise ValueError("scheme must be 'exponential-euler' or 'etdrk2'")
         r = self.record_every
@@ -244,8 +247,9 @@ class TrajectoryRecord:
 
 
 def run(curve, params, cfg):
-    """Integrate to t_final, recording diagnostics every `record_every` steps
-    and at t_final.
+    """Integrate to t_final in whole steps of dt, plus one partial step when
+    t_final is not a multiple of dt.  Row 0 is t = 0; step i is recorded
+    when i is a multiple of `record_every` or is the last step.
 
     A degenerate geometry (arc-chord collapse) stops the run early and is
     reported in `failure` rather than raised, so partial data stays usable.
@@ -276,43 +280,36 @@ def run(curve, params, cfg):
     def record(st):
         nu = cfg.nu_max * st.t / (1.0 + st.t)
         diag = geometry_diagnostics(st.curve, arc_chord_floor=cfg.arc_chord_floor)
-        # energy_lhs (NaN here) is filled in from the whole columns below
         rows.append(
             (st.t, fnorm(st.deviation, 1, nu), fnorm(st.deviation, 2, nu),
              st.circle.radius, diag["area"], diag["arc_chord"],
-             st.circle.c, st.circle.d, math.nan, x0)
+             st.circle.c, st.circle.d)
         )
 
-    # whole steps, then one partial step if t_final is not a multiple of dt;
     # a rest below 1e-9 dt after whole steps is their round-off, not a step
     n_steps = math.floor(cfg.t_final / cfg.dt + 1e-9)
     rest = cfg.t_final - n_steps * cfg.dt
-    if n_steps and rest <= 1e-9 * cfg.dt:
-        rest = 0.0
+    total = n_steps + (rest > 1e-9 * cfg.dt or not n_steps)
     failure = None
     try:
         record(state)
-        for i in range(1, n_steps + 1):
-            state = step(state, cfg)
-            if i % cfg.record_every == 0 or (i == n_steps and not rest):
+        for i in range(1, total + 1):
+            state = step(state, cfg, h=cfg.dt if i <= n_steps else rest)
+            if i % cfg.record_every == 0 or i == total:
                 record(state)
-        if rest:
-            state = step(state, cfg, h=rest)
-            record(state)
     except CurveDegenerateError as exc:
         failure = str(exc)
 
     # degenerate before the first diagnostic: empty columns keep it usable
-    names = CSV_HEADER.split(",")
-    cols = np.array(rows, dtype=float).reshape(-1, len(names)).T
-    rec = TrajectoryRecord(**{n: cols[i] for i, n in enumerate(names)})
-    rec.energy_lhs = balance_lhs(rec.t, rec.norm_f11, rec.norm_f21,
-                                 0.25 * params.a_e * script_c)
-    rec.x0 = x0
-    rec.script_C = script_c
-    rec.failure = failure
-    rec.final_state = state
-    return rec
+    names = CSV_HEADER.split(",")[:-2]  # the measured columns
+    cols = dict(zip(names,
+                    np.array(rows, dtype=float).reshape(-1, len(names)).T))
+    return TrajectoryRecord(
+        **cols,
+        energy_lhs=balance_lhs(cols["t"], cols["norm_f11"], cols["norm_f21"],
+                               0.25 * params.a_e * script_c),
+        energy_rhs=np.full(len(rows), x0),
+        x0=x0, script_C=script_c, failure=failure, final_state=state)
 
 
 def write_final_state(path, state):

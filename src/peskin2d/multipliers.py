@@ -187,16 +187,18 @@ def integral_Sn_exact(ks):
     # the product's constant Fourier mode needs sum(B_j - 1 - 2 m_j) = 0.
     # exact: sum(caps) = 2 k_1 (mod 2) and there are 2n caps, so it is even
     target = (sum(caps) - len(caps)) // 2
+    # T <= prod(caps): past 2**1000, carry T / prod(caps) so no float overflows
+    scaled = math.prod(caps) > 2 ** 1000
     # digit DP: number of (m_j), 0 <= m_j <= caps_j - 1, summing to target
     counts = np.zeros(target + 1, dtype=float)
     counts[0] = 1.0
     for cap in caps:
         np.cumsum(counts, out=counts)
         counts[cap:] -= counts[:-cap]  # numpy buffers the overlapping read
+        if scaled:
+            counts /= cap
     t = float(counts[target])
-    denom = 1.0
-    for b in bs:
-        denom *= abs(b)
+    denom = 1.0 / abs(sigma) if scaled else math.prod(map(abs, bs), start=1.0)
     return 2.0 * np.pi * math.copysign(1.0, sigma) * t / denom
 
 

@@ -52,10 +52,13 @@ DATASET_B = [(2, (0.5 - 0.2j, 0.1 + 0.3j)), (3, (-0.4 + 0.1j, 0.2 + 0.25j))]
 def run_all(jobs, workers=None):
     """pk.run(curve, params, cfg) for each job, in order: serially when
     `workers` is 1, else across a pool of that many processes (by default
-    one per usable CPU, at most two).  A run depends on its arguments only,
+    one per usable CPU, at most two; where the OS has no CPU affinity, as on
+    macOS and Windows, one per CPU).  A run depends on its arguments only,
     so both ways give bitwise the same records."""
     if workers is None:
-        workers = min(2, len(os.sched_getaffinity(0)))
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        workers = min(2, cpus)
     if workers == 1:
         return [pk.run(*job) for job in jobs]
     with ProcessPoolExecutor(workers) as pool:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from peskin2d import cli, force
+from peskin2d import cli, evolution, force, multipliers, spectral
 
 
 BASE_CONFIG = {
@@ -132,6 +133,9 @@ def test_config_builds_conjugate_pair(tmp_path):
     ("physics", "k0", float("nan"),
      "physics: elastic modulus must be positive and finite"),
     ("physics", "a_e", float("inf"), "physics: a_e must be positive and finite"),
+    ("stepping", "dt", 1e-320,
+     "stepping: t_final / dt must be finite, got dt = 1e-320 and "
+     "t_final = 0.05"),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, key, value,
                                       match):
@@ -147,6 +151,22 @@ def test_bad_values_are_config_errors(tmp_path, capsys, section, key, value,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "config is not valid JSON: "),
+    ("[]", "config root must be an object"),
+    ('{"physics": 3}', "section 'physics' must be an object"),
+])
+def test_a_malformed_config_file_is_a_config_error(tmp_path, capsys, text,
+                                                   message):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    code = cli.main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: " + message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("missing", ["a_mu", "a_e"])
@@ -230,6 +250,35 @@ def test_simulate_to_a_tiny_t_final_exits_0(tmp_path, capsys):
     assert "Traceback" not in captured.err
     assert "integrated to t = 1e-12 (2 rows recorded)" in captured.out
     assert len((out / "trajectory.csv").read_text().splitlines()) == 4
+
+
+def test_simulate_above_the_threshold_skips_the_certificate(tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["initial"]["modes"] = [[2, 1e-2, 1e-2, 1e-2, 1e-2]]
+    cfg["stepping"]["t_final"] = 2e-3
+    with pytest.warns(RuntimeWarning):
+        code = cli.main(["simulate", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert ("certificate skipped: no positive margin at x0 = "
+            in capsys.readouterr().out)
+
+
+def test_simulate_exits_3_when_the_certificate_fails(tmp_path, capsys,
+                                                     monkeypatch):
+    class Failed:
+        ok = False
+
+        def lines(self):
+            return ["balance: stub failure"]
+
+    monkeypatch.setattr(cli, "energy_certificate", lambda *a, **kw: Failed())
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["stepping"]["t_final"] = 2e-3
+    code = cli.main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().out.endswith("\nbalance: stub failure\n")
 
 
 def test_missing_config_exits_1(tmp_path, capsys):
@@ -332,14 +381,12 @@ def test_lemma_check_small(tmp_path, capsys):
     assert "within tolerance" in capsys.readouterr().out
 
 
-def test_lemma_check_fails_a_tuple_whose_closed_form_overflows(
+def test_lemma_check_fails_a_non_finite_closed_form(
         tmp_path, capsys, monkeypatch):
-    """The lattice count of this tuple overflows to NaN, which compares
-    false against every tolerance; the row must still count as failed."""
-    ks = [300, -300] * 59 + [300, -299]
-    monkeypatch.setattr(cli, "_random_tuple", lambda rng, nmax, kmax: (0, ks))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = cli.main(["lemma-check", "--out", str(tmp_path), "--count", "1"])
+    """A NaN closed form compares false against every tolerance; the row
+    must still count as failed."""
+    monkeypatch.setattr(multipliers, "integral_Sn_exact", lambda ks: math.nan)
+    code = cli.main(["lemma-check", "--out", str(tmp_path), "--count", "1"])
     assert code == 3
     row = (tmp_path / "lemma_check.csv").read_text().splitlines()[1]
     assert row.split(",")[-3] == "nan"
@@ -370,6 +417,25 @@ def test_verify_linear_smoke(capsys):
     code = cli.main(["verify-linear", "--modes", "2,3", "--a-mu", "0.5"])
     assert code == 0
     assert "confirmed" in capsys.readouterr().out
+
+
+def test_verify_linear_fails_above_its_tolerance(capsys):
+    code = cli.main(["verify-linear", "--modes", "2", "--tol", "1e-14"])
+    assert code == 3
+    assert re.search(r"^FAIL: worst relative error \S+ > 1\.0e-14$",
+                     capsys.readouterr().out, re.M)
+
+
+def test_degenerate_geometry_outside_a_run_exits_2(capsys, monkeypatch):
+    """`main` maps a CurveDegenerateError that no run caught to one line
+    and exit 2; verify-linear calls the nonlinearity directly."""
+    def collapse(curve, params):
+        raise spectral.CurveDegenerateError("stub collapse")
+
+    monkeypatch.setattr(evolution, "rhs_nonlinear", collapse)
+    code = cli.main(["verify-linear", "--modes", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == "degenerate geometry: stub collapse\n"
 
 
 def test_module_entry_point_carries_the_exit_code(tmp_path):

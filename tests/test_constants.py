@@ -155,6 +155,11 @@ def test_non_finite_input_is_refused(x, a_mu, nu_m, a_e):
         assert not isinstance(exc.value, pk.OutOfRegimeError)
 
 
+def test_a_contrast_outside_the_open_interval_is_refused():
+    with pytest.raises(ValueError, match=r"a_mu must lie in \(-1, 1\)"):
+        pk.constants_chain(1e-4, 1.5)
+
+
 def _chain_outcome(call, *args):
     try:
         return call(*args)
@@ -238,6 +243,32 @@ def test_certificate_margins_skip_the_first_row():
                                 params, x0=0.98e-4)
     assert low.balance_margin < 0.0 and low.decay_margin < 0.0
     assert not low.balance_pass and not low.decay_pass and not low.ok
+
+
+def test_certificate_needs_two_rows():
+    params = pk.PhysicsParams.from_contrast(0.0, 1.0)
+    with pytest.raises(ValueError, match="need at least two recorded rows"):
+        pk.energy_certificate(_FakeRecord([0.0], [1e-4], [1e-4]), params,
+                              x0=1e-4)
+
+
+def test_certificate_above_the_threshold_names_script_C():
+    params = pk.PhysicsParams.from_contrast(0.0, 1.0)
+    t = np.linspace(0, 1, 11)
+    x0 = 2.0 * pk.k_threshold(0.0)["k"]
+    with pytest.raises(pk.OutOfRegimeError, match="margin not positive") as exc:
+        pk.energy_certificate(_FakeRecord(t, np.full(11, x0), np.full(11, x0)),
+                              params, x0=x0)
+    assert exc.value.constant_name == "script_C"
+
+
+def test_certificate_of_a_circle_has_zero_excess():
+    params = pk.PhysicsParams.from_contrast(0.0, 1.0)
+    t = np.linspace(0, 1, 11)
+    cert = pk.energy_certificate(_FakeRecord(t, np.zeros(11), np.zeros(11)),
+                                 params, x0=0.0)
+    assert cert.balance_margin == cert.decay_margin == 0.0
+    assert cert.ok
 
 
 def test_certificate_lines_are_printable():

@@ -1,3 +1,4 @@
+import os
 import re
 import sys
 import tracemalloc
@@ -553,6 +554,12 @@ def test_stepper_config_rejects_nan_and_unknown_method():
         pk.StepperConfig(dt=float("nan"), t_final=1.0)
     with pytest.raises(ValueError):
         pk.StepperConfig(dt=1e-3, t_final=float("inf"))
+    # a denormal dt makes t_final / dt infinite: no step count to take
+    for dt in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match="t_final / dt must be finite, "
+                           "got dt = %r and t_final = 0.05" % dt):
+            pk.StepperConfig(dt=dt, t_final=0.05)
+    assert pk.StepperConfig(dt=1e-300, t_final=1.0).dt == 1e-300
     for key in ("nu_max", "arc_chord_floor"):
         for value in (-1e-3, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=">= 0 and finite"):
@@ -792,6 +799,16 @@ def test_pooled_certified_runs_equal_serial_ones():
             assert np.array_equal(getattr(serial, name), getattr(pooled, name))
         assert np.array_equal(serial.final_state.curve.coeffs,
                               pooled.final_state.curve.coeffs)
+
+
+def test_run_all_counts_cpus_where_there_is_no_affinity(monkeypatch):
+    """macOS and Windows builds of Python have no os.sched_getaffinity;
+    there `run_all` takes its default worker count from os.cpu_count."""
+    counted = []
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: counted.append(1) or 1)
+    assert run_all([]) == []   # one CPU: the serial path, no process
+    assert counted == [1]
 
 
 def test_warm_step_allocates_no_pair_table():

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -298,6 +299,9 @@ def test_lattice_count_equals_the_four_call_count():
         assert pk.integral_Sn_exact(ks) == want, ks
         nonzero += want != 0.0
     assert nonzero > 1500
+    # caps whose product, about 2e297, is just below the scaled path's 2**1000
+    ks = [300, -300] * 53 + [300, -299]
+    assert pk.integral_Sn_exact(ks) == _four_call_exact(ks) != 0.0
 
 
 @settings(max_examples=10, deadline=None)
@@ -311,6 +315,17 @@ def test_property_long_lattice_counts_equal_the_four_call_count(k1, diffs):
     for d in diffs:
         ks.append(ks[-1] - d)
     assert pk.integral_Sn_exact(ks) == _four_call_exact(ks)
+
+
+def test_a_lattice_count_past_1e308_stays_finite():
+    """The count and prod |b_j| of this tuple both pass 1e308; the plain
+    float count's ratio is inf / inf = NaN."""
+    ks = [300, -300] * 59 + [300, -299]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(_four_call_exact(ks))
+    exact = pk.integral_Sn_exact(ks)
+    assert math.isfinite(exact)
+    assert abs(exact - pk.integral_Sn_quadrature(ks)) < 1e-8
 
 
 # ---------------------------------------------------------- whole frequencies

@@ -42,6 +42,17 @@ def test_analyze_inverts_synthesize():
     assert np.max(np.abs(back.coeffs - curve.coeffs)) < 1e-14
 
 
+def test_analyze_refuses_samples_that_are_not_planar_points():
+    with pytest.raises(ValueError, match=r"samples must have shape \(N, 2\)"):
+        pk.analyze(np.zeros((16, 3)))
+
+
+def test_a_mode_beyond_the_band_is_zero():
+    curve = pk.circle_curve(max_mode=4, grid_size=16)
+    for k in (5, -5):
+        assert np.array_equal(curve.mode(k), np.zeros(2, dtype=complex))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
 def test_roundtrip_property(seed, m):
