@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .constants import (
     k_threshold,
 )
 from . import evolution, force, multipliers, spectral
+from .spectral import _number
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,16 +112,6 @@ def _section(name):
         raise ConfigError("%s: %s" % (name, exc)) from exc
 
 
-def _number(value, key, whole=False):
-    """`value` as a float, or as an int when `whole`, refusing anything but a
-    JSON number (a bool included) and, when `whole`, a fractional part."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("%s must be a number, got %r" % (key, value))
-    if whole and int(value) != value:
-        raise ValueError("%s must be a whole number, got %r" % (key, value))
-    return int(value) if whole else float(value)
-
-
 def load_config(path):
     """Parse and validate a JSON run configuration."""
     with open(path) as fh:
@@ -132,17 +124,14 @@ def load_config(path):
     _check_keys(cfg)
 
     with _section("physics"):
-        phys = {k: _number(v, k) for k, v in cfg.get("physics", {}).items()}
-        named = {"mu1", "mu2", "k0"} & set(phys)
-        contrast = {"a_mu", "a_e"} & set(phys)
-        if named and contrast:
+        keys = set(cfg.get("physics", {}))  # the constructors check values
+        if keys == {"a_mu", "a_e"}:
+            params = force.PhysicsParams.from_contrast(**cfg["physics"])
+        elif keys == {"mu1", "mu2", "k0"}:
+            params = force.PhysicsParams(**cfg["physics"])
+        elif keys & {"mu1", "mu2", "k0"} and keys & {"a_mu", "a_e"}:
             raise ConfigError(
-                "physics: give either (mu1, mu2, k0) or (a_mu, a_e), not both"
-            )
-        if contrast == {"a_mu", "a_e"}:
-            params = force.PhysicsParams.from_contrast(phys["a_mu"], phys["a_e"])
-        elif named == {"mu1", "mu2", "k0"}:
-            params = force.PhysicsParams(phys["mu1"], phys["mu2"], phys["k0"])
+                "physics: give either (mu1, mu2, k0) or (a_mu, a_e), not both")
         else:
             raise ConfigError("physics: need (mu1, mu2, k0) or (a_mu, a_e)")
 
@@ -178,18 +167,18 @@ def load_config(path):
         curve = spectral.FourierCurve(coeffs, n)
 
     with _section("stepping"):
-        # the scheme is a string: StepperConfig accepts only its two names
-        st = {k: v if k == "scheme" else _number(v, k, k == "record_every")
-              for k, v in cfg.get("stepping", {}).items()}
-        stepper = evolution.StepperConfig(
-            **{"dt": 1e-3, "t_final": 1.0, "record_every": 10, **st})
+        stepper = evolution.StepperConfig(**{
+            "dt": 1e-3, "t_final": 1.0, "record_every": 10,
+            **cfg.get("stepping", {})})
     return params, curve, stepper
 
 
 def cmd_simulate(args):
     params, curve, stepper = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    rec = evolution.run(curve, params, stepper)
+    with warnings.catch_warnings(record=True) as caught:
+        rec = evolution.run(curve, params, stepper)
+    sys.stderr.writelines("warning: %s\n" % w.message for w in caught)
     rec.to_csv(os.path.join(args.out, "trajectory.csv"))
     evolution.write_final_state(
         os.path.join(args.out, "final_state.txt"), rec.final_state

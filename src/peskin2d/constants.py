@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .spectral import _number
+
 _SQRT2 = math.sqrt(2.0)
 _MARGIN_SLOPE = 676.0 * _SQRT2  # coefficient of D5(x) x/(1-a_mu) in the margin
 
@@ -56,8 +58,10 @@ class ConstantsReport:
 
 
 def _chain(x, a_mu, nu_m):
-    """(C1..C17, D1..D5) as two tuples at the floats (x, a_mu, nu_m); raises
-    as `constants_chain` does, a_e aside."""
+    """The point (x, a_mu, nu_m) as floats (`_number`), and (C1..C17) and
+    (D1..D5) as tuples there; raises as `constants_chain` does, a_e aside."""
+    x, a_mu, nu_m = (_number(x, "x"), _number(a_mu, "a_mu"),
+                     _number(nu_m, "nu_m"))
     if not 0.0 <= x < math.inf:
         raise ValueError("norm x must be nonnegative and finite")
     if not -1.0 < a_mu < 1.0:
@@ -141,13 +145,14 @@ def _chain(x, a_mu, nu_m):
         + 2250.0 * mu_ratio * d3 * d4
     )
 
-    return ((c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14,
-             c15, c16, c17), (d1, d2, d3, d4, d5))
+    return ((x, a_mu, nu_m), (c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11,
+            c12, c13, c14, c15, c16, c17), (d1, d2, d3, d4, d5))
 
 
 def _script_c(x, a_mu, nu_m, a_e, d5):
     """The margin from D5 at the chain's point; None when nu_m > 0 and a_e
     is None.  Raises ValueError unless a given a_e is positive and finite."""
+    a_e = None if a_e is None else _number(a_e, "a_e")
     if a_e is not None and not 0.0 < a_e < math.inf:
         raise ValueError("a_e must be positive and finite")
     nonlinear_term = _MARGIN_SLOPE * d5 * x / (1.0 - a_mu)
@@ -155,7 +160,7 @@ def _script_c(x, a_mu, nu_m, a_e, d5):
         return 1.0 - nonlinear_term
     if a_e is None:
         return None
-    return 1.0 - 4.0 * nu_m / float(a_e) - nonlinear_term
+    return 1.0 - 4.0 * nu_m / a_e - nonlinear_term
 
 
 def constants_chain(x, a_mu=0.0, nu_m=0.0, a_e=None):
@@ -166,8 +171,7 @@ def constants_chain(x, a_mu=0.0, nu_m=0.0, a_e=None):
     large for the chain: C1 needs x < sqrt2, C2 a smallness condition, and
     C17 another one that takes over near |a_mu| -> 1.
     """
-    x, a_mu, nu_m = float(x), float(a_mu), float(nu_m)
-    cs, ds = _chain(x, a_mu, nu_m)
+    (x, a_mu, nu_m), cs, ds = _chain(x, a_mu, nu_m)
     script_c = _script_c(x, a_mu, nu_m, a_e, ds[4])
     tilde_c = None
     if script_c is not None and script_c > 0:
@@ -180,8 +184,8 @@ def constants_chain(x, a_mu=0.0, nu_m=0.0, a_e=None):
 def margin(x, a_mu, nu_m=0.0, a_e=None):
     """1 - 4 nu_m/a_e - 676 sqrt2 D5(x) x/(1-a_mu); the certificate needs > 0.
     The same value, and the same errors, as constants_chain(...).script_C."""
-    x, a_mu, nu_m = float(x), float(a_mu), float(nu_m)
-    return _script_c(x, a_mu, nu_m, a_e, _chain(x, a_mu, nu_m)[1][4])
+    (x, a_mu, nu_m), _, ds = _chain(x, a_mu, nu_m)
+    return _script_c(x, a_mu, nu_m, a_e, ds[4])
 
 
 def threshold_lower_bound(a_mu):
@@ -190,8 +194,8 @@ def threshold_lower_bound(a_mu):
     a_mu = 0 (15.9 at a_mu = -0.5, 14.3 at 0.5 and 308 at -0.95).  Since D5
     increases with x, the margin is not positive at the closed form, so this
     is an *upper* bound on k(a_mu); the name is kept for its callers."""
-    a_mu = float(a_mu)
-    return (1.0 - a_mu) / (_MARGIN_SLOPE * _chain(0.0, a_mu, 0.0)[1][4])
+    (_, a_mu, _), _, ds = _chain(0.0, a_mu, 0.0)
+    return (1.0 - a_mu) / (_MARGIN_SLOPE * ds[4])
 
 
 def k_threshold(a_mu):
@@ -211,7 +215,6 @@ def k_threshold(a_mu):
     at most 1.05e-3 for every a_mu in (-1, 1), and there the terms that C2's
     and C17's denominators subtract from 1 stay below 0.0030 and 0.0102.
     """
-    a_mu = float(a_mu)
     closed = threshold_lower_bound(a_mu)
     m = margin(closed, a_mu)
     if m > 0.0:
@@ -287,7 +290,7 @@ def energy_certificate(record, params, x0, nu_m=0.0, slack=0.01):
     n21 = np.asarray(record.norm_f21, dtype=float)
     if t.size < 2:
         raise ValueError("need at least two recorded rows")
-    x0 = float(x0)
+    x0 = _number(x0, "x0")
     a_e = params.a_e
     rep = constants_chain(x0, params.a_mu, nu_m, a_e)
     sc = rep.script_C

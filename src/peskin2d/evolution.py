@@ -37,7 +37,6 @@ change and builds no operator.
 
 import ast
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -49,8 +48,8 @@ from .force import PhysicsParams, _interface_velocity, velocity_on_curve
 from .spectral import (
     CurveDegenerateError,
     FourierCurve,
-    _check_reals,
     _j_action,
+    _number,
     _split,
     _symmetric_curve,
     analyze,
@@ -122,8 +121,8 @@ class StepperConfig:
     arc_chord_floor: float = 0.05
 
     def __post_init__(self):
-        _check_reals(dt=self.dt, t_final=self.t_final, nu_max=self.nu_max,
-                     arc_chord_floor=self.arc_chord_floor)
+        for name in ("dt", "t_final", "nu_max", "arc_chord_floor"):
+            _number(getattr(self, name), name)
         if not (0 < self.dt < math.inf and 0 < self.t_final < math.inf):
             raise ValueError("dt and t_final must be positive and finite")
         if not math.isfinite(self.t_final / self.dt):
@@ -131,11 +130,9 @@ class StepperConfig:
                              "t_final = %r" % (self.dt, self.t_final))
         if self.scheme not in ("exponential-euler", "etdrk2"):
             raise ValueError("scheme must be 'exponential-euler' or 'etdrk2'")
-        r = self.record_every
-        if isinstance(r, bool) or not (isinstance(r, numbers.Real) and r >= 1
-                                       and r % 1 == 0):
+        if _number(self.record_every, "record_every", whole=True) < 1:
             raise ValueError("record_every must be a whole number >= 1, got %r"
-                             % (r,))
+                             % (self.record_every,))
         if not (0 <= self.nu_max < math.inf
                 and 0 <= self.arc_chord_floor < math.inf):
             raise ValueError("nu_max and arc_chord_floor must be >= 0 and finite")

@@ -55,9 +55,9 @@ import numpy as np
 from .kernels import _grid_force, log_convolve
 from .spectral import (
     _arc_chord_guard,
-    _check_reals,
     _grid_samples,
     _j_action,
+    _number,
     _split,
     analyze,
     circle_part,
@@ -85,7 +85,8 @@ class PhysicsParams:
     k0: float
 
     def __post_init__(self):
-        _check_reals(mu1=self.mu1, mu2=self.mu2, k0=self.k0)
+        for name in ("mu1", "mu2", "k0"):
+            _number(getattr(self, name), name)
         if not (0 < self.mu1 < math.inf and 0 < self.mu2 < math.inf):
             raise ValueError("viscosities must be positive and finite")
         if not 0 < self.k0 < math.inf:
@@ -94,7 +95,7 @@ class PhysicsParams:
     @classmethod
     def from_contrast(cls, a_mu, a_e):
         """Build from (a_mu, a_e) with the normalization mu1 + mu2 = 1."""
-        _check_reals(a_mu=a_mu, a_e=a_e)
+        a_mu, a_e = _number(a_mu, "a_mu"), _number(a_e, "a_e")
         if not -1.0 < a_mu < 1.0:
             raise ValueError("a_mu must lie in (-1, 1)")
         if not 0 < a_e < math.inf:

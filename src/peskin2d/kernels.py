@@ -36,7 +36,11 @@ class SingularEvaluation(ValueError):
 def stokeslet(x):
     """G(x) for x of shape (..., 2); returns (..., 2, 2)."""
     x = np.asarray(x, dtype=float)
-    r = _modulus(x)
+    return _stokeslet(x, _modulus(x))
+
+
+def _stokeslet(x, r):
+    """G(x) from the float array x and its modulus r = |x|."""
     if np.any(r == 0.0):
         raise SingularEvaluation("stokeslet evaluated at zero separation")
     outer = x[..., :, None] * x[..., None, :]
@@ -78,7 +82,8 @@ def eval_velocity_field(points, curve, force):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     fs = _grid_force(force, curve)
     diff = pts[:, None, :] - synthesize(curve)[None, :, :]  # (P, N, 2)
-    dmin = float(np.min(_modulus(diff)))
+    r = _modulus(diff)
+    dmin = float(np.min(r))
     if dmin == 0.0:
         raise SingularEvaluation("target point lies on a quadrature node")
     if dmin < _CLEARANCE:
@@ -87,6 +92,6 @@ def eval_velocity_field(points, curve, force):
             "quadrature error may be large" % (dmin, _CLEARANCE),
             RuntimeWarning,
         )
-    g = stokeslet(diff)  # (P, N, 2, 2)
+    g = _stokeslet(diff, r)  # (P, N, 2, 2)
     u = np.tensordot(g, fs, ([1, 3], [0, 1])) * (2.0 * np.pi / curve.grid_size)
     return u if np.asarray(points).ndim > 1 else u[0]

@@ -33,28 +33,13 @@ and B_{2n-1} = |sigma|.  Since T <= prod_{j=1}^{2n-1} B_j, every |I'_n|
 """
 
 import collections
-import functools
 import math
-import numbers
 
 import numpy as np
 
-_TABLE_VALUES = 1 << 16  # factor-row values the row cache holds at most
+from .spectral import _number, theta_grid
 
-
-def _whole(v):
-    """v as a Python int; refuses bools, non-reals, non-finite values and
-    fractional values."""
-    if type(v) is int:
-        return v
-    if not isinstance(v, bool):
-        if isinstance(v, numbers.Integral):
-            return int(v)
-        if isinstance(v, numbers.Real):
-            f = float(v)
-            if math.isfinite(f) and f.is_integer():
-                return int(f)
-    raise ValueError("frequencies must be whole numbers, got %r" % (v,))
+_TABLE_VALUES = 1 << 16  # values the table cache _ROWS holds at most
 
 
 def _nodes_for(fmax):
@@ -64,48 +49,50 @@ def _nodes_for(fmax):
     return n
 
 
-@functools.lru_cache(maxsize=None)
 def _grid(n):
-    """Read-only (eta, sin(eta/2), cos(eta/2)) on the n trapezoid nodes of
+    """Rows (eta, sin(eta/2), cos(eta/2)) on the n trapezoid nodes of
     [-pi, pi).  eta is exactly 0 at index n/2 (n is a power of two); there
     sin(eta/2) holds 1 in place of 0, and the caller writes the limit."""
-    eta = -np.pi + 2.0 * np.pi * np.arange(n) / n
-    sin_half = np.sin(0.5 * eta)
-    sin_half[n // 2] = 1.0
-    cos_half = np.cos(0.5 * eta)
-    for a in (eta, sin_half, cos_half):
-        a.flags.writeable = False
-    return eta, sin_half, cos_half
+    eta = theta_grid(n)
+    grid = np.stack([eta, np.sin(0.5 * eta), np.cos(0.5 * eta)])
+    grid[1, n // 2] = 1.0
+    return grid
+
+
+def _factor_row(b, n, divided):
+    """s_b = sin(b eta/2)/sin(eta/2) on the n-node grid, with the eta = 0
+    limit b, divided by b when `divided`."""
+    eta, sin_half, _ = _ROWS.get((n,), _grid)
+    row = np.sin(np.multiply(0.5 * b, eta))
+    row /= sin_half
+    row[n // 2] = b
+    if divided:
+        row /= b
+    return row
 
 
 class _RowCache:
-    """Factor rows s_b = sin(b eta/2)/sin(eta/2) on the n-node grid, with
-    the eta = 0 limit b, divided by b when `divided`; each read-only row is
-    built on first use and kept under the key (b, n, divided), up to
-    _TABLE_VALUES values in all, the least recently used row out first."""
+    """Read-only tables, each built on first use by `build(*key)` and kept
+    under its key, up to _TABLE_VALUES values in all, the least recently
+    used out first; a table larger than that is built and not kept.  The
+    keys are (n,) for a `_grid` and (b, n, divided) for a `_factor_row`."""
 
     def __init__(self):
         self.rows = collections.OrderedDict()
         self.values = 0
 
-    def row(self, b, n, divided):
-        key = (b, n, divided)
+    def get(self, key, build):
         row = self.rows.get(key)
         if row is not None:
             self.rows.move_to_end(key)
             return row
-        eta, sin_half, _ = _grid(n)
-        row = np.sin(np.multiply(0.5 * b, eta))
-        row /= sin_half
-        row[n // 2] = b
-        if divided:
-            row /= b
+        row = build(*key)
         row.flags.writeable = False
-        if n <= _TABLE_VALUES:
-            while self.values + n > _TABLE_VALUES:
+        if row.size <= _TABLE_VALUES:
+            while self.values + row.size > _TABLE_VALUES:
                 self.values -= self.rows.popitem(last=False)[1].size
             self.rows[key] = row
-            self.values += n
+            self.values += row.size
         return row
 
 
@@ -123,10 +110,10 @@ def _product_quadrature(lead, bs, half_cos):
     if half_cos:
         fmax += 0.5
     n = _nodes_for(int(math.ceil(fmax)))
-    row = _ROWS.row
-    vals = row(lead, n, False) * (_grid(n)[2] if half_cos else 1.0)
+    vals = _ROWS.get((lead, n, False), _factor_row) * (
+        _ROWS.get((n,), _grid)[2] if half_cos else 1.0)
     for b in bs:
-        vals *= row(b, n, True)
+        vals *= _ROWS.get((b, n, True), _factor_row)
     return float(vals.sum()) * (2.0 * np.pi / n)
 
 
@@ -134,7 +121,7 @@ def _parse(ks):
     """The whole frequencies k_1 .. k_{2n} and their differences
     [b_1 .. b_{2n-1}], b_j = k_j - k_{j+1}; ValueError unless their number
     is even and positive."""
-    ks = [_whole(v) for v in ks]
+    ks = [_number(v, "frequency", True) for v in ks]
     if len(ks) % 2 != 0 or not ks:
         raise ValueError("need frequencies k_1..k_{2n} with n >= 1")
     return ks, [ks[j] - ks[j + 1] for j in range(len(ks) - 1)]
@@ -160,7 +147,7 @@ def integral_In(k, ks):
     vanishes when k = k_1 or when any two consecutive k_j coincide (a
     difference factor degenerates and pairs with the pv to give zero).
     """
-    k = _whole(k)
+    k = _number(k, "k", whole=True)
     ks, diffs = _parse(ks)
     bs = [k - ks[0]] + diffs
     if 0 in bs:
@@ -204,7 +191,7 @@ def integral_Sn_exact(ks):
 
 def integral_S1_closed(k1, k2):
     """n = 1 special case: I'_1 = 2 pi sgn(k1+k2) min(|k1-k2|, |k1+k2|)/|k1-k2|."""
-    k1, k2 = _whole(k1), _whole(k2)
+    k1, k2 = _number(k1, "k1", whole=True), _number(k2, "k2", whole=True)
     if k1 == k2 or k1 + k2 == 0:
         return 0.0
     return (

@@ -46,11 +46,30 @@ class CurveDegenerateError(RuntimeError):
     """Curve failed a geometric sanity check (self-touching or collapsed)."""
 
 
-def _check_reals(**fields):
-    """Refuse a field that is a bool or not a real number, naming it."""
-    for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError("%s must be a real number, got %r" % (name, value))
+def _number(value, name, whole=False):
+    """The package's one number check: `value` as a float, or an int when
+    `whole`; a one-line ValueError naming `name` for a bool, a non-real and,
+    when `whole`, a non-finite or fractional value."""
+    if type(value) is (int if whole else float):
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("%s must be a number, got %r" % (name, value))
+    if not whole:
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the floats: +-inf, out of range
+            return math.inf if value > 0 else -math.inf
+    if math.isfinite(value) and float(value).is_integer():
+        return int(value)  # exact for numpy integers too
+    raise ValueError("%s must be a whole number, got %r" % (name, value))
+
+
+def _band(max_mode):
+    """`max_mode` as the band of a FourierCurve: a whole number >= 1."""
+    m = _number(max_mode, "max_mode", whole=True)
+    if m < 1:
+        raise ValueError("max_mode must be a whole number >= 1, got %r" % (m,))
+    return m
 
 
 def theta_grid(n):
@@ -73,10 +92,10 @@ class FourierCurve:
     coeffs : (2M+1, 2) complex array, mode k in row k+M.  It is stored as
         hermitize(coeffs), exactly conjugate-symmetric; data further than
         1e-8 of its scale from c_{-k} = conj(c_k) is rejected.
-    grid_size : number of physical grid points carried around for
-        quadrature; must satisfy grid_size >= 2M+1 (strict minimum to
-        avoid aliasing the band), with grid_size = 4M the default used
-        by the solvers for anti-aliasing headroom on quadratic terms.
+    grid_size : whole number of grid points carried around for quadrature;
+        must satisfy grid_size >= 2M+1 (strict minimum to avoid aliasing the
+        band); 0 picks 4M, the default used by the solvers for anti-aliasing
+        headroom on quadratic terms.
     """
 
     coeffs: np.ndarray
@@ -87,13 +106,13 @@ class FourierCurve:
         if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] % 2 == 0 or len(c) < 3:
             raise ValueError("coeffs must have shape (2M+1, 2) with M >= 1")
         m = (c.shape[0] - 1) // 2
-        n = self.grid_size if self.grid_size else max(4 * m, 8)
+        n = _number(self.grid_size, "grid_size", whole=True) or max(4 * m, 8)
         if n < 2 * m + 1:
             raise AliasingError(
                 "grid_size %d cannot resolve modes up to %d (need >= %d)"
                 % (n, m, 2 * m + 1)
             )
-        object.__setattr__(self, "grid_size", int(n))
+        object.__setattr__(self, "grid_size", n)
         asym = np.max(np.abs(c - np.conj(c[::-1])))
         scale = max(1.0, np.max(np.abs(c)))
         if asym > 1e-8 * scale:
@@ -157,18 +176,14 @@ def analyze(samples, max_mode=None):
     conjugates, so the result is exactly conjugate-symmetric.  Default
     max_mode is (N-1)//2, the largest unaliased band (the Nyquist bin of
     even grids is dropped: it cannot be assigned a sign of k).  max_mode
-    must be a whole number >= 1, as FourierCurve requires.
+    must be a whole number >= 1 (`_band`), as FourierCurve requires.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 2 or s.shape[1] != 2:
         raise ValueError("samples must have shape (N, 2)")
     n = s.shape[0]
     limit = (n - 1) // 2
-    m = limit if max_mode is None else max_mode
-    _check_reals(max_mode=m)
-    if not (float(m).is_integer() and m >= 1):
-        raise ValueError("max_mode must be a whole number >= 1, not %r" % (m,))
-    m = int(m)
+    m = _band(limit if max_mode is None else max_mode)
     if m > limit:
         raise AliasingError("cannot extract modes up to %d from %d samples" % (m, n))
     half = np.fft.rfft(s, axis=0, norm="forward")[:m + 1]
@@ -297,10 +312,12 @@ class CirclePart:
         return coeffs
 
     def as_curve(self, max_mode=1, grid_size=0):
-        return FourierCurve(self._coeffs(max(1, int(max_mode))), grid_size)
+        return FourierCurve(self._coeffs(_band(max_mode)), grid_size)
 
 
 def circle_curve(a=1.0, b=0.0, c=0.0, d=0.0, max_mode=1, grid_size=0):
+    """`CirclePart(a, b, c, d).as_curve`: a FourierCurve of band `max_mode`,
+    a whole number >= 1 (`_band`), on `grid_size` points (0 picks 4M)."""
     return CirclePart(a, b, c, d).as_curve(max_mode, grid_size)
 
 

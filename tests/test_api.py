@@ -1,5 +1,7 @@
 """The package root exports exactly the names its callers use."""
 
+import ast
+import glob
 import os
 import re
 import types
@@ -37,6 +39,7 @@ BENCH_NAMES = [
 ]
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "peskin2d")
 
 
 def test_exports_are_the_explicit_list():
@@ -68,3 +71,38 @@ def test_readme_usage_block_uses_exported_names():
 def test_bench_names_are_exported():
     assert set(BENCH_NAMES) <= set(pk.__all__)
     assert isinstance(pk.__version__, str)
+
+
+def _number_tests(tree):
+    """The nodes of `tree` that test whether a value is a real or whole
+    number: a `bool` outside an annotation, `numbers.<ABC>`, `.is_integer`
+    and `% 1`."""
+    notes = {id(n) for node in ast.walk(tree)
+             for note in (getattr(node, "annotation", None),
+                          getattr(node, "returns", None)) if note is not None
+             for n in ast.walk(note)}
+    return [node for node in ast.walk(tree) if id(node) not in notes and (
+        isinstance(node, ast.Name) and node.id == "bool"
+        or isinstance(node, ast.Attribute) and (
+            node.attr == "is_integer"
+            or isinstance(node.value, ast.Name) and node.value.id == "numbers")
+        or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+        and isinstance(node.right, ast.Constant) and node.right.value == 1)]
+
+
+def test_the_number_check_lives_only_in_spectral_number():
+    """Whether a value is a real or a whole number is decided in one place,
+    `spectral._number`; a second copy of the test fails here."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        inside = set()
+        if os.path.basename(path) == "spectral.py":
+            (helper,) = [node for node in tree.body if isinstance(
+                node, ast.FunctionDef) and node.name == "_number"]
+            inside = {id(n) for n in ast.walk(helper)}
+            assert len(_number_tests(helper)) >= 3  # bool, Real, is_integer
+        found += ["%s:%d" % (os.path.basename(path), node.lineno)
+                  for node in _number_tests(tree) if id(node) not in inside]
+    assert found == []

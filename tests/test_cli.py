@@ -90,7 +90,7 @@ def test_config_builds_conjugate_pair(tmp_path):
     ("discretization", "max_mode", 4.7,
      "discretization: max_mode must be a whole number, got 4.7"),
     ("discretization", "max_mode", float("inf"),
-     "discretization: cannot convert float infinity to integer"),
+     "discretization: max_mode must be a whole number, got inf"),
     ("discretization", "grid_size", 32.5,
      "discretization: grid_size must be a whole number, got 32.5"),
     ("stepping", "record_every", 2.5,
@@ -203,16 +203,29 @@ def test_simulate_smoke(tmp_path, capsys):
     assert float(got[2]) == 0.05 < float(got[1])
 
 
+def _run_warnings(out, last):
+    """The stderr of a simulate run into `out` from an x0 at or above
+    k(0): one `warning:` line for the threshold, then one for `last`, with
+    the run's x0 as %(x0).3e."""
+    x0 = evolution.TrajectoryRecord.from_csv(out / "trajectory.csv").x0
+    k = cli.k_threshold(0.0)["k"]
+    return ("warning: initial deviation norm %.3e is not below the certified "
+            "threshold %.3e; the decay certificate does not apply\n"
+            "warning: %s\n" % (x0, k, last % {"x0": x0}))
+
+
 def test_simulate_degenerate_exits_2(tmp_path, capsys):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["initial"]["modes"] = [[2, 0.45, 0.0, 0.0, -0.45]]
     cfg["stepping"]["arc_chord_floor"] = 0.5
-    with pytest.warns(RuntimeWarning):
-        code = cli.main(["simulate", "--config",
-                         write_config(tmp_path, cfg),
-                         "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)])
     assert code == 2
-    assert "DEGENERATE" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "DEGENERATE" in captured.out
+    assert captured.err == _run_warnings(
+        out, "constants chain out of regime at x0 = %(x0).3e")
 
 
 def test_trajectory_of_a_curve_degenerate_at_t0_reads_back(tmp_path, capsys):
@@ -225,9 +238,8 @@ def test_trajectory_of_a_curve_degenerate_at_t0_reads_back(tmp_path, capsys):
                       "modes": [[1, 0.0, -0.5, 0.0, 0.0],
                                 [2, 0.0, 0.0, 0.0, -0.5]]}
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning):
-        code = cli.main(["simulate", "--config", write_config(tmp_path, cfg),
-                         "--out", str(out)])
+    code = cli.main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)])
     assert code == 2
     rec = TrajectoryRecord.from_csv(out / "trajectory.csv")
     for name in CSV_HEADER.split(","):
@@ -236,7 +248,10 @@ def test_trajectory_of_a_curve_degenerate_at_t0_reads_back(tmp_path, capsys):
     assert comment == "# x0=%r script_C=%r failure=%r" % (
         rec.x0, rec.script_C, rec.failure)
     assert rec.x0 > 0 and rec.failure.startswith("arc-chord constant")
-    assert "DEGENERATE: %s\n" % rec.failure in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "DEGENERATE: %s\n" % rec.failure in captured.out
+    assert captured.err == _run_warnings(
+        out, "constants chain out of regime at x0 = %(x0).3e")
 
 
 def test_simulate_to_a_tiny_t_final_exits_0(tmp_path, capsys):
@@ -256,12 +271,14 @@ def test_simulate_above_the_threshold_skips_the_certificate(tmp_path, capsys):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["initial"]["modes"] = [[2, 1e-2, 1e-2, 1e-2, 1e-2]]
     cfg["stepping"]["t_final"] = 2e-3
-    with pytest.warns(RuntimeWarning):
-        code = cli.main(["simulate", "--config", write_config(tmp_path, cfg),
-                         "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)])
     assert code == 0
-    assert ("certificate skipped: no positive margin at x0 = "
-            in capsys.readouterr().out)
+    captured = capsys.readouterr()
+    assert "certificate skipped: no positive margin at x0 = " in captured.out
+    assert captured.err == _run_warnings(
+        out, "dissipation margin is not positive")
 
 
 def test_simulate_exits_3_when_the_certificate_fails(tmp_path, capsys,

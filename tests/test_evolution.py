@@ -543,8 +543,10 @@ def test_energy_lhs_is_the_trapezoid_balance():
 def test_stepper_config_takes_only_whole_record_every(value):
     """record_every is a whole number >= 1: 2.5 used to record every 5th
     step, NaN only the first and last rows, and True every step."""
-    with pytest.raises(ValueError, match="record_every must be a whole number"
-                                         " >= 1, got %s" % re.escape(repr(value))):
+    kind = ("a number" if isinstance(value, (bool, str)) else
+            "a whole number >= 1" if value == 0 else "a whole number")
+    with pytest.raises(ValueError, match="^record_every must be %s, got %s$"
+                       % (kind, re.escape(repr(value)))):
         pk.StepperConfig(dt=1e-3, t_final=1.0, record_every=value)
     assert pk.StepperConfig(dt=1e-3, t_final=1.0, record_every=5.0)
 
@@ -586,10 +588,57 @@ def test_number_fields_refuse_bools_and_non_reals(field, build, good):
     (a step of 1, k0 = True, band 1) and a string raised a bare TypeError.
     numpy's floats and ints pass."""
     for bad in (True, False, str(good), complex(good)):
-        with pytest.raises(ValueError, match="^%s must be a real number, got %s$"
+        with pytest.raises(ValueError, match="^%s must be a number, got %s$"
                            % (field, re.escape(repr(bad)))):
             build(bad)
     build(np.float64(good))
+
+
+_CURVE = np.zeros((17, 2), dtype=complex)  # M = 8
+_NUMBER_INPUTS = {
+    "FourierCurve grid_size": lambda v: pk.FourierCurve(_CURVE, v),
+    "circle_curve max_mode": lambda v: pk.circle_curve(max_mode=v),
+    "margin x": lambda v: pk.margin(v, 0.0),
+    "margin a_mu": lambda v: pk.margin(1e-4, v),
+    "margin nu_m": lambda v: pk.margin(1e-4, 0.0, v, 1.0),
+    "constants_chain x": lambda v: pk.constants_chain(v),
+    "constants_chain a_mu": lambda v: pk.constants_chain(1e-4, v),
+    "constants_chain nu_m": lambda v: pk.constants_chain(1e-4, 0.0, v),
+}
+
+
+_REFUSALS = [
+    ("FourierCurve grid_size", 64.5, "a whole number"),
+    ("FourierCurve grid_size", "64", "a number"),
+    ("FourierCurve grid_size", True, "a number"),
+    ("circle_curve max_mode", 0, "a whole number >= 1"),
+    ("circle_curve max_mode", 2.7, "a whole number"),
+    ("circle_curve max_mode", True, "a number"),
+] + [(where, bad, "a number") for where in list(_NUMBER_INPUTS)[2:]
+     for bad in (False, "1e-4")]
+
+
+@pytest.mark.parametrize("where, bad, kind", [
+    pytest.param(*row, id="%s=%r" % (row[0].replace(" ", "."), row[1]))
+    for row in _REFUSALS])
+def test_curves_and_constants_refuse_non_numbers(where, bad, kind):
+    """A curve's grid size and band and the constants chain's point go
+    through the one number check: 64.5 used to run on a 64-point grid, a
+    band below 1, 2.7 or True built another band, "64" raised a bare
+    TypeError, and margin(False, 0.0) returned 1.0."""
+    name = where.split()[1]
+    with pytest.raises(ValueError, match="^%s must be %s, got %s$"
+                       % (name, kind, re.escape(repr(bad)))):
+        _NUMBER_INPUTS[where](bad)
+
+
+def test_the_number_check_converts_numpy_numbers_exactly():
+    curve = pk.FourierCurve(_CURVE, np.int64(64))
+    assert type(curve.grid_size) is int and curve.grid_size == 64
+    assert pk.circle_curve(max_mode=np.int32(3)).max_mode == 3
+    assert pk.circle_curve(max_mode=3.0).max_mode == 3
+    assert pk.margin(np.float64(1e-4), np.float32(0.5)) == \
+        pk.margin(1e-4, float(np.float32(0.5)))
 
 
 def test_at_or_above_the_threshold_the_run_only_warns():

@@ -120,3 +120,22 @@ def test_velocity_field_warns_near_interface():
     with pytest.raises(pk.SingularEvaluation):
         xs = pk.synthesize(curve)
         pk.eval_velocity_field(xs[3], curve, force)
+
+
+def test_velocity_field_is_bitwise_the_stokeslet_quadrature():
+    """One modulus table serves the clearance check and the Stokeslet: the
+    velocities are bit for bit those of G(x) = (-log|x| I + x x^T/|x|^2)/4pi
+    taken from a modulus of its own, summed against the force."""
+    rng = np.random.default_rng(5)
+    c = hermitize(rng.normal(size=(17, 2)) + 1j * rng.normal(size=(17, 2)))
+    curve = pk.FourierCurve(0.01 * c + pk.circle_curve(max_mode=8).coeffs, 32)
+    force = rng.normal(size=(32, 2))
+    points = np.array([[3.0, 0.5], [-0.2, 0.1], [0.0, -2.5]])
+    x = points[:, None, :] - pk.synthesize(curve)[None, :, :]
+    r = np.sqrt(np.einsum("...i,...i->...", x, x))
+    g = (-np.log(r)[..., None, None] * np.eye(2)
+         + x[..., :, None] * x[..., None, :] / (r**2)[..., None, None])
+    want = np.tensordot(g / (4.0 * np.pi), force, ([1, 3], [0, 1])) * (
+        2.0 * np.pi / 32)
+    got = pk.eval_velocity_field(points, curve, force)
+    assert np.array_equal(got, want)

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -251,6 +252,21 @@ def test_property_long_products_keep_the_row_budget(lead, bs, half_cos):
         _assert_within_budget(cache)
 
 
+def test_a_grid_larger_than_the_budget_is_not_kept():
+    """One quadrature on 2^22 nodes builds a node grid and two factor rows
+    each larger than the whole budget: none of them stays cached (the grid
+    used to, about 100 MB, for the rest of the process)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pk.integral_Sn_quadrature([2000001, -2000000])
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 * multipliers._TABLE_VALUES, kept
+    _assert_within_budget(multipliers._ROWS)
+
+
 def test_cached_rows_refuse_writes():
     multipliers._product_quadrature(3, [2, -5], True)
     rows = list(multipliers._ROWS.rows.values())
@@ -338,16 +354,18 @@ _NOT_WHOLE = [2.9, 1.7, True, np.bool_(False), "3", float("nan"),
 @pytest.mark.parametrize("bad", _NOT_WHOLE, ids=repr)
 def test_fractional_or_non_numeric_frequencies_are_refused(bad):
     calls = [
-        lambda: pk.integral_In(bad, (1, -1)),
-        lambda: pk.integral_In(2, (bad, -1)),
-        lambda: pk.integral_Sn_exact((3, bad)),
-        lambda: pk.integral_Sn_quadrature((bad, 1)),
-        lambda: pk.integral_S1_closed(bad, 1),
-        lambda: pk.integral_S1_closed(3, bad),
+        ("k", lambda: pk.integral_In(bad, (1, -1))),
+        ("frequency", lambda: pk.integral_In(2, (bad, -1))),
+        ("frequency", lambda: pk.integral_Sn_exact((3, bad))),
+        ("frequency", lambda: pk.integral_Sn_quadrature((bad, 1))),
+        ("k1", lambda: pk.integral_S1_closed(bad, 1)),
+        ("k2", lambda: pk.integral_S1_closed(3, bad)),
     ]
-    for call in calls:
-        with pytest.raises(ValueError, match="frequencies must be whole "
-                                             "numbers, got "):
+    # a float is a number, refused as not whole; the rest are no numbers
+    kind = "a whole number" if isinstance(bad, float) else "a number"
+    for name, call in calls:
+        with pytest.raises(ValueError, match="^%s must be %s, got %s$"
+                           % (name, kind, re.escape(repr(bad)))):
             call()
 
 
