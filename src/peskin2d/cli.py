@@ -176,9 +176,10 @@ def load_config(path):
 def cmd_simulate(args):
     params, curve, stepper = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings():  # each warning of run as one line
+        warnings.showwarning = lambda message, *_: print(
+            "warning: %s" % message, file=sys.stderr)
         rec = evolution.run(curve, params, stepper)
-    sys.stderr.writelines("warning: %s\n" % w.message for w in caught)
     rec.to_csv(os.path.join(args.out, "trajectory.csv"))
     evolution.write_final_state(
         os.path.join(args.out, "final_state.txt"), rec.final_state

@@ -121,8 +121,10 @@ class StepperConfig:
     arc_chord_floor: float = 0.05
 
     def __post_init__(self):
-        for name in ("dt", "t_final", "nu_max", "arc_chord_floor"):
-            _number(getattr(self, name), name)
+        for name in ("dt", "t_final", "nu_max", "arc_chord_floor",
+                     "record_every"):  # stored as floats, record_every an int
+            object.__setattr__(self, name, _number(
+                getattr(self, name), name, name == "record_every"))
         if not (0 < self.dt < math.inf and 0 < self.t_final < math.inf):
             raise ValueError("dt and t_final must be positive and finite")
         if not math.isfinite(self.t_final / self.dt):
@@ -130,7 +132,7 @@ class StepperConfig:
                              "t_final = %r" % (self.dt, self.t_final))
         if self.scheme not in ("exponential-euler", "etdrk2"):
             raise ValueError("scheme must be 'exponential-euler' or 'etdrk2'")
-        if _number(self.record_every, "record_every", whole=True) < 1:
+        if self.record_every < 1:
             raise ValueError("record_every must be a whole number >= 1, got %r"
                              % (self.record_every,))
         if not (0 <= self.nu_max < math.inf

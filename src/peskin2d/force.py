@@ -85,8 +85,8 @@ class PhysicsParams:
     k0: float
 
     def __post_init__(self):
-        for name in ("mu1", "mu2", "k0"):
-            _number(getattr(self, name), name)
+        for name in ("mu1", "mu2", "k0"):  # stored as floats
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         if not (0 < self.mu1 < math.inf and 0 < self.mu2 < math.inf):
             raise ValueError("viscosities must be positive and finite")
         if not 0 < self.k0 < math.inf:

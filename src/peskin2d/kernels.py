@@ -43,10 +43,8 @@ def _stokeslet(x, r):
     """G(x) from the float array x and its modulus r = |x|."""
     if np.any(r == 0.0):
         raise SingularEvaluation("stokeslet evaluated at zero separation")
-    outer = x[..., :, None] * x[..., None, :]
-    eye = np.eye(2)
-    g = -np.log(r)[..., None, None] * eye + outer / (r**2)[..., None, None]
-    return g / (4.0 * np.pi)
+    outer = x[..., :, None] * x[..., None, :] / (r**2)[..., None, None]
+    return (outer - np.log(r)[..., None, None] * np.eye(2)) / (4.0 * np.pi)
 
 
 def log_convolve(f):

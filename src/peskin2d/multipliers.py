@@ -39,7 +39,8 @@ import numpy as np
 
 from .spectral import _number, theta_grid
 
-_TABLE_VALUES = 1 << 16  # values the table cache _ROWS holds at most
+_TABLE_VALUES = 1 << 16  # factor-row values the row cache holds at most
+_GRIDS = {}  # n -> _grid(n)
 
 
 def _nodes_for(fmax):
@@ -50,49 +51,49 @@ def _nodes_for(fmax):
 
 
 def _grid(n):
-    """Rows (eta, sin(eta/2), cos(eta/2)) on the n trapezoid nodes of
-    [-pi, pi).  eta is exactly 0 at index n/2 (n is a power of two); there
+    """Read-only rows (eta, sin(eta/2), cos(eta/2)) on the n trapezoid nodes
+    of [-pi, pi), kept when 3 n <= _TABLE_VALUES (n a power of two: under
+    2 _TABLE_VALUES values in all).  eta is exactly 0 at index n/2; there
     sin(eta/2) holds 1 in place of 0, and the caller writes the limit."""
-    eta = theta_grid(n)
-    grid = np.stack([eta, np.sin(0.5 * eta), np.cos(0.5 * eta)])
-    grid[1, n // 2] = 1.0
+    grid = _GRIDS.get(n)
+    if grid is None:
+        eta = theta_grid(n)
+        grid = np.stack([eta, np.sin(0.5 * eta), np.cos(0.5 * eta)])
+        grid[1, n // 2] = 1.0
+        grid.flags.writeable = False
+        grid = tuple(grid)  # its three rows, read-only views
+        if 3 * n <= _TABLE_VALUES:
+            _GRIDS[n] = grid
     return grid
 
 
-def _factor_row(b, n, divided):
-    """s_b = sin(b eta/2)/sin(eta/2) on the n-node grid, with the eta = 0
-    limit b, divided by b when `divided`."""
-    eta, sin_half, _ = _ROWS.get((n,), _grid)
-    row = np.sin(np.multiply(0.5 * b, eta))
-    row /= sin_half
-    row[n // 2] = b
-    if divided:
-        row /= b
-    return row
-
-
 class _RowCache:
-    """Read-only tables, each built on first use by `build(*key)` and kept
-    under its key, up to _TABLE_VALUES values in all, the least recently
-    used out first; a table larger than that is built and not kept.  The
-    keys are (n,) for a `_grid` and (b, n, divided) for a `_factor_row`."""
+    """Factor rows s_b = sin(b eta/2)/sin(eta/2) on the n-node grid, with
+    the eta = 0 limit b, divided by b when `divided`; each read-only row is
+    built on first use and kept under the key (b, n, divided), up to
+    _TABLE_VALUES values in all, the least recently used row out first."""
 
     def __init__(self):
         self.rows = collections.OrderedDict()
         self.values = 0
 
-    def get(self, key, build):
+    def row(self, b, n, divided, grid):
+        key = (b, n, divided)
         row = self.rows.get(key)
         if row is not None:
             self.rows.move_to_end(key)
             return row
-        row = build(*key)
+        row = np.sin(np.multiply(0.5 * b, grid[0]))
+        row /= grid[1]
+        row[n // 2] = b
+        if divided:
+            row /= b
         row.flags.writeable = False
-        if row.size <= _TABLE_VALUES:
-            while self.values + row.size > _TABLE_VALUES:
+        if n <= _TABLE_VALUES:
+            while self.values + n > _TABLE_VALUES:
                 self.values -= self.rows.popitem(last=False)[1].size
             self.rows[key] = row
-            self.values += row.size
+            self.values += n
         return row
 
 
@@ -104,16 +105,16 @@ def _product_quadrature(lead, bs, half_cos):
     [-pi, pi), with enough nodes to be exact for the integrand's bandwidth
     (`half_cos` adds the cos(eta/2) factor, which raises it by 1/2).
 
-    The factor rows come from _ROWS and are multiplied, in order, into one
-    accumulator of n values.  lead and every b must be nonzero."""
+    The factor rows come from _ROWS off one grid and are multiplied, in
+    order, into one accumulator of n values.  lead and every b != 0."""
     fmax = 0.5 * (sum(abs(b) for b in bs) + abs(lead)) - 0.5 * len(bs) - 0.5
     if half_cos:
         fmax += 0.5
     n = _nodes_for(int(math.ceil(fmax)))
-    vals = _ROWS.get((lead, n, False), _factor_row) * (
-        _ROWS.get((n,), _grid)[2] if half_cos else 1.0)
+    grid, row = _grid(n), _ROWS.row
+    vals = row(lead, n, False, grid) * (grid[2] if half_cos else 1.0)
     for b in bs:
-        vals *= _ROWS.get((b, n, True), _factor_row)
+        vals *= row(b, n, True, grid)
     return float(vals.sum()) * (2.0 * np.pi / n)
 
 

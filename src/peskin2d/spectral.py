@@ -48,8 +48,8 @@ class CurveDegenerateError(RuntimeError):
 
 def _number(value, name, whole=False):
     """The package's one number check: `value` as a float, or an int when
-    `whole`; a one-line ValueError naming `name` for a bool, a non-real and,
-    when `whole`, a non-finite or fractional value."""
+    `whole`; a one-line ValueError naming `name` for a bool, a non-real, an
+    overflow or, when `whole`, a non-finite or fractional value."""
     if type(value) is (int if whole else float):
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -57,8 +57,8 @@ def _number(value, name, whole=False):
     if not whole:
         try:
             return float(value)
-        except OverflowError:  # an int beyond the floats: +-inf, out of range
-            return math.inf if value > 0 else -math.inf
+        except OverflowError:  # e.g. a 400-digit int, too long to echo
+            raise ValueError("%s is too large for a float" % name) from None
     if math.isfinite(value) and float(value).is_integer():
         return int(value)  # exact for numpy integers too
     raise ValueError("%s must be a whole number, got %r" % (name, value))
@@ -364,10 +364,8 @@ def circle_decompose(curve):
 
 def enclosed_area(curve):
     """Signed area from the coefficients:  2*pi*sum_k k Im[c1(k) conj(c2(k))]."""
-    ks = curve.ks
-    c1 = curve.coeffs[:, 0]
-    c2 = curve.coeffs[:, 1]
-    return float(2.0 * np.pi * np.sum(ks * np.imag(c1 * np.conj(c2))))
+    c1, c2 = curve.coeffs.T
+    return float(2.0 * np.pi * np.sum(curve.ks * np.imag(c1 * np.conj(c2))))
 
 
 def arc_chord_constant(curve):

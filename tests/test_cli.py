@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,17 @@ def test_config_builds_conjugate_pair(tmp_path):
     ("stepping", "dt", 1e-320,
      "stepping: t_final / dt must be finite, got dt = 1e-320 and "
      "t_final = 0.05"),
+] + [
+    # a 400-digit JSON integer holds no float: refused, not taken as inf
+    pytest.param(section, key, value, "%s: %s is too large for a "
+                 "float" % (section, name), id="%s-%s-huge" % (section, name))
+    for section, key, value, name in [
+        ("physics", "mu1", 10 ** 400, "mu1"),
+        ("physics", "a_mu", -10 ** 400, "a_mu"),
+        ("stepping", "nu_max", 10 ** 400, "nu_max"),
+        ("initial", "circle", {"a": 10 ** 400}, "circle.a"),
+        ("initial", "modes", [[2, 10 ** 400, 0, 0, 0]], "modes row entry"),
+    ]
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, key, value,
                                       match):
@@ -279,6 +291,20 @@ def test_simulate_above_the_threshold_skips_the_certificate(tmp_path, capsys):
     assert "certificate skipped: no positive margin at x0 = " in captured.out
     assert captured.err == _run_warnings(
         out, "dissipation margin is not positive")
+
+
+def test_simulate_prints_the_warnings_of_a_run_that_raises(tmp_path, capsys,
+                                                          monkeypatch):
+    def run(curve, params, stepper):
+        warnings.warn("first", RuntimeWarning)
+        warnings.warn("second", RuntimeWarning)
+        raise force.SolverError("stub failure")
+
+    monkeypatch.setattr(evolution, "run", run)
+    with pytest.raises(force.SolverError, match="stub failure"):
+        cli.main(["simulate", "--config", write_config(tmp_path, BASE_CONFIG),
+                  "--out", str(tmp_path / "out")])
+    assert capsys.readouterr().err == "warning: first\nwarning: second\n"
 
 
 def test_simulate_exits_3_when_the_certificate_fails(tmp_path, capsys,

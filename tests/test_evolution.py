@@ -594,6 +594,27 @@ def test_number_fields_refuse_bools_and_non_reals(field, build, good):
     build(np.float64(good))
 
 
+def test_number_fields_keep_the_checked_values():
+    """The configs store what the number check returns, ints as floats and
+    a numpy record_every as an int; a 400-digit int, which no float holds,
+    is refused (it used to pass 0 < v < inf and overflow in the run)."""
+    p = pk.PhysicsParams(1, 2, 3)
+    assert [type(v) for v in (p.mu1, p.mu2, p.k0)] == [float] * 3
+    s = pk.StepperConfig(dt=1, t_final=2, record_every=np.int64(5), nu_max=0)
+    assert [type(v) for v in (s.dt, s.t_final, s.nu_max)] == [float] * 3
+    assert type(s.record_every) is int and s.record_every == 5
+    for field, build in [
+            ("mu1", lambda v: pk.PhysicsParams(v, 1.0, 1.0)),
+            ("k0", lambda v: pk.PhysicsParams(1.0, 1.0, v)),
+            ("a_mu", lambda v: pk.PhysicsParams.from_contrast(v, 1.0)),
+            ("dt", lambda v: pk.StepperConfig(dt=v, t_final=1.0)),
+            ("nu_max", lambda v: pk.StepperConfig(dt=1e-3, t_final=1.0,
+                                                  nu_max=v))]:
+        with pytest.raises(ValueError, match="^%s is too large for a "
+                                             "float$" % field):
+            build(10 ** 400)
+
+
 _CURVE = np.zeros((17, 2), dtype=complex)  # M = 8
 _NUMBER_INPUTS = {
     "FourierCurve grid_size": lambda v: pk.FourierCurve(_CURVE, v),

@@ -265,6 +265,23 @@ def test_a_grid_larger_than_the_budget_is_not_kept():
         tracemalloc.stop()
     assert kept < 8 * multipliers._TABLE_VALUES, kept
     _assert_within_budget(multipliers._ROWS)
+    assert 1 << 22 not in multipliers._GRIDS
+    assert sum(row.size for grid in multipliers._GRIDS.values()
+               for row in grid) < 2 * multipliers._TABLE_VALUES
+
+
+def test_a_quadrature_builds_at_most_one_grid(monkeypatch):
+    """Every factor row of one quadrature comes from one node grid, also
+    when the grid (2^17 nodes here) is too large to keep."""
+    built = []
+    theta_grid = multipliers.theta_grid
+    monkeypatch.setattr(multipliers, "theta_grid",
+                        lambda n: built.append(n) or theta_grid(n))
+    lead, bs = 40001, [30000, -7, 11, 30000]
+    with _cold_rows():
+        got = multipliers._product_quadrature(lead, bs, True)
+    assert built == [1 << 17]
+    assert got == _loop_quadrature(lead, bs, True)
 
 
 def test_cached_rows_refuse_writes():
