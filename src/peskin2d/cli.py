@@ -147,9 +147,8 @@ def load_config(path):
 
     with _section("initial"):
         init = cfg.get("initial", {})
-        circ = {k: _number(v, "circle." + k)
-                for k, v in init.get("circle", {}).items()}
-        base = spectral.circle_curve(**circ, max_mode=m, grid_size=n)
+        base = spectral.circle_curve(**init.get("circle", {}), max_mode=m,
+                                     grid_size=n)
         coeffs = base.coeffs.copy()
         for row in init.get("modes", []):
             if not isinstance(row, list) or len(row) != 5:

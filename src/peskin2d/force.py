@@ -91,6 +91,12 @@ class PhysicsParams:
             raise ValueError("viscosities must be positive and finite")
         if not 0 < self.k0 < math.inf:
             raise ValueError("elastic modulus must be positive and finite")
+        if not -1.0 < self.a_mu < 1.0:
+            raise ValueError("viscosities give a_mu = %r, outside (-1, 1)"
+                             % self.a_mu)
+        if not 0 < self.a_e < math.inf:
+            raise ValueError("k0 / (mu1 + mu2) gives a_e = %r, not positive "
+                             "and finite" % self.a_e)
 
     @classmethod
     def from_contrast(cls, a_mu, a_e):

@@ -32,15 +32,15 @@ and B_{2n-1} = |sigma|.  Since T <= prod_{j=1}^{2n-1} B_j, every |I'_n|
 (and by the same counting |I_n|) is bounded by 2 pi.
 """
 
-import collections
+import functools
 import math
 
 import numpy as np
 
 from .spectral import _number, theta_grid
 
-_TABLE_VALUES = 1 << 16  # factor-row values the row cache holds at most
-_GRIDS = {}  # n -> _grid(n)
+_CACHED_NODES = 256  # grids and factor rows of up to this many nodes are kept
+_CACHED_VALUES = 1 << 17  # factor-row values kept at most (1 MB)
 
 
 def _nodes_for(fmax):
@@ -50,54 +50,34 @@ def _nodes_for(fmax):
     return n
 
 
+@functools.lru_cache(maxsize=None)  # called for n <= _CACHED_NODES: 3 keys
 def _grid(n):
     """Read-only rows (eta, sin(eta/2), cos(eta/2)) on the n trapezoid nodes
-    of [-pi, pi), kept when 3 n <= _TABLE_VALUES (n a power of two: under
-    2 _TABLE_VALUES values in all).  eta is exactly 0 at index n/2; there
-    sin(eta/2) holds 1 in place of 0, and the caller writes the limit."""
-    grid = _GRIDS.get(n)
-    if grid is None:
-        eta = theta_grid(n)
-        grid = np.stack([eta, np.sin(0.5 * eta), np.cos(0.5 * eta)])
-        grid[1, n // 2] = 1.0
-        grid.flags.writeable = False
-        grid = tuple(grid)  # its three rows, read-only views
-        if 3 * n <= _TABLE_VALUES:
-            _GRIDS[n] = grid
-    return grid
+    of [-pi, pi).  eta is exactly 0 at index n/2; there sin(eta/2) holds 1
+    in place of 0, and the row builder writes the limit."""
+    eta = theta_grid(n)
+    grid = np.stack([eta, np.sin(0.5 * eta), np.cos(0.5 * eta)])
+    grid[1, n // 2] = 1.0
+    grid.flags.writeable = False
+    return tuple(grid)  # its three rows, read-only views
 
 
-class _RowCache:
-    """Factor rows s_b = sin(b eta/2)/sin(eta/2) on the n-node grid, with
-    the eta = 0 limit b, divided by b when `divided`; each read-only row is
-    built on first use and kept under the key (b, n, divided), up to
-    _TABLE_VALUES values in all, the least recently used row out first."""
-
-    def __init__(self):
-        self.rows = collections.OrderedDict()
-        self.values = 0
-
-    def row(self, b, n, divided, grid):
-        key = (b, n, divided)
-        row = self.rows.get(key)
-        if row is not None:
-            self.rows.move_to_end(key)
-            return row
-        row = np.sin(np.multiply(0.5 * b, grid[0]))
-        row /= grid[1]
-        row[n // 2] = b
-        if divided:
-            row /= b
-        row.flags.writeable = False
-        if n <= _TABLE_VALUES:
-            while self.values + n > _TABLE_VALUES:
-                self.values -= self.rows.popitem(last=False)[1].size
-            self.rows[key] = row
-            self.values += n
-        return row
+def _row(b, n, divided, grid):
+    """The read-only factor row s_b = sin(b eta/2)/sin(eta/2) on the n-node
+    `grid`, with the eta = 0 limit b, divided by b when `divided`."""
+    row = np.sin(np.multiply(0.5 * b, grid[0]))
+    row /= grid[1]
+    row[n // 2] = b
+    if divided:
+        row /= b
+    row.flags.writeable = False
+    return row
 
 
-_ROWS = _RowCache()
+@functools.lru_cache(maxsize=_CACHED_VALUES // _CACHED_NODES)
+def _cached_row(b, n, divided):
+    """`_row` on the kept grid of n <= _CACHED_NODES nodes."""
+    return _row(b, n, divided, _grid(n))
 
 
 def _product_quadrature(lead, bs, half_cos):
@@ -105,16 +85,20 @@ def _product_quadrature(lead, bs, half_cos):
     [-pi, pi), with enough nodes to be exact for the integrand's bandwidth
     (`half_cos` adds the cos(eta/2) factor, which raises it by 1/2).
 
-    The factor rows come from _ROWS off one grid and are multiplied, in
-    order, into one accumulator of n values.  lead and every b != 0."""
+    The factor rows, all off one grid, are multiplied in order into one
+    accumulator of n values.  Up to _CACHED_NODES nodes the grid and rows
+    are the cached ones; above, the grid and rows are built for this call
+    and dropped.  lead and every b != 0."""
     fmax = 0.5 * (sum(abs(b) for b in bs) + abs(lead)) - 0.5 * len(bs) - 0.5
     if half_cos:
         fmax += 0.5
     n = _nodes_for(int(math.ceil(fmax)))
-    grid, row = _grid(n), _ROWS.row
-    vals = row(lead, n, False, grid) * (grid[2] if half_cos else 1.0)
+    cached = n <= _CACHED_NODES
+    grid = _grid(n) if cached else _grid.__wrapped__(n)  # the uncached build
+    row = _cached_row if cached else functools.partial(_row, grid=grid)
+    vals = row(lead, n, False) * (grid[2] if half_cos else 1.0)
     for b in bs:
-        vals *= row(b, n, True, grid)
+        vals *= row(b, n, True)
     return float(vals.sum()) * (2.0 * np.pi / n)
 
 

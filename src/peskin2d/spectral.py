@@ -31,6 +31,7 @@ the X frame (`_j_action`); to_Y / from_Y are the frame's public reference.
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +113,11 @@ class FourierCurve:
                 "grid_size %d cannot resolve modes up to %d (need >= %d)"
                 % (n, m, 2 * m + 1)
             )
+        if n > sys.maxsize:  # numpy indexes no more; too long to echo
+            raise ValueError("grid_size is larger than any array")
         object.__setattr__(self, "grid_size", n)
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         asym = np.max(np.abs(c - np.conj(c[::-1])))
         scale = max(1.0, np.max(np.abs(c)))
         if asym > 1e-8 * scale:
@@ -297,6 +302,11 @@ class CirclePart:
     b: float
     c: float
     d: float
+
+    def __post_init__(self):
+        for name in ("a", "b", "c", "d"):  # stored as floats
+            value = _number(getattr(self, name), "circle." + name)
+            object.__setattr__(self, name, value)
 
     @property
     def radius(self):

@@ -137,6 +137,20 @@ def test_config_builds_conjugate_pair(tmp_path):
     ("stepping", "dt", 1e-320,
      "stepping: t_final / dt must be finite, got dt = 1e-320 and "
      "t_final = 0.05"),
+    ("initial", "modes", [[2, float("inf"), 0, 0, 0]],
+     "initial: coefficients must be finite"),
+    ("initial", "circle", {"c": float("inf")},
+     "initial: coefficients must be finite"),
+    ("physics", None, {"mu1": 1e300, "mu2": 1e-300, "k0": 1.0},
+     "physics: viscosities give a_mu = -1.0, outside \\(-1, 1\\)"),
+    ("physics", None, {"mu1": 1e300, "mu2": 1e300, "k0": 1e-300},
+     "physics: k0 / \\(mu1 \\+ mu2\\) gives a_e = 0.0, not positive"),
+    pytest.param("discretization", "grid_size", sys.maxsize + 1,
+                 "initial: grid_size is larger than any array$",
+                 id="discretization-grid_size-maxsize+1"),
+    pytest.param("discretization", "grid_size", 10 ** 400,
+                 "initial: grid_size is larger than any array$",
+                 id="discretization-grid_size-huge"),
 ] + [
     # a 400-digit JSON integer holds no float: refused, not taken as inf
     pytest.param(section, key, value, "%s: %s is too large for a "
@@ -152,9 +166,12 @@ def test_config_builds_conjugate_pair(tmp_path):
 def test_bad_values_are_config_errors(tmp_path, capsys, section, key, value,
                                       match):
     cfg = json.loads(json.dumps(BASE_CONFIG))
-    if key in ("mu1", "mu2", "k0"):
-        cfg["physics"] = {"mu1": 0.5, "mu2": 0.5, "k0": 1.0}
-    cfg[section][key] = value
+    if key is None:  # the whole section
+        cfg[section] = value
+    else:
+        if key in ("mu1", "mu2", "k0"):
+            cfg["physics"] = {"mu1": 0.5, "mu2": 0.5, "k0": 1.0}
+        cfg[section][key] = value
     path = write_config(tmp_path, cfg)   # json writes NaN for float("nan")
     with pytest.raises(cli.ConfigError, match=match):
         cli.load_config(path)

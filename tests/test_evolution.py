@@ -619,6 +619,10 @@ _CURVE = np.zeros((17, 2), dtype=complex)  # M = 8
 _NUMBER_INPUTS = {
     "FourierCurve grid_size": lambda v: pk.FourierCurve(_CURVE, v),
     "circle_curve max_mode": lambda v: pk.circle_curve(max_mode=v),
+    "circle_curve circle.a": lambda v: pk.circle_curve(a=v),
+    "circle_curve circle.b": lambda v: pk.circle_curve(b=v),
+    "CirclePart circle.c": lambda v: pk.CirclePart(1.0, 0.0, v, 0.0),
+    "CirclePart circle.d": lambda v: pk.CirclePart(1.0, 0.0, 0.0, v),
     "margin x": lambda v: pk.margin(v, 0.0),
     "margin a_mu": lambda v: pk.margin(1e-4, v),
     "margin nu_m": lambda v: pk.margin(1e-4, 0.0, v, 1.0),
@@ -635,6 +639,8 @@ _REFUSALS = [
     ("circle_curve max_mode", 0, "a whole number >= 1"),
     ("circle_curve max_mode", 2.7, "a whole number"),
     ("circle_curve max_mode", True, "a number"),
+    ("circle_curve circle.a", True, "a number"),
+    ("CirclePart circle.d", 1j, "a number"),
 ] + [(where, bad, "a number") for where in list(_NUMBER_INPUTS)[2:]
      for bad in (False, "1e-4")]
 
@@ -646,7 +652,9 @@ def test_curves_and_constants_refuse_non_numbers(where, bad, kind):
     """A curve's grid size and band and the constants chain's point go
     through the one number check: 64.5 used to run on a 64-point grid, a
     band below 1, 2.7 or True built another band, "64" raised a bare
-    TypeError, and margin(False, 0.0) returned 1.0."""
+    TypeError, and margin(False, 0.0) returned 1.0.  A circle's a, b, c, d
+    too: circle_curve(a=True) built the unit circle and a="1.0" raised a
+    bare TypeError."""
     name = where.split()[1]
     with pytest.raises(ValueError, match="^%s must be %s, got %s$"
                        % (name, kind, re.escape(repr(bad)))):
@@ -658,6 +666,10 @@ def test_the_number_check_converts_numpy_numbers_exactly():
     assert type(curve.grid_size) is int and curve.grid_size == 64
     assert pk.circle_curve(max_mode=np.int32(3)).max_mode == 3
     assert pk.circle_curve(max_mode=3.0).max_mode == 3
+    circle = pk.CirclePart(1, np.float32(0.5), np.int64(-2), 0.25)
+    assert [type(v) for v in (circle.a, circle.b, circle.c, circle.d)] == \
+        [float] * 4
+    assert (circle.a, circle.b, circle.c, circle.d) == (1.0, 0.5, -2.0, 0.25)
     assert pk.margin(np.float64(1e-4), np.float32(0.5)) == \
         pk.margin(1e-4, float(np.float32(0.5)))
 

@@ -52,6 +52,14 @@ def test_params_validation():
     for a_e in (np.inf, np.nan):
         with pytest.raises(ValueError):
             pk.PhysicsParams.from_contrast(0.2, a_e)
+    # positive, finite values whose a_mu is +-1 or a_e 0 in floats used to
+    # construct, and the constants chain raised inside run
+    for mu1, mu2 in ((1e300, 1e-300), (1e-300, 1e300), (1.0, 1e-17)):
+        with pytest.raises(ValueError, match="^viscosities give a_mu = "
+                                             "-?1.0, outside"):
+            pk.PhysicsParams(mu1, mu2, 1.0)
+    with pytest.raises(ValueError, match="gives a_e = 0.0, not positive"):
+        pk.PhysicsParams(1e300, 1e300, 1e-300)
     p = pk.PhysicsParams(1.0, 3.0, 2.0)
     assert p.a_mu == pytest.approx(0.5)
     assert p.a_e == pytest.approx(0.5)

@@ -1,5 +1,3 @@
-import collections
-import contextlib
 import math
 import re
 import tracemalloc
@@ -27,13 +25,18 @@ def _s_ratio(b, eta):
     return np.where(np.abs(s) < 1e-12, float(b), vals)
 
 
-def _loop_quadrature(lead, bs, half_cos):
-    """The per-factor loop that `_product_quadrature` replaces: the reference
-    it must match bit for bit."""
+def _nodes(lead, bs, half_cos):
+    """The node count that integrates the product exactly."""
     fmax = 0.5 * (sum(abs(b) for b in bs) + abs(lead)) - 0.5 * len(bs) - 0.5
     if half_cos:
         fmax += 0.5
-    n = multipliers._nodes_for(int(np.ceil(fmax)))
+    return multipliers._nodes_for(int(np.ceil(fmax)))
+
+
+def _loop_quadrature(lead, bs, half_cos):
+    """The per-factor loop that `_product_quadrature` replaces: the reference
+    it must match bit for bit."""
+    n = _nodes(lead, bs, half_cos)
     eta = -np.pi + 2.0 * np.pi * np.arange(n) / n
     vals = _s_ratio(lead, eta)
     if half_cos:
@@ -173,7 +176,6 @@ def test_product_of_201_factors_holds_one_block_at_a_time():
     (lead, bs, half_cos), = [q for q in _quadratures(25, ks) if q[2]]
     assert len(bs) + 1 == 201
     want = _loop_quadrature(lead, bs, half_cos)
-    multipliers._product_quadrature(lead, bs, half_cos)  # caches the grid
     tracemalloc.start()
     try:
         got = multipliers._product_quadrature(lead, bs, half_cos)
@@ -181,116 +183,118 @@ def test_product_of_201_factors_holds_one_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert got == want
-    # one block and a few node vectors; the whole table would be 201 rows
-    # of 4096 nodes, about 12 blocks
-    assert peak < 1.5 * 8 * multipliers._TABLE_VALUES, peak
+    # the grid, one row and the accumulator; the whole table would be 201
+    # rows of 4096 nodes, 6.6 MB
+    assert peak < 1.5 * 8 * 2**16, peak
 
 
 # ------------------------------------------------------------- row cache
 
 
-class _BudgetedRows(collections.OrderedDict):
-    """Row storage that checks the cache's budget on every insert, the only
-    step at which the cache grows."""
-
-    def __setitem__(self, key, row):
-        super().__setitem__(key, row)
-        assert sum(r.size for r in self.values()) <= multipliers._TABLE_VALUES
+def _cold_caches():
+    multipliers._grid.cache_clear()
+    multipliers._cached_row.cache_clear()
 
 
-@contextlib.contextmanager
-def _cold_rows(budgeted=False):
-    """Run the block with an empty row cache (one that checks its budget on
-    every insert when `budgeted`), then put the module's own cache back."""
-    saved, multipliers._ROWS = multipliers._ROWS, multipliers._RowCache()
-    if budgeted:
-        multipliers._ROWS.rows = _BudgetedRows()
-    try:
-        yield multipliers._ROWS
-    finally:
-        multipliers._ROWS = saved
-
-
-def _assert_within_budget(cache):
-    assert cache.values == sum(r.size for r in cache.rows.values())
-    assert cache.values <= multipliers._TABLE_VALUES
+def _caches():
+    return multipliers._grid.cache_info(), multipliers._cached_row.cache_info()
 
 
 def test_cold_and_warm_rows_give_the_same_bits():
     rng = np.random.default_rng(23)
     args = [q for _ in range(300) for q in _quadratures(*_random_tuple(rng, 3, 20))]
-    with _cold_rows():
-        cold = [multipliers._product_quadrature(*a) for a in args]
-        warm = [multipliers._product_quadrature(*a) for a in args]
+    _cold_caches()
+    cold = [multipliers._product_quadrature(*a) for a in args]
+    warm = [multipliers._product_quadrature(*a) for a in args]
     assert cold == warm
-    assert cold == [multipliers._product_quadrature(*a) for a in args]
+    assert _caches()[1].hits > 0
 
 
 def test_row_cache_stays_within_its_budget():
+    """250 tuples of at most 6 frequencies in [-20, 20] (a verify batch)
+    need at most 256 nodes and under 512 distinct rows: the cache builds
+    each once and evicts none, and its rows hold at most 2^17 values.  A
+    200-frequency tuple, on more nodes, keeps nothing."""
     rng = np.random.default_rng(61)
     batch = [_random_tuple(rng, 3, 20) for _ in range(250)]
-    long_tuple = _random_tuple(np.random.default_rng(100), 100, 20)
-    with _cold_rows(budgeted=True) as cache:
-        for k, ks in batch + [long_tuple]:
+    keys = set()
+    for k, ks in batch:
+        for lead, bs, half_cos in _quadratures(k, ks):
+            n = _nodes(lead, bs, half_cos)
+            keys |= {(lead, n, False)} | {(b, n, True) for b in bs}
+    _cold_caches()
+    for _ in range(2):
+        for k, ks in batch:
             pk.integral_In(k, ks)
             pk.integral_Sn_quadrature(ks)
-            _assert_within_budget(cache)
-        assert len(cache.rows) > 0
-        # a row of 2^17 nodes is larger than the whole budget: built, not kept
-        big = multipliers._product_quadrature(40001, [30000], True)
-        assert big == _loop_quadrature(40001, [30000], True)
-        _assert_within_budget(cache)
+    grids, rows = _caches()
+    assert max(n for _, n, _ in keys) == multipliers._CACHED_NODES
+    assert rows.misses == rows.currsize == len(keys)
+    assert grids.misses == grids.currsize == 3  # 64, 128 and 256 nodes
+    assert sum(n for _, n, _ in keys) <= 2**17
+    assert rows.maxsize * multipliers._CACHED_NODES <= 2**17
+    k, ks = _random_tuple(np.random.default_rng(100), 100, 20)
+    pk.integral_In(k, ks)
+    pk.integral_Sn_quadrature(ks)
+    assert _caches() == (grids, rows)
 
 
 @settings(max_examples=10, deadline=None)
 @given(_nonzero_b, st.lists(_nonzero_b, min_size=100, max_size=200),
        st.booleans())
 def test_property_long_products_keep_the_row_budget(lead, bs, half_cos):
-    with _cold_rows(budgeted=True) as cache:
-        multipliers._product_quadrature(lead, bs, half_cos)
-        multipliers._product_quadrature(lead, bs, half_cos)
-        _assert_within_budget(cache)
+    # >= 1024 nodes, above the cached node counts: nothing is kept
+    before = _caches()
+    multipliers._product_quadrature(lead, bs, half_cos)
+    assert _caches() == before
 
 
 def test_a_grid_larger_than_the_budget_is_not_kept():
     """One quadrature on 2^22 nodes builds a node grid and two factor rows
-    each larger than the whole budget: none of them stays cached (the grid
-    used to, about 100 MB, for the rest of the process)."""
+    of 32 MB each: none of them stays cached (the grid used to, about
+    100 MB, for the rest of the process)."""
+    before = _caches()
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
+        start = tracemalloc.get_traced_memory()[0]
         pk.integral_Sn_quadrature([2000001, -2000000])
-        kept = tracemalloc.get_traced_memory()[0] - before
+        kept = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert kept < 8 * multipliers._TABLE_VALUES, kept
-    _assert_within_budget(multipliers._ROWS)
-    assert 1 << 22 not in multipliers._GRIDS
-    assert sum(row.size for grid in multipliers._GRIDS.values()
-               for row in grid) < 2 * multipliers._TABLE_VALUES
+    assert kept < 8 * 2**16, kept
+    assert _caches() == before
+    big = multipliers._product_quadrature(40001, [30000], True)
+    assert big == _loop_quadrature(40001, [30000], True)
+    assert _caches() == before
 
 
 def test_a_quadrature_builds_at_most_one_grid(monkeypatch):
-    """Every factor row of one quadrature comes from one node grid, also
-    when the grid (2^17 nodes here) is too large to keep."""
+    """Every factor row of one quadrature comes from one node grid, both
+    when the grid is built for the call (2^17 nodes) and when it is
+    cached (64 nodes)."""
     built = []
     theta_grid = multipliers.theta_grid
     monkeypatch.setattr(multipliers, "theta_grid",
                         lambda n: built.append(n) or theta_grid(n))
-    lead, bs = 40001, [30000, -7, 11, 30000]
-    with _cold_rows():
+    _cold_caches()
+    for lead, bs, nodes in [(40001, [30000, -7, 11, 30000], 1 << 17),
+                            (3, [2, -5, 7, 2], 64)]:
+        built.clear()
         got = multipliers._product_quadrature(lead, bs, True)
-    assert built == [1 << 17]
-    assert got == _loop_quadrature(lead, bs, True)
+        assert built == [nodes]
+        assert got == _loop_quadrature(lead, bs, True)
 
 
 def test_cached_rows_refuse_writes():
+    _cold_caches()
     multipliers._product_quadrature(3, [2, -5], True)
-    rows = list(multipliers._ROWS.rows.values())
-    assert rows
-    for row in rows:
+    assert _caches()[1].currsize == 3
+    rows = [multipliers._cached_row(b, 64, divided)
+            for b, divided in [(3, False), (2, True), (-5, True)]]
+    for row in rows + list(multipliers._grid(64)):
         with pytest.raises(ValueError, match="read-only"):
             row[0] = 0.0
+    assert _caches()[1].misses == 3
 
 
 # ---------------------------------------------------------- lattice count

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +89,31 @@ def test_conjugate_symmetry_enforced():
     curve = pk.FourierCurve(c, 16)
     assert np.array_equal(curve.coeffs, hermitize(c))
     assert np.array_equal(curve.coeffs, np.conj(curve.coeffs[::-1]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)],
+                         ids=repr)
+def test_non_finite_coefficients_are_refused(bad):
+    """A non-finite coefficient made the asymmetry test NaN, which passed:
+    the curve was built, with numpy's RuntimeWarnings on the way."""
+    c = np.zeros((5, 2), complex)
+    c[1, 0], c[3, 0] = 0.5, 0.5
+    c[2, 1] = bad  # mode 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            pk.FourierCurve(c, 16)
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            pk.circle_curve(c=bad.real, d=bad.imag)
+
+
+@pytest.mark.parametrize("n", [sys.maxsize + 1, 10 ** 400],
+                         ids=["maxsize+1", "huge"])
+def test_a_grid_size_no_array_can_have_is_refused(n):
+    # it used to pass, and numpy's FFT refused it inside a run
+    with pytest.raises(ValueError, match="^grid_size is larger than any "
+                                         "array$"):
+        pk.FourierCurve(np.zeros((5, 2), complex), n)
 
 
 @settings(max_examples=25, deadline=None)
