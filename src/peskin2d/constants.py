@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import _number
+from .spectral import _CONTRAST, _NONNEGATIVE, _POSITIVE, _number
 
 _SQRT2 = math.sqrt(2.0)
 _MARGIN_SLOPE = 676.0 * _SQRT2  # coefficient of D5(x) x/(1-a_mu) in the margin
@@ -60,14 +60,9 @@ class ConstantsReport:
 def _chain(x, a_mu, nu_m):
     """The point (x, a_mu, nu_m) as floats (`_number`), and (C1..C17) and
     (D1..D5) as tuples there; raises as `constants_chain` does, a_e aside."""
-    x, a_mu, nu_m = (_number(x, "x"), _number(a_mu, "a_mu"),
-                     _number(nu_m, "nu_m"))
-    if not 0.0 <= x < math.inf:
-        raise ValueError("norm x must be nonnegative and finite")
-    if not -1.0 < a_mu < 1.0:
-        raise ValueError("a_mu must lie in (-1, 1)")
-    if not 0.0 <= nu_m < math.inf:
-        raise ValueError("nu_m must be nonnegative and finite")
+    x = _number(x, "x", domain=_NONNEGATIVE)
+    a_mu = _number(a_mu, "a_mu", domain=_CONTRAST)
+    nu_m = _number(nu_m, "nu_m", domain=_NONNEGATIVE)
 
     e1 = math.exp(nu_m)
     e2 = math.exp(2 * nu_m)
@@ -152,9 +147,7 @@ def _chain(x, a_mu, nu_m):
 def _script_c(x, a_mu, nu_m, a_e, d5):
     """The margin from D5 at the chain's point; None when nu_m > 0 and a_e
     is None.  Raises ValueError unless a given a_e is positive and finite."""
-    a_e = None if a_e is None else _number(a_e, "a_e")
-    if a_e is not None and not 0.0 < a_e < math.inf:
-        raise ValueError("a_e must be positive and finite")
+    a_e = None if a_e is None else _number(a_e, "a_e", domain=_POSITIVE)
     nonlinear_term = _MARGIN_SLOPE * d5 * x / (1.0 - a_mu)
     if nu_m == 0.0:
         return 1.0 - nonlinear_term
@@ -290,7 +283,7 @@ def energy_certificate(record, params, x0, nu_m=0.0, slack=0.01):
     n21 = np.asarray(record.norm_f21, dtype=float)
     if t.size < 2:
         raise ValueError("need at least two recorded rows")
-    x0 = _number(x0, "x0")
+    x0 = _number(x0, "x0", domain=_NONNEGATIVE)
     a_e = params.a_e
     rep = constants_chain(x0, params.a_mu, nu_m, a_e)
     sc = rep.script_C

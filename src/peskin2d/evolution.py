@@ -46,6 +46,9 @@ import numpy as np
 from .constants import OutOfRegimeError, balance_lhs, k_threshold, margin
 from .force import PhysicsParams, _interface_velocity, velocity_on_curve
 from .spectral import (
+    _COUNT,
+    _NONNEGATIVE,
+    _POSITIVE,
     CurveDegenerateError,
     FourierCurve,
     _j_action,
@@ -121,23 +124,17 @@ class StepperConfig:
     arc_chord_floor: float = 0.05
 
     def __post_init__(self):
-        for name in ("dt", "t_final", "nu_max", "arc_chord_floor",
-                     "record_every"):  # stored as floats, record_every an int
-            object.__setattr__(self, name, _number(
-                getattr(self, name), name, name == "record_every"))
-        if not (0 < self.dt < math.inf and 0 < self.t_final < math.inf):
-            raise ValueError("dt and t_final must be positive and finite")
+        for name, domain in (("dt", _POSITIVE), ("t_final", _POSITIVE),
+                             ("record_every", _COUNT),
+                             ("nu_max", _NONNEGATIVE),
+                             ("arc_chord_floor", _NONNEGATIVE)):
+            object.__setattr__(self, name, _number(  # floats, record_every int
+                getattr(self, name), name, domain=domain))
         if not math.isfinite(self.t_final / self.dt):
             raise ValueError("t_final / dt must be finite, got dt = %r and "
                              "t_final = %r" % (self.dt, self.t_final))
         if self.scheme not in ("exponential-euler", "etdrk2"):
             raise ValueError("scheme must be 'exponential-euler' or 'etdrk2'")
-        if self.record_every < 1:
-            raise ValueError("record_every must be a whole number >= 1, got %r"
-                             % (self.record_every,))
-        if not (0 <= self.nu_max < math.inf
-                and 0 <= self.arc_chord_floor < math.inf):
-            raise ValueError("nu_max and arc_chord_floor must be >= 0 and finite")
 
 
 def _phi1(z):

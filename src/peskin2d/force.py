@@ -46,7 +46,6 @@ velocities and the blocks of `s_operator_matrix` are arrays of their own.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -54,6 +53,8 @@ import numpy as np
 
 from .kernels import _grid_force, log_convolve
 from .spectral import (
+    _CONTRAST,
+    _POSITIVE,
     _arc_chord_guard,
     _grid_samples,
     _j_action,
@@ -86,26 +87,16 @@ class PhysicsParams:
 
     def __post_init__(self):
         for name in ("mu1", "mu2", "k0"):  # stored as floats
-            object.__setattr__(self, name, _number(getattr(self, name), name))
-        if not (0 < self.mu1 < math.inf and 0 < self.mu2 < math.inf):
-            raise ValueError("viscosities must be positive and finite")
-        if not 0 < self.k0 < math.inf:
-            raise ValueError("elastic modulus must be positive and finite")
-        if not -1.0 < self.a_mu < 1.0:
-            raise ValueError("viscosities give a_mu = %r, outside (-1, 1)"
-                             % self.a_mu)
-        if not 0 < self.a_e < math.inf:
-            raise ValueError("k0 / (mu1 + mu2) gives a_e = %r, not positive "
-                             "and finite" % self.a_e)
+            object.__setattr__(self, name, _number(
+                getattr(self, name), name, domain=_POSITIVE))
+        _number(self.a_mu, "a_mu of the viscosities", domain=_CONTRAST)
+        _number(self.a_e, "a_e of k0 / (mu1 + mu2)", domain=_POSITIVE)
 
     @classmethod
     def from_contrast(cls, a_mu, a_e):
         """Build from (a_mu, a_e) with the normalization mu1 + mu2 = 1."""
-        a_mu, a_e = _number(a_mu, "a_mu"), _number(a_e, "a_e")
-        if not -1.0 < a_mu < 1.0:
-            raise ValueError("a_mu must lie in (-1, 1)")
-        if not 0 < a_e < math.inf:
-            raise ValueError("a_e must be positive and finite")
+        a_mu = _number(a_mu, "a_mu", domain=_CONTRAST)
+        a_e = _number(a_e, "a_e", domain=_POSITIVE)
         return cls(mu1=0.5 * (1.0 - a_mu), mu2=0.5 * (1.0 + a_mu), k0=a_e)
 
     @property

@@ -47,30 +47,45 @@ class CurveDegenerateError(RuntimeError):
     """Curve failed a geometric sanity check (self-touching or collapsed)."""
 
 
-def _number(value, name, whole=False):
-    """The package's one number check: `value` as a float, or an int when
-    `whole`; a one-line ValueError naming `name` for a bool, a non-real, an
-    overflow or, when `whole`, a non-finite or fractional value."""
-    if type(value) is (int if whole else float):
+class _Domain:
+    """An input's open interval (low, high) of floats, or of whole numbers
+    when `kind` is int, worded as `text` in a refusal."""
+
+    __slots__ = ("low", "high", "kind", "text")
+
+    def __init__(self, low, high, kind, text):
+        self.low, self.high, self.kind, self.text = low, high, kind, text
+
+
+_POSITIVE = _Domain(0.0, math.inf, float, "positive and finite")
+# open at the float below 0, so 0 and -0.0 are in and every negative is out
+_NONNEGATIVE = _Domain(-5e-324, math.inf, float, "nonnegative and finite")
+_CONTRAST = _Domain(-1.0, 1.0, float, "in (-1, 1)")
+_COUNT = _Domain(0, math.inf, int, "a whole number >= 1")
+
+
+def _number(value, name, whole=False, domain=None):
+    """The package's one number and domain check: `value` as a float, or an
+    int when `whole` or `domain` is `_COUNT`, in `domain` when one is given;
+    a one-line ValueError naming `name` for a bool, a non-real, an overflow,
+    a non-finite or fractional value where a whole number is due, or a value
+    outside `domain` (`<name> must be <domain>, got <value>`)."""
+    kind = int if whole else float if domain is None else domain.kind
+    if type(value) is not kind:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError("%s must be a number, got %r" % (name, value))
+        if kind is float:
+            try:
+                value = float(value)
+            except OverflowError:  # e.g. a 400-digit int, too long to echo
+                raise ValueError("%s is too large for a float" % name) from None
+        elif math.isfinite(value) and float(value).is_integer():
+            value = int(value)  # exact for numpy integers too
+        else:
+            raise ValueError("%s must be a whole number, got %r" % (name, value))
+    if domain is None or domain.low < value < domain.high:  # NaN is in none
         return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError("%s must be a number, got %r" % (name, value))
-    if not whole:
-        try:
-            return float(value)
-        except OverflowError:  # e.g. a 400-digit int, too long to echo
-            raise ValueError("%s is too large for a float" % name) from None
-    if math.isfinite(value) and float(value).is_integer():
-        return int(value)  # exact for numpy integers too
-    raise ValueError("%s must be a whole number, got %r" % (name, value))
-
-
-def _band(max_mode):
-    """`max_mode` as the band of a FourierCurve: a whole number >= 1."""
-    m = _number(max_mode, "max_mode", whole=True)
-    if m < 1:
-        raise ValueError("max_mode must be a whole number >= 1, got %r" % (m,))
-    return m
+    raise ValueError("%s must be %s, got %r" % (name, domain.text, value))
 
 
 def theta_grid(n):
@@ -95,12 +110,12 @@ class FourierCurve:
         1e-8 of its scale from c_{-k} = conj(c_k) is rejected.
     grid_size : whole number of grid points carried around for quadrature;
         must satisfy grid_size >= 2M+1 (strict minimum to avoid aliasing the
-        band); 0 picks 4M, the default used by the solvers for anti-aliasing
-        headroom on quadratic terms.
+        band); 0 picks max(4M, 8), the default used by the solvers for
+        anti-aliasing headroom on quadratic terms.
     """
 
     coeffs: np.ndarray
-    grid_size: int = 0  # 0 means "pick the 4M default"
+    grid_size: int = 0  # 0 means "pick the max(4M, 8) default"
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.coeffs, dtype=complex)
@@ -181,14 +196,15 @@ def analyze(samples, max_mode=None):
     conjugates, so the result is exactly conjugate-symmetric.  Default
     max_mode is (N-1)//2, the largest unaliased band (the Nyquist bin of
     even grids is dropped: it cannot be assigned a sign of k).  max_mode
-    must be a whole number >= 1 (`_band`), as FourierCurve requires.
+    must be a whole number >= 1, as FourierCurve requires.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 2 or s.shape[1] != 2:
         raise ValueError("samples must have shape (N, 2)")
     n = s.shape[0]
     limit = (n - 1) // 2
-    m = _band(limit if max_mode is None else max_mode)
+    m = _number(limit if max_mode is None else max_mode, "max_mode",
+                domain=_COUNT)
     if m > limit:
         raise AliasingError("cannot extract modes up to %d from %d samples" % (m, n))
     half = np.fft.rfft(s, axis=0, norm="forward")[:m + 1]
@@ -322,12 +338,13 @@ class CirclePart:
         return coeffs
 
     def as_curve(self, max_mode=1, grid_size=0):
-        return FourierCurve(self._coeffs(_band(max_mode)), grid_size)
+        m = _number(max_mode, "max_mode", domain=_COUNT)
+        return FourierCurve(self._coeffs(m), grid_size)
 
 
 def circle_curve(a=1.0, b=0.0, c=0.0, d=0.0, max_mode=1, grid_size=0):
     """`CirclePart(a, b, c, d).as_curve`: a FourierCurve of band `max_mode`,
-    a whole number >= 1 (`_band`), on `grid_size` points (0 picks 4M)."""
+    a whole number >= 1, on `grid_size` points (0 picks max(4M, 8))."""
     return CirclePart(a, b, c, d).as_curve(max_mode, grid_size)
 
 

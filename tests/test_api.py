@@ -106,3 +106,34 @@ def test_the_number_check_lives_only_in_spectral_number():
         found += ["%s:%d" % (os.path.basename(path), node.lineno)
                   for node in _number_tests(tree) if id(node) not in inside]
     assert found == []
+
+
+def _range_tests(tree):
+    """The comparisons of `tree` that test an interval: chained, as in
+    `-1 < x < 1`, against `math.inf` or `np.inf`, or a count's `n < 1` or
+    `n >= 1`."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and (len(node.ops) > 1 or any(
+                isinstance(side, ast.Attribute) and side.attr == "inf"
+                for side in [node.left, *node.comparators])
+                or isinstance(node.ops[0], (ast.Lt, ast.GtE))
+                and isinstance(node.comparators[0], ast.Constant)
+                and node.comparators[0].value == 1)]
+
+
+def test_the_domain_check_lives_only_in_spectral_number():
+    """Whether a value lies in its input's interval is decided in one place,
+    `spectral._number`; a hand-written range test elsewhere fails here."""
+    found, inside = [], set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        if os.path.basename(path) == "spectral.py":
+            (helper,) = [node for node in tree.body if isinstance(
+                node, ast.FunctionDef) and node.name == "_number"]
+            inside = {id(n) for n in ast.walk(helper)}
+            kept = _range_tests(helper)
+        found += ["%s:%d" % (os.path.basename(path), node.lineno)
+                  for node in _range_tests(tree) if id(node) not in inside]
+    assert found == []
+    assert len(kept) == 1  # low < value < high

@@ -79,11 +79,38 @@ def test_config_builds_conjugate_pair(tmp_path):
     assert stepper.dt == 1e-3
 
 
+@pytest.mark.parametrize("max_mode", [1, 2, 8])
+def test_a_config_without_grid_size_takes_the_library_grid(tmp_path,
+                                                           max_mode):
+    """The default grid is FourierCurve's max(4M, 8): a max_mode 1 config
+    used to run on 4 points, where circle_curve(max_mode=1) takes 8."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["discretization"] = {"max_mode": max_mode}
+    cfg["initial"]["modes"] = []
+    _, curve, _ = cli.load_config(write_config(tmp_path, cfg))
+    assert curve.grid_size == max(4 * max_mode, 8)
+    assert curve.grid_size == spectral.circle_curve(
+        max_mode=max_mode).grid_size
+
+
+def _kept(section, key, value, match, name):
+    """A row named `<section>-<key>-<value>-<name>`: its test keeps that
+    name while `match` follows the message."""
+    return pytest.param(section, key, value, match,
+                        id="%s-%s-%s-%s" % (section, key, value, name))
+
+
 @pytest.mark.parametrize("section, key, value, match", [
-    ("physics", "a_mu", 1.5, "physics: a_mu must lie in"),
-    ("discretization", "grid_size", 10, "grid_size >= 2\\*max_mode\\+1"),
+    _kept("physics", "a_mu", 1.5,
+          "physics: a_mu must be in \\(-1, 1\\), got 1.5$",
+          "physics: a_mu must lie in"),
+    _kept("discretization", "grid_size", 10,
+          "discretization: grid_size 10 cannot resolve modes up to 8 "
+          "\\(need >= 17\\)$", "grid_size >= 2\\*max_mode\\+1"),
     ("stepping", "scheme", "rk4", "stepping: scheme must be"),
-    ("stepping", "dt", float("nan"), "stepping: dt and t_final"),
+    _kept("stepping", "dt", float("nan"),
+          "stepping: dt must be positive and finite, got nan$",
+          "stepping: dt and t_final"),
     ("stepping", "force_method", "direct",
      "unknown config key 'stepping.force_method'"),
     ("initial", "circle", 3, "'initial.circle' must be an object"),
@@ -119,20 +146,27 @@ def test_config_builds_conjugate_pair(tmp_path):
      "initial.modes rows must be"),
     ("stepping", "scheme", 2,
      "stepping: scheme must be 'exponential-euler' or 'etdrk2'"),
-    ("stepping", "nu_max", -0.1,
-     "stepping: nu_max and arc_chord_floor must be >= 0 and finite"),
-    ("stepping", "nu_max", float("nan"),
-     "stepping: nu_max and arc_chord_floor must be >= 0 and finite"),
-    ("stepping", "arc_chord_floor", float("nan"),
-     "stepping: nu_max and arc_chord_floor must be >= 0 and finite"),
-    ("physics", "mu1", float("inf"),
-     "physics: viscosities must be positive and finite"),
-    ("physics", "mu1", float("nan"),
-     "physics: viscosities must be positive and finite"),
-    ("physics", "k0", float("inf"),
-     "physics: elastic modulus must be positive and finite"),
-    ("physics", "k0", float("nan"),
-     "physics: elastic modulus must be positive and finite"),
+    _kept("stepping", "nu_max", -0.1,
+          "stepping: nu_max must be nonnegative and finite, got -0.1$",
+          "stepping: nu_max and arc_chord_floor must be >= 0 and finite"),
+    _kept("stepping", "nu_max", float("nan"),
+          "stepping: nu_max must be nonnegative and finite, got nan$",
+          "stepping: nu_max and arc_chord_floor must be >= 0 and finite"),
+    _kept("stepping", "arc_chord_floor", float("nan"),
+          "stepping: arc_chord_floor must be nonnegative and finite, got nan$",
+          "stepping: nu_max and arc_chord_floor must be >= 0 and finite"),
+    _kept("physics", "mu1", float("inf"),
+          "physics: mu1 must be positive and finite, got inf$",
+          "physics: viscosities must be positive and finite"),
+    _kept("physics", "mu1", float("nan"),
+          "physics: mu1 must be positive and finite, got nan$",
+          "physics: viscosities must be positive and finite"),
+    _kept("physics", "k0", float("inf"),
+          "physics: k0 must be positive and finite, got inf$",
+          "physics: elastic modulus must be positive and finite"),
+    _kept("physics", "k0", float("nan"),
+          "physics: k0 must be positive and finite, got nan$",
+          "physics: elastic modulus must be positive and finite"),
     ("physics", "a_e", float("inf"), "physics: a_e must be positive and finite"),
     ("stepping", "dt", 1e-320,
      "stepping: t_final / dt must be finite, got dt = 1e-320 and "
@@ -141,15 +175,19 @@ def test_config_builds_conjugate_pair(tmp_path):
      "initial: coefficients must be finite"),
     ("initial", "circle", {"c": float("inf")},
      "initial: coefficients must be finite"),
-    ("physics", None, {"mu1": 1e300, "mu2": 1e-300, "k0": 1.0},
-     "physics: viscosities give a_mu = -1.0, outside \\(-1, 1\\)"),
-    ("physics", None, {"mu1": 1e300, "mu2": 1e300, "k0": 1e-300},
-     "physics: k0 / \\(mu1 \\+ mu2\\) gives a_e = 0.0, not positive"),
+    pytest.param("physics", None, {"mu1": 1e300, "mu2": 1e-300, "k0": 1.0},
+                 "physics: a_mu of the viscosities must be in \\(-1, 1\\), "
+                 "got -1.0$", id="physics-None-value35-physics: viscosities "
+                 "give a_mu = -1.0, outside \\(-1, 1\\)"),
+    pytest.param("physics", None, {"mu1": 1e300, "mu2": 1e300, "k0": 1e-300},
+                 "physics: a_e of k0 / \\(mu1 \\+ mu2\\) must be positive "
+                 "and finite, got 0.0$", id="physics-None-value36-physics: k0 "
+                 "/ \\(mu1 \\+ mu2\\) gives a_e = 0.0, not positive"),
     pytest.param("discretization", "grid_size", sys.maxsize + 1,
-                 "initial: grid_size is larger than any array$",
+                 "discretization: grid_size is larger than any array$",
                  id="discretization-grid_size-maxsize+1"),
     pytest.param("discretization", "grid_size", 10 ** 400,
-                 "initial: grid_size is larger than any array$",
+                 "discretization: grid_size is larger than any array$",
                  id="discretization-grid_size-huge"),
 ] + [
     # a 400-digit JSON integer holds no float: refused, not taken as inf
@@ -362,6 +400,7 @@ def test_missing_config_exits_1(tmp_path, capsys):
     ["lemma-check", "--out", "{tmp}", "--nmax", "0"],
     ["lemma-check", "--out", "{tmp}", "--kmax", "0"],
     ["lemma-check", "--out", "{tmp}", "--count", "-1"],
+    ["lemma-check", "--out", "{tmp}", "--seed", "-1"],  # before default_rng
     # 2n+1 neighbour-distinct draws from 3 values: too rare to sample
     ["lemma-check", "--out", "{tmp}", "--nmax", "40", "--kmax", "1"],
     ["simulate", "--config", "{tmp}", "--out", "{tmp}"],   # a directory
@@ -482,8 +521,43 @@ def test_verify_linear_smoke(capsys):
 def test_verify_linear_fails_above_its_tolerance(capsys):
     code = cli.main(["verify-linear", "--modes", "2", "--tol", "1e-14"])
     assert code == 3
-    assert re.search(r"^FAIL: worst relative error \S+ > 1\.0e-14$",
-                     capsys.readouterr().out, re.M)
+    assert re.search(r"^FAIL: relative error above 1\.0e-14 in 1 of 1 modes "
+                     r"\(0 non-finite\)$", capsys.readouterr().out, re.M)
+
+
+def test_verify_linear_fails_on_non_finite_rates(capsys):
+    """At a_e = 1e200 the rates' moduli overflow and every relative error
+    is NaN, which counts as a failure (max() used to drop it and pass)."""
+    code = cli.main(["verify-linear", "--a-e", "1e200"])
+    out, err = capsys.readouterr()
+    assert code == 3 and err == ""
+    assert out.count("rel err nan") == 4
+    assert out.endswith("FAIL: relative error above 1.0e-03 in 4 of 4 modes "
+                        "(4 non-finite)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kcurve", "--points", "0"], "--points: value must be a whole number "
+     ">= 1, got 0"),
+    (["kcurve", "--amin", "-1"], "--amin: value must be in (-1, 1), got -1.0"),
+    (["constants", "--x", "inf"], "--x: value must be nonnegative and "
+     "finite, got inf"),
+    (["verify-linear", "--eps", "nan"], "--eps: value must be positive and "
+     "finite, got nan"),
+    (["verify-linear", "--modes", "2,0"], "--modes: value must be a whole "
+     "number >= 1, got 0"),
+    (["lemma-check", "--seed", "-1"], "--seed: value must be nonnegative "
+     "and finite, got -1"),
+])
+def test_an_option_outside_its_domain_is_one_usage_line(tmp_path, capsys,
+                                                        argv, message):
+    """Every numeric option goes through the one domain check, and argparse
+    prints its refusal."""
+    if argv[0] != "verify-linear":
+        argv = argv + ["--out", str(tmp_path)] * (argv[0] != "constants")
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "peskin2d %s: error: argument %s\n" % (
+        argv[0], message)
 
 
 def test_degenerate_geometry_outside_a_run_exits_2(capsys, monkeypatch):

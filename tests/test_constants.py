@@ -156,7 +156,7 @@ def test_non_finite_input_is_refused(x, a_mu, nu_m, a_e):
 
 
 def test_a_contrast_outside_the_open_interval_is_refused():
-    with pytest.raises(ValueError, match=r"a_mu must lie in \(-1, 1\)"):
+    with pytest.raises(ValueError, match=r"^a_mu must be in \(-1, 1\), got 1\.5$"):
         pk.constants_chain(1e-4, 1.5)
 
 
@@ -250,6 +250,15 @@ def test_certificate_needs_two_rows():
     with pytest.raises(ValueError, match="need at least two recorded rows"):
         pk.energy_certificate(_FakeRecord([0.0], [1e-4], [1e-4]), params,
                               x0=1e-4)
+
+
+def test_certificate_names_x0_outside_its_domain():
+    """A negative x0 is refused under its own name, not as the chain's x."""
+    params = pk.PhysicsParams.from_contrast(0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^x0 must be nonnegative and "
+                                         r"finite, got -0\.001$"):
+        pk.energy_certificate(_FakeRecord([0.0, 1.0], [1e-4] * 2, [1e-4] * 2),
+                              params, x0=-1e-3)
 
 
 def test_certificate_above_the_threshold_names_script_C():

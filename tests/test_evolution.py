@@ -564,7 +564,8 @@ def test_stepper_config_rejects_nan_and_unknown_method():
     assert pk.StepperConfig(dt=1e-300, t_final=1.0).dt == 1e-300
     for key in ("nu_max", "arc_chord_floor"):
         for value in (-1e-3, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match=">= 0 and finite"):
+            with pytest.raises(ValueError, match=re.escape(
+                    "%s must be nonnegative and finite, got %r" % (key, value))):
                 pk.StepperConfig(dt=1e-3, t_final=1.0, **{key: value})
 
 
@@ -616,6 +617,7 @@ def test_number_fields_keep_the_checked_values():
 
 
 _CURVE = np.zeros((17, 2), dtype=complex)  # M = 8
+_NAN, _INF = float("nan"), float("inf")
 _NUMBER_INPUTS = {
     "FourierCurve grid_size": lambda v: pk.FourierCurve(_CURVE, v),
     "circle_curve max_mode": lambda v: pk.circle_curve(max_mode=v),
@@ -629,6 +631,7 @@ _NUMBER_INPUTS = {
     "constants_chain x": lambda v: pk.constants_chain(v),
     "constants_chain a_mu": lambda v: pk.constants_chain(1e-4, v),
     "constants_chain nu_m": lambda v: pk.constants_chain(1e-4, 0.0, v),
+    "constants_chain a_e": lambda v: pk.constants_chain(1e-4, 0.0, 0.05, v),
 }
 
 
@@ -636,13 +639,20 @@ _REFUSALS = [
     ("FourierCurve grid_size", 64.5, "a whole number"),
     ("FourierCurve grid_size", "64", "a number"),
     ("FourierCurve grid_size", True, "a number"),
-    ("circle_curve max_mode", 0, "a whole number >= 1"),
     ("circle_curve max_mode", 2.7, "a whole number"),
     ("circle_curve max_mode", True, "a number"),
     ("circle_curve circle.a", True, "a number"),
     ("CirclePart circle.d", 1j, "a number"),
 ] + [(where, bad, "a number") for where in list(_NUMBER_INPUTS)[2:]
-     for bad in (False, "1e-4")]
+     for bad in (False, "1e-4")
+] + [(where, bad, domain) for where, domain, bads in [  # the domains' ends
+    ("constants_chain a_e", "positive and finite",
+     (0.0, -0.0, -1e-300, _INF, -_INF, _NAN)),
+    ("margin x", "nonnegative and finite", (-5e-324, -1.0, _INF, _NAN)),
+    ("margin nu_m", "nonnegative and finite", (-_INF,)),
+    ("margin a_mu", "in (-1, 1)", (-1.0, 1.0, _INF, -_INF, _NAN)),
+    ("circle_curve max_mode", "a whole number >= 1", (0, -3)),
+] for bad in bads]
 
 
 @pytest.mark.parametrize("where, bad, kind", [
@@ -654,10 +664,11 @@ def test_curves_and_constants_refuse_non_numbers(where, bad, kind):
     band below 1, 2.7 or True built another band, "64" raised a bare
     TypeError, and margin(False, 0.0) returned 1.0.  A circle's a, b, c, d
     too: circle_curve(a=True) built the unit circle and a="1.0" raised a
-    bare TypeError."""
+    bare TypeError.  A value outside its input's domain is refused by the
+    same check, NaN and the open ends included."""
     name = where.split()[1]
     with pytest.raises(ValueError, match="^%s must be %s, got %s$"
-                       % (name, kind, re.escape(repr(bad)))):
+                       % (name, re.escape(kind), re.escape(repr(bad)))):
         _NUMBER_INPUTS[where](bad)
 
 
