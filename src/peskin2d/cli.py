@@ -29,7 +29,8 @@ from .constants import (
     k_threshold,
 )
 from . import evolution, force, multipliers, spectral
-from .spectral import _CONTRAST, _COUNT, _NONNEGATIVE, _POSITIVE, _number
+from .spectral import (_CONTRAST, _COUNT, _NONNEGATIVE, _POSITIVE, _SEED,
+                       _WHOLE, _number)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,19 +39,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _option(domain, whole=False):
-    """An argparse `type=`: the text as a number in `domain` (`_number`),
-    whose refusal argparse prints as one usage line."""
+def _option(domain):
+    """An argparse `type=`: the text as a number of `domain.kind` in
+    `domain` (`_number`), whose refusal argparse prints as one usage line."""
     def parse(text):
         try:
-            value = int(text) if whole else float(text)
-            return _number(value, "value", whole, domain)
+            return _number(domain.kind(text), "value", domain)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
 
 
-_count = _option(_COUNT, whole=True)
+_count = _option(_COUNT)
 
 
 class ConfigError(ValueError):
@@ -137,7 +137,7 @@ def load_config(path):
             if not isinstance(row, list) or len(row) != 5:
                 raise ConfigError(
                     "initial.modes rows must be [k, re1, im1, re2, im2]")
-            k = _number(row[0], "modes row k", whole=True)
+            k = _number(row[0], "modes row k", domain=_WHOLE)
             if abs(k) > m:
                 raise ConfigError("initial.modes: |k| = %d exceeds max_mode %d"
                                   % (abs(k), m))
@@ -331,7 +331,7 @@ def build_parser():
     s.add_argument("--count", type=_count, default=1000)
     s.add_argument("--nmax", type=_count, default=3)
     s.add_argument("--kmax", type=_count, default=20)
-    s.add_argument("--seed", type=_option(_NONNEGATIVE, whole=True), default=0)
+    s.add_argument("--seed", type=_option(_SEED), default=0)
     s.set_defaults(func=cmd_lemma_check)
 
     s = sub.add_parser("constants", help="evaluate the constants chain")

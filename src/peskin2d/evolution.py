@@ -38,7 +38,7 @@ change and builds no operator.
 import ast
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -59,11 +59,6 @@ from .spectral import (
     fnorm,
     geometry_diagnostics,
     to_Y,  # not used here; bench/test_smoke.py traces this binding
-)
-
-CSV_HEADER = (
-    "t,norm_f11,norm_f21,radius,area,arc_chord,center_x,center_y,"
-    "energy_lhs,energy_rhs"
 )
 
 
@@ -218,9 +213,7 @@ class TrajectoryRecord:
     final_state: SimulationState | None = None
 
     def to_csv(self, path):
-        cols = np.column_stack(
-            [getattr(self, name) for name in CSV_HEADER.split(",")]
-        )
+        cols = np.column_stack([getattr(self, name) for name in _COLUMNS])
         with open(path, "w") as fh:
             fh.write("# x0=%r script_C=%r failure=%r\n"
                      % (self.x0, self.script_C, self.failure))
@@ -235,11 +228,16 @@ class TrajectoryRecord:
         x0, script_c, failure = (
             field.partition("=")[2] for field in comment.split(" ", 3)[1:])
         rows = [r.split(",") for r in lines]
-        names = CSV_HEADER.split(",")
-        data = np.array(rows, dtype=float).reshape(-1, len(names))
-        return cls(**{n: data[:, i] for i, n in enumerate(names)},
+        data = np.array(rows, dtype=float).reshape(-1, len(_COLUMNS))
+        return cls(**{n: data[:, i] for i, n in enumerate(_COLUMNS)},
                    x0=float(x0), script_C=float(script_c),
                    failure=ast.literal_eval(failure))
+
+
+# the CSV columns: the record's array fields, in their order
+_COLUMNS = tuple(f.name for f in fields(TrajectoryRecord)
+                 if f.type is np.ndarray)
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def run(curve, params, cfg):
@@ -297,7 +295,7 @@ def run(curve, params, cfg):
         failure = str(exc)
 
     # degenerate before the first diagnostic: empty columns keep it usable
-    names = CSV_HEADER.split(",")[:-2]  # the measured columns
+    names = _COLUMNS[:-2]  # the measured columns
     cols = dict(zip(names,
                     np.array(rows, dtype=float).reshape(-1, len(names)).T))
     return TrajectoryRecord(

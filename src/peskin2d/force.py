@@ -24,11 +24,10 @@ where the integrand is a trigonometric polynomial of degree two).
 
 On a circle this matrix has rank four (-1/2 on the constants and on the
 tangent field e_t, +1/2 on the radial field e_r), so I - 2 a_mu S inverts
-in closed form there.  The default solve uses that inverse for the curve's
-circle part as the preconditioner of a Richardson iteration, which near a
-circle converges in a few matrix-vector products; when the residual stops
-halving (large deviations at |a_mu| near 1) it falls back to the dense LU,
-which method='direct' always uses.
+in closed form there.  The solve uses that inverse for the curve's circle
+part as the preconditioner of a Richardson iteration, which near a circle
+converges in a few matrix-vector products; when the residual stops halving
+(large deviations at |a_mu| near 1) it falls back to the dense LU.
 
 Every (N, N) table lives in one workspace per band and grid (M, N), filled
 in place and reused, so a step allocates none (the module is
@@ -108,10 +107,9 @@ class PhysicsParams:
         return self.k0 / (self.mu1 + self.mu2)
 
 
-def elastic_force(curve, params=None):
-    """k0 X'' as (N, 2) grid samples (k0 = 1 when params is None)."""
-    k0 = 1.0 if params is None else params.k0
-    return k0 * synthesize(derivative(derivative(curve)))
+def elastic_force(curve, params):
+    """k0 X'' as (N, 2) grid samples."""
+    return params.k0 * synthesize(derivative(derivative(curve)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -301,30 +299,26 @@ def _richardson(residual, precondition, b):
     return None
 
 
-def solve_force(curve, params, method="richardson"):
+def solve_force(curve, params):
     """Solve (I - 2 a_mu S) F = 2 a_e X'' for the (N, 2) grid samples of F.
 
-    method='richardson' (the default) runs the preconditioned Richardson
-    iteration F <- F + P (b - (I - 2 a_mu S) F) from F = P b, where P
-    inverts the system exactly on the curve's circle part (see
-    `_circle_preconditioner`).  Near a circle each step shrinks the
-    residual by about the size of the deviation, so a certified run needs
-    two to four matrix-vector products in place of an O((2N)^3)
+    The preconditioned Richardson iteration F <- F + P (b - (I - 2 a_mu S) F)
+    runs from F = P b, where P inverts the system exactly on the curve's
+    circle part (see `_circle_preconditioner`).  Near a circle each step
+    shrinks the residual by about the size of the deviation, so a certified
+    run needs two to four matrix-vector products in place of an O((2N)^3)
     factorization.  It stops once max |b - (I - 2 a_mu S) F| <= 1e-14 max |F|
     (`_TOL`), and falls back to the dense LU when that residual fails to
     halve in one step, after 500 residuals (`_MAX_ITER`), or when the circle
-    part has zero radius.  method='direct' always factors the dense system
-    and is the reference.  Either way the residual relative to
+    part has zero radius.  Either way the residual relative to
     max(1, max |b|) must end at most 1e-10, or SolverError is raised.
     The pair geometry is built here, behind the guard at floor 1e-8.
     """
-    if method not in ("direct", "richardson"):
-        raise ValueError("method must be 'direct' or 'richardson'")
     dds, s, _ = _pair_geometry(curve, with_s=params.a_mu != 0.0)
-    return _force_samples(curve, params, dds, s, method)
+    return _force_samples(curve, params, dds, s)
 
 
-def _force_samples(curve, params, dds, s, method="richardson"):
+def _force_samples(curve, params, dds, s):
     """The force of `solve_force` as (N, 2) grid samples, from the samples
     dds of X'' and the S blocks s (None at a_mu = 0) of `_pair_geometry`."""
     a_mu, a_e = params.a_mu, params.a_e
@@ -335,10 +329,7 @@ def _force_samples(curve, params, dds, s, method="richardson"):
         def residual(f):
             return b - f + 2.0 * a_mu * _apply_blocks(s, f)
 
-        solved = None
-        if method == "richardson":
-            precondition = _circle_preconditioner(curve, a_mu)
-            solved = _richardson(residual, precondition, b)
+        solved = _richardson(residual, _circle_preconditioner(curve, a_mu), b)
         if solved is None:
             f = np.linalg.solve(_dense_system(s, a_mu), b)
             solved = f, residual(f)

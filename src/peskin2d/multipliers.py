@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .spectral import _number, theta_grid
+from .spectral import _WHOLE, _number, theta_grid
 
 _CACHED_NODES = 256  # grids and factor rows of up to this many nodes are kept
 _CACHED_VALUES = 1 << 17  # factor-row values kept at most (1 MB)
@@ -106,7 +106,7 @@ def _parse(ks):
     """The whole frequencies k_1 .. k_{2n} and their differences
     [b_1 .. b_{2n-1}], b_j = k_j - k_{j+1}; ValueError unless their number
     is even and positive."""
-    ks = [_number(v, "frequency", True) for v in ks]
+    ks = [_number(v, "frequency", domain=_WHOLE) for v in ks]
     if len(ks) % 2 != 0 or not ks:
         raise ValueError("need frequencies k_1..k_{2n} with n >= 1")
     return ks, [ks[j] - ks[j + 1] for j in range(len(ks) - 1)]
@@ -132,7 +132,7 @@ def integral_In(k, ks):
     vanishes when k = k_1 or when any two consecutive k_j coincide (a
     difference factor degenerates and pairs with the pv to give zero).
     """
-    k = _number(k, "k", whole=True)
+    k = _number(k, "k", domain=_WHOLE)
     ks, diffs = _parse(ks)
     bs = [k - ks[0]] + diffs
     if 0 in bs:
@@ -176,7 +176,8 @@ def integral_Sn_exact(ks):
 
 def integral_S1_closed(k1, k2):
     """n = 1 special case: I'_1 = 2 pi sgn(k1+k2) min(|k1-k2|, |k1+k2|)/|k1-k2|."""
-    k1, k2 = _number(k1, "k1", whole=True), _number(k2, "k2", whole=True)
+    k1 = _number(k1, "k1", domain=_WHOLE)
+    k2 = _number(k2, "k2", domain=_WHOLE)
     if k1 == k2 or k1 + k2 == 0:
         return 0.0
     return (

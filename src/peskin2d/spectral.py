@@ -61,16 +61,18 @@ _POSITIVE = _Domain(0.0, math.inf, float, "positive and finite")
 # open at the float below 0, so 0 and -0.0 are in and every negative is out
 _NONNEGATIVE = _Domain(-5e-324, math.inf, float, "nonnegative and finite")
 _CONTRAST = _Domain(-1.0, 1.0, float, "in (-1, 1)")
+_WHOLE = _Domain(-math.inf, math.inf, int, "a whole number")
 _COUNT = _Domain(0, math.inf, int, "a whole number >= 1")
+_SEED = _Domain(-1, math.inf, int, "nonnegative and finite")  # ints >= 0
 
 
-def _number(value, name, whole=False, domain=None):
-    """The package's one number and domain check: `value` as a float, or an
-    int when `whole` or `domain` is `_COUNT`, in `domain` when one is given;
-    a one-line ValueError naming `name` for a bool, a non-real, an overflow,
+def _number(value, name, domain=None):
+    """The package's one number and domain check: `value` as a float, or as
+    an int when `domain.kind` is int, in `domain` when one is given; a
+    one-line ValueError naming `name` for a bool, a non-real, an overflow,
     a non-finite or fractional value where a whole number is due, or a value
     outside `domain` (`<name> must be <domain>, got <value>`)."""
-    kind = int if whole else float if domain is None else domain.kind
+    kind = float if domain is None else domain.kind
     if type(value) is not kind:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError("%s must be a number, got %r" % (name, value))
@@ -122,7 +124,7 @@ class FourierCurve:
         if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] % 2 == 0 or len(c) < 3:
             raise ValueError("coeffs must have shape (2M+1, 2) with M >= 1")
         m = (c.shape[0] - 1) // 2
-        n = _number(self.grid_size, "grid_size", whole=True) or max(4 * m, 8)
+        n = _number(self.grid_size, "grid_size", domain=_WHOLE) or max(4 * m, 8)
         if n < 2 * m + 1:
             raise AliasingError(
                 "grid_size %d cannot resolve modes up to %d (need >= %d)"
@@ -189,23 +191,21 @@ def synthesize(curve):
     return _grid_samples(curve.coeffs[curve.max_mode:], curve.grid_size)
 
 
-def analyze(samples, max_mode=None):
+def analyze(samples, max_mode):
     """Project grid samples onto modes |k| <= max_mode.
 
     One real FFT gives the modes k >= 0; those with k < 0 are their
-    conjugates, so the result is exactly conjugate-symmetric.  Default
-    max_mode is (N-1)//2, the largest unaliased band (the Nyquist bin of
-    even grids is dropped: it cannot be assigned a sign of k).  max_mode
-    must be a whole number >= 1, as FourierCurve requires.
+    conjugates, so the result is exactly conjugate-symmetric.  max_mode
+    must be a whole number >= 1, as FourierCurve requires, and at most
+    (N-1)//2, the largest unaliased band (the Nyquist bin of even grids is
+    dropped: it cannot be assigned a sign of k).
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 2 or s.shape[1] != 2:
         raise ValueError("samples must have shape (N, 2)")
     n = s.shape[0]
-    limit = (n - 1) // 2
-    m = _number(limit if max_mode is None else max_mode, "max_mode",
-                domain=_COUNT)
-    if m > limit:
+    m = _number(max_mode, "max_mode", domain=_COUNT)
+    if m > (n - 1) // 2:
         raise AliasingError("cannot extract modes up to %d from %d samples" % (m, n))
     half = np.fft.rfft(s, axis=0, norm="forward")[:m + 1]
     np.negative(half[1::2], out=half[1::2])  # the grid's phase (-1)^k

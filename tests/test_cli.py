@@ -189,6 +189,9 @@ def _kept(section, key, value, match, name):
     pytest.param("discretization", "grid_size", 10 ** 400,
                  "discretization: grid_size is larger than any array$",
                  id="discretization-grid_size-huge"),
+    pytest.param("stepping", "t_final", -1,
+                 "stepping: t_final must be positive and finite, got -1.0$",
+                 id="stepping-t_final--1"),
 ] + [
     # a 400-digit JSON integer holds no float: refused, not taken as inf
     pytest.param(section, key, value, "%s: %s is too large for a "
@@ -548,6 +551,23 @@ def test_verify_linear_fails_on_non_finite_rates(capsys):
      "number >= 1, got 0"),
     (["lemma-check", "--seed", "-1"], "--seed: value must be nonnegative "
      "and finite, got -1"),
+] + [
+    pytest.param(argv, message, id="%s-%s-%s" % (
+        argv[0], argv[-2].lstrip("-"), argv[-1]))
+    for argv, message in [
+        (["kcurve", "--amax", "1.5"], "--amax: value must be in (-1, 1), "
+         "got 1.5"),
+        (["lemma-check", "--nmax", "0"], "--nmax: value must be a whole "
+         "number >= 1, got 0"),
+        (["lemma-check", "--kmax", "0"], "--kmax: value must be a whole "
+         "number >= 1, got 0"),
+        (["constants", "--x", "0.1", "--nu-m", "-1"], "--nu-m: value must "
+         "be nonnegative and finite, got -1.0"),
+        (["constants", "--x", "0.1", "--a-e", "-1"], "--a-e: value must be "
+         "positive and finite, got -1.0"),
+        (["verify-linear", "--tol", "-1"], "--tol: value must be positive "
+         "and finite, got -1.0"),
+    ]
 ])
 def test_an_option_outside_its_domain_is_one_usage_line(tmp_path, capsys,
                                                         argv, message):

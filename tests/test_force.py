@@ -4,7 +4,8 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import peskin2d as pk
-from peskin2d.force import _apply_blocks, _pair_geometry, _workspace
+from peskin2d.force import (_apply_blocks, _dense_system, _pair_geometry,
+                            _workspace)
 from peskin2d.spectral import hermitize
 
 
@@ -21,6 +22,14 @@ def apply_s(curve, force):
     """S(F, X) on the grid: the Nystrom matrix applied to the (N, 2) samples
     of F."""
     return (dense(pk.s_operator_matrix(curve)) @ force.reshape(-1)).reshape(-1, 2)
+
+
+def direct_solve(curve, params):
+    """The reference force: the dense LU of (I - 2 a_mu S) F = 2 a_e X'' on
+    the S tables of one sweep, as (N, 2) samples."""
+    dds, s, _ = _pair_geometry(curve, with_s=True)
+    b = (2.0 * params.a_e * dds).reshape(-1)
+    return np.linalg.solve(_dense_system(s, params.a_mu), b).reshape(-1, 2)
 
 
 def perturbed_circle(eps, seed=3, max_mode=16, grid_size=64, kmax=5):
@@ -79,7 +88,7 @@ def test_from_contrast_roundtrip():
 
 def test_elastic_force_is_minus_k_squared():
     c = perturbed_circle(0.1)
-    f = pk.elastic_force(c)
+    f = pk.elastic_force(c, pk.PhysicsParams.from_contrast(0.0, 1.0))  # k0 1
     ks = c.ks
     assert np.array_equal(pk.derivative(c).coeffs, 1j * ks[:, None] * c.coeffs)
     assert np.allclose(pk.analyze(f, c.max_mode).coeffs,
@@ -245,21 +254,25 @@ def test_combined_sweep_writes_the_tables_of_single_sweeps(n):
 
 @pytest.mark.parametrize("a_mu, method", [(-0.5, "richardson"), (0.5, "direct"),
                                           (0.0, "richardson")])
-def test_results_do_not_alias_the_workspace(a_mu, method):
+def test_results_do_not_alias_the_workspace(monkeypatch, a_mu, method):
     """The S and V tables of a grid size are reused from call to call, but
-    the force, the velocity and the blocks of `s_operator_matrix` are arrays
-    of their own: the same calls on a second curve of the grid leave them
-    unchanged.  The sweep's S tables are read-only, and a sweep writes only
-    the tables its caller reads: one for a velocity (standalone, or a
-    right-hand side at a_mu = 0) leaves earlier S views unchanged, a
-    standalone force solve or S leaves V unchanged, and a force solve at
-    a_mu = 0 makes no sweep and builds no workspace."""
+    the force (of the Richardson iteration, or of its dense LU fallback
+    when `method` is "direct"), the velocity and the blocks of
+    `s_operator_matrix` are arrays of their own: the same calls on a second
+    curve of the grid leave them unchanged.  The sweep's S tables are
+    read-only, and a sweep writes only the tables its caller reads: one for
+    a velocity (standalone, or a right-hand side at a_mu = 0) leaves
+    earlier S views unchanged, a standalone force solve or S leaves V
+    unchanged, and a force solve at a_mu = 0 makes no sweep and builds no
+    workspace."""
+    if method == "direct":
+        monkeypatch.setattr(pk.force, "_richardson", lambda *args: None)
     p = pk.PhysicsParams.from_contrast(a_mu, 1.0)
     c1, c2 = perturbed_circle(0.05, seed=1), perturbed_circle(0.1, seed=2)
-    f1 = pk.solve_force(c1, p, method=method)
+    f1 = pk.solve_force(c1, p)
     u1 = pk.velocity_on_curve(c1, f1)
     kept = [a.copy() for a in (f1, u1)]
-    f2 = pk.solve_force(c2, p, method=method)
+    f2 = pk.solve_force(c2, p)
     pk.velocity_on_curve(c2, f2)
     for now, before in zip((f1, u1), kept):
         assert np.array_equal(now, before)
@@ -277,12 +290,12 @@ def test_results_do_not_alias_the_workspace(a_mu, method):
             table[0, 0] = 0.0
     pk.velocity_on_curve(c1, f1)
     kept = ws.v.copy()
-    pk.solve_force(c2, p, method=method)
+    pk.solve_force(c2, p)
     pk.s_operator_matrix(c2)
     assert np.array_equal(ws.v, kept)
     if a_mu == 0.0:
         _workspace.cache_clear()
-        f0 = pk.solve_force(c2, p, method=method)
+        f0 = pk.solve_force(c2, p)
         assert _workspace.cache_info().currsize == 0
         el = pk.elastic_force(c2, p)
         assert np.array_equal(f0, 2.0 * el)
@@ -321,8 +334,8 @@ def test_solve_force_steady_circle():
 def test_solve_force_methods_agree():
     p = pk.PhysicsParams.from_contrast(0.4, 1.0)
     c = perturbed_circle(0.05)
-    fd = pk.solve_force(c, p, method="direct")
-    fp = pk.solve_force(c, p, method="richardson")
+    fd = direct_solve(c, p)
+    fp = pk.solve_force(c, p)
     assert np.max(np.abs(fd - fp)) < 1e-10
 
 
@@ -347,7 +360,7 @@ def test_default_solve_matches_direct(seed, a_mu, log_eps, n):
     c = perturbed_circle(10.0**log_eps, seed=seed, max_mode=n // 4,
                          grid_size=n)
     try:
-        fd = pk.solve_force(c, p, method="direct")
+        fd = direct_solve(c, p)
     except pk.CurveDegenerateError:
         reject()
     f = pk.solve_force(c, p)
@@ -361,7 +374,7 @@ def test_default_solve_falls_back_to_lu(monkeypatch, a_mu, eps, factorizations):
     and a deviation of 0.8 it diverges and the dense LU takes over."""
     p = pk.PhysicsParams.from_contrast(a_mu, 1.0)
     c = perturbed_circle(eps)
-    fd = pk.solve_force(c, p, method="direct")
+    fd = direct_solve(c, p)
     lu = _CountLU(monkeypatch)
     f = pk.solve_force(c, p)
     assert lu.calls == factorizations
@@ -378,12 +391,12 @@ def clockwise_unit_circle(m=8, n=32):
 
 
 def test_zero_radius_circle_part_goes_straight_to_lu(monkeypatch):
-    """With no circle to precondition on, the default solve skips the
-    iteration and makes one factorization, the direct solve's own."""
+    """With no circle to precondition on, the solve skips the iteration and
+    makes one factorization, bitwise that of the dense reference."""
     curve = clockwise_unit_circle()
     p = pk.PhysicsParams.from_contrast(0.5, 1.0)
     assert pk.spectral.circle_part(curve).radius == 0.0
-    fd = pk.solve_force(curve, p, method="direct")
+    fd = direct_solve(curve, p)
     lu = _CountLU(monkeypatch)
     f = pk.solve_force(curve, p)
     assert lu.calls == 1
@@ -399,22 +412,16 @@ def test_a_residual_above_tolerance_raises_solver_error(monkeypatch):
         pk.solve_force(curve, p)
 
 
-def test_an_unknown_solve_method_is_refused():
-    with pytest.raises(ValueError, match="'direct' or 'richardson'"):
-        pk.solve_force(perturbed_circle(1e-3),
-                       pk.PhysicsParams.from_contrast(0.5, 1.0), method="lu")
-
-
 def test_run_with_direct_and_default_force_agree():
     p = pk.PhysicsParams.from_contrast(-0.5, 1.0)
     c = perturbed_circle(5e-5, max_mode=8, grid_size=32)  # below k(-0.5)
     cfg = pk.StepperConfig(dt=1e-2, t_final=0.2, scheme="etdrk2")
 
     def direct(curve, params):
-        """The right-hand side u + (a_e/2)(|k| c + J c) from public calls,
-        with J(k) = [[0, -i sgn k], [i sgn k, 0]]."""
-        force = pk.solve_force(curve, params, method="direct")
-        u = pk.analyze(pk.velocity_on_curve(curve, force), curve.max_mode)
+        """The right-hand side u + (a_e/2)(|k| c + J c) of the dense
+        reference force, with J(k) = [[0, -i sgn k], [i sgn k, 0]]."""
+        f = direct_solve(curve, params)
+        u = pk.analyze(pk.velocity_on_curve(curve, f), curve.max_mode)
         c, ks = curve.coeffs, curve.ks
         jc = 1j * np.sign(ks)[:, None] * np.column_stack([-c[:, 1], c[:, 0]])
         lc = np.abs(ks)[:, None] * c + jc

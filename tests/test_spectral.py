@@ -46,7 +46,7 @@ def test_analyze_inverts_synthesize():
 
 def test_analyze_refuses_samples_that_are_not_planar_points():
     with pytest.raises(ValueError, match=r"samples must have shape \(N, 2\)"):
-        pk.analyze(np.zeros((16, 3)))
+        pk.analyze(np.zeros((16, 3)), 4)
 
 
 def test_a_mode_beyond_the_band_is_zero():
