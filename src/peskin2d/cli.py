@@ -19,15 +19,12 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
-from .constants import (
-    OutOfRegimeError,
-    constants_chain,
-    energy_certificate,
-    k_threshold,
-)
+from .constants import (OutOfRegimeError, constants_chain,
+                        energy_certificate, k_threshold)
 from . import evolution, force, multipliers, spectral
 from .spectral import (_CONTRAST, _COUNT, _NONNEGATIVE, _POSITIVE, _SEED,
                        _WHOLE, _number)
@@ -40,32 +37,46 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _option(domain):
-    """An argparse `type=`: the text as a number of `domain.kind` in
-    `domain` (`_number`), whose refusal argparse prints as one usage line."""
+    """An argparse `type=` that carries its `domain`: the text read as a
+    `domain.kind` literal, else as a float literal, else as itself, then
+    checked by `_number`, whose refusal argparse prints as one usage line."""
     def parse(text):
+        for read in (domain.kind, float):
+            with contextlib.suppress(ValueError):
+                text = read(text)
+                break
         try:
-            return _number(domain.kind(text), "value", domain)
+            return _number(text, "value", domain)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
+    parse.domain = domain
     return parse
 
 
 _count = _option(_COUNT)
 
 
+def _counts(text):
+    """An argparse `type=`: a comma-separated list of `_count`s."""
+    return [_count(v) for v in text.split(",")]
+
+
+_counts.domain = _COUNT
+
+
 class ConfigError(ValueError):
     pass
 
 
+_VISCOSITIES = {f.name for f in fields(force.PhysicsParams)}
+_CONTRASTS = {"a_mu", "a_e"}  # the arguments of PhysicsParams.from_contrast
 _SCHEMA = {
-    "physics": {"mu1", "mu2", "k0", "a_mu", "a_e"},
+    "physics": _VISCOSITIES | _CONTRASTS,
     "initial": {"circle", "modes"},
     "discretization": {"max_mode", "grid_size"},
-    "stepping": {
-        "dt", "t_final", "scheme", "record_every", "nu_max",
-        "arc_chord_floor",
-    },
+    "stepping": {f.name for f in fields(evolution.StepperConfig)},
 }
+_CIRCLE = {f.name for f in fields(spectral.CirclePart)}  # initial.circle
 
 
 def _check_keys(cfg):
@@ -81,11 +92,10 @@ def _check_keys(cfg):
         circle = cfg["initial"]["circle"]
         if not isinstance(circle, dict):
             raise ConfigError("'initial.circle' must be an object")
-        extra = set(circle) - {"a", "b", "c", "d"}
+        extra = set(circle) - _CIRCLE
         if extra:
-            raise ConfigError(
-                "unknown config key 'initial.circle.%s'" % sorted(extra)[0]
-            )
+            raise ConfigError("unknown config key 'initial.circle.%s'"
+                              % min(extra))
 
 
 @contextlib.contextmanager
@@ -112,11 +122,11 @@ def load_config(path):
 
     with _section("physics"):
         keys = set(cfg.get("physics", {}))  # the constructors check values
-        if keys == {"a_mu", "a_e"}:
+        if keys == _CONTRASTS:
             params = force.PhysicsParams.from_contrast(**cfg["physics"])
-        elif keys == {"mu1", "mu2", "k0"}:
+        elif keys == _VISCOSITIES:
             params = force.PhysicsParams(**cfg["physics"])
-        elif keys & {"mu1", "mu2", "k0"} and keys & {"a_mu", "a_e"}:
+        elif keys & _VISCOSITIES and keys & _CONTRASTS:
             raise ConfigError(
                 "physics: give either (mu1, mu2, k0) or (a_mu, a_e), not both")
         else:
@@ -263,8 +273,7 @@ def cmd_constants(args):
     except OutOfRegimeError as exc:
         print("out of regime (%s): %s" % (exc.constant_name, exc))
         return 3
-    flat = rep.as_flat_dict()
-    text = json.dumps(flat, indent=2)
+    text = json.dumps(rep.as_flat_dict(), indent=2)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "constants.json")
@@ -347,8 +356,7 @@ def build_parser():
     s = sub.add_parser("verify-linear", help="check linearized decay rates")
     s.add_argument("--a-mu", type=_option(_CONTRAST), default=0.0, dest="a_mu")
     s.add_argument("--a-e", type=_option(_POSITIVE), default=1.0, dest="a_e")
-    s.add_argument("--modes", default="2,3,5,10",
-                   type=lambda text: [_count(v) for v in text.split(",")])
+    s.add_argument("--modes", type=_counts, default="2,3,5,10")
     s.add_argument("--eps", type=_option(_POSITIVE), default=1e-5)
     s.add_argument("--tol", type=_option(_POSITIVE), default=1e-3)
     s.set_defaults(func=cmd_verify_linear)

@@ -24,6 +24,9 @@ import numpy as np
 
 from .spectral import _CONTRAST, _NONNEGATIVE, _POSITIVE, _number
 
+__all__ = ["OutOfRegimeError", "constants_chain", "energy_certificate",
+           "k_threshold", "margin", "threshold_lower_bound"]
+
 _SQRT2 = math.sqrt(2.0)
 _MARGIN_SLOPE = 676.0 * _SQRT2  # coefficient of D5(x) x/(1-a_mu) in the margin
 

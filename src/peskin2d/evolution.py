@@ -61,6 +61,11 @@ from .spectral import (
     to_Y,  # not used here; bench/test_smoke.py traces this binding
 )
 
+# velocity_on_curve is defined in force and exported from here
+__all__ = ["CSV_HEADER", "SimulationState", "StepperConfig",
+           "TrajectoryRecord", "read_final_state", "rhs_nonlinear", "run",
+           "step", "velocity_on_curve", "write_final_state"]
+
 
 def _l_action(coeffs, ks):
     """Rowwise L(k) c_k = |k| c_k + J(k) c_k."""

@@ -45,7 +45,7 @@ velocities and the blocks of `s_operator_matrix` are arrays of their own.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,6 +66,8 @@ from .spectral import (
     theta_grid,
 )
 
+__all__ = ["PhysicsParams", "SolverError", "elastic_force",
+           "force_zero_linear", "s_operator_matrix", "solve_force"]
 
 _TOL = 1e-14  # Richardson stops at max |r| <= _TOL max |F|
 _MAX_ITER = 500  # residuals before the Richardson iteration gives up
@@ -85,15 +87,17 @@ class PhysicsParams:
     k0: float
 
     def __post_init__(self):
-        for name in ("mu1", "mu2", "k0"):  # stored as floats
-            object.__setattr__(self, name, _number(
-                getattr(self, name), name, domain=_POSITIVE))
+        for field in fields(self):  # stored as floats
+            object.__setattr__(self, field.name, _number(
+                getattr(self, field.name), field.name, domain=_POSITIVE))
         _number(self.a_mu, "a_mu of the viscosities", domain=_CONTRAST)
         _number(self.a_e, "a_e of k0 / (mu1 + mu2)", domain=_POSITIVE)
 
     @classmethod
     def from_contrast(cls, a_mu, a_e):
-        """Build from (a_mu, a_e) with the normalization mu1 + mu2 = 1."""
+        """Build from (a_mu, a_e) with mu1 + mu2 = 1.  `a_mu` is recomputed
+        from the viscosities and can differ from the argument in the last bit:
+        0.3 reads 0.30000000000000004; 24 of -0.95, -0.90, .., 0.95 differ."""
         a_mu = _number(a_mu, "a_mu", domain=_CONTRAST)
         a_e = _number(a_e, "a_e", domain=_POSITIVE)
         return cls(mu1=0.5 * (1.0 - a_mu), mu2=0.5 * (1.0 + a_mu), k0=a_e)

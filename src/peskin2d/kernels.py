@@ -26,6 +26,9 @@ import numpy as np
 
 from .spectral import _grid_samples, _modulus, synthesize
 
+__all__ = ["SingularEvaluation", "eval_velocity_field", "log_convolve",
+           "stokeslet"]
+
 _CLEARANCE = 0.1  # distance to the interface below which the rule degrades
 
 

@@ -39,6 +39,9 @@ import numpy as np
 
 from .spectral import _WHOLE, _number, theta_grid
 
+__all__ = ["integral_In", "integral_S1_closed", "integral_Sn_exact",
+           "integral_Sn_quadrature"]
+
 _CACHED_NODES = 256  # grids and factor rows of up to this many nodes are kept
 _CACHED_VALUES = 1 << 17  # factor-row values kept at most (1 MB)
 

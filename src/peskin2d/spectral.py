@@ -28,13 +28,20 @@ plus the second component of mode one.  The solvers apply L = |k| I + J in
 the X frame (`_j_action`); to_Y / from_Y are the frame's public reference.
 """
 
+import collections
 import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+__all__ = ["AliasingError", "CirclePart", "CurveDegenerateError",
+           "FourierCurve", "analyze", "arc_chord_constant", "circle_curve",
+           "circle_decompose", "derivative", "enclosed_area", "evaluate",
+           "fnorm", "from_Y", "geometry_diagnostics", "synthesize",
+           "theta_grid", "to_Y"]
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -47,15 +54,8 @@ class CurveDegenerateError(RuntimeError):
     """Curve failed a geometric sanity check (self-touching or collapsed)."""
 
 
-class _Domain:
-    """An input's open interval (low, high) of floats, or of whole numbers
-    when `kind` is int, worded as `text` in a refusal."""
-
-    __slots__ = ("low", "high", "kind", "text")
-
-    def __init__(self, low, high, kind, text):
-        self.low, self.high, self.kind, self.text = low, high, kind, text
-
+# an input's open interval (low, high) of `kind` values, worded as `text`
+_Domain = collections.namedtuple("_Domain", "low high kind text")
 
 _POSITIVE = _Domain(0.0, math.inf, float, "positive and finite")
 # open at the float below 0, so 0 and -0.0 are in and every negative is out
@@ -320,9 +320,9 @@ class CirclePart:
     d: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):  # stored as floats
-            value = _number(getattr(self, name), "circle." + name)
-            object.__setattr__(self, name, value)
+        for field in fields(self):  # stored as floats
+            value = _number(getattr(self, field.name), "circle." + field.name)
+            object.__setattr__(self, field.name, value)
 
     @property
     def radius(self):
@@ -337,15 +337,13 @@ class CirclePart:
         coeffs[m - 1] = np.conj(coeffs[m + 1])
         return coeffs
 
-    def as_curve(self, max_mode=1, grid_size=0):
-        m = _number(max_mode, "max_mode", domain=_COUNT)
-        return FourierCurve(self._coeffs(m), grid_size)
-
 
 def circle_curve(a=1.0, b=0.0, c=0.0, d=0.0, max_mode=1, grid_size=0):
-    """`CirclePart(a, b, c, d).as_curve`: a FourierCurve of band `max_mode`,
-    a whole number >= 1, on `grid_size` points (0 picks max(4M, 8))."""
-    return CirclePart(a, b, c, d).as_curve(max_mode, grid_size)
+    """`CirclePart(a, b, c, d)` as a FourierCurve of band `max_mode`, a
+    whole number >= 1, on `grid_size` points (0 picks max(4M, 8))."""
+    circle = CirclePart(a, b, c, d)
+    m = _number(max_mode, "max_mode", domain=_COUNT)
+    return FourierCurve(circle._coeffs(m), grid_size)
 
 
 def circle_part(curve):

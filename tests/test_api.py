@@ -7,6 +7,10 @@ import re
 import types
 
 import peskin2d as pk
+from peskin2d import constants, evolution, force, kernels, multipliers, spectral
+
+# the modules whose `__all__` the root concatenates, in its order
+MODULES = [spectral, kernels, force, evolution, constants, multipliers]
 
 EXPORTS = [
     # spectral
@@ -56,6 +60,35 @@ def test_no_module_is_exported_and_constants_is_the_module():
 
     assert isinstance(constants, types.ModuleType)
     assert constants.constants_chain is pk.constants_chain
+
+
+def test_every_name_a_module_lists_is_bound_there():
+    for module in MODULES:
+        assert isinstance(module.__all__, list)
+        for name in module.__all__:
+            assert hasattr(module, name), (module.__name__, name)
+
+
+def test_no_name_is_listed_by_two_modules():
+    owners = {}
+    for module in MODULES:
+        for name in module.__all__:
+            owners.setdefault(name, []).append(module.__name__)
+    assert {n: o for n, o in owners.items() if len(o) > 1} == {}
+
+
+def test_the_root_exports_the_concatenation_and_binds_no_name_by_hand():
+    assert pk.__all__ == [n for module in MODULES for n in module.__all__]
+    with open(os.path.join(SRC, "__init__.py")) as fh:
+        tree = ast.parse(fh.read())
+    imports = [(node.module, [a.name for a in node.names])
+               for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports == [(m.__name__.rpartition(".")[2], ["*"]) for m in MODULES]
+    bound = [target.id for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets]
+    assert bound == ["__version__", "__all__"]
+    assert all(isinstance(node, (ast.Expr, ast.ImportFrom, ast.Assign))
+               for node in tree.body)
 
 
 def test_readme_usage_block_uses_exported_names():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -37,6 +39,9 @@ def test_unknown_section_is_dotted(tmp_path):
     cfg["typo_section"] = {}
     with pytest.raises(cli.ConfigError, match="typo_section"):
         cli.load_config(write_config(tmp_path, cfg))
+    cfg = dict(BASE_CONFIG, circle={"a": 1.0})  # a key of initial only
+    with pytest.raises(cli.ConfigError, match="^unknown config key 'circle'$"):
+        cli.load_config(write_config(tmp_path, cfg))
 
 
 def test_unknown_key_is_dotted(tmp_path):
@@ -48,6 +53,21 @@ def test_unknown_key_is_dotted(tmp_path):
     cfg2["initial"]["circle"]["radius"] = 2.0
     with pytest.raises(cli.ConfigError, match="initial.circle.radius"):
         cli.load_config(write_config(tmp_path, cfg2))
+
+
+def test_every_constructor_field_is_a_config_key(tmp_path):
+    """`stepping` takes each field of StepperConfig and `initial.circle`
+    each field of CirclePart: the schema reads them from the dataclasses."""
+    stepping = {"dt": 1e-3, "t_final": 0.05, "scheme": "etdrk2",
+                "record_every": 2, "nu_max": 0.5, "arc_chord_floor": 0.01}
+    circle = {"a": 1.5, "b": 0.5, "c": 0.25, "d": -0.25}
+    assert set(stepping) == {f.name for f in fields(evolution.StepperConfig)}
+    assert set(circle) == {f.name for f in fields(spectral.CirclePart)}
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["stepping"], cfg["initial"] = stepping, {"circle": circle}
+    _, curve, stepper = cli.load_config(write_config(tmp_path, cfg))
+    assert stepper == evolution.StepperConfig(**stepping)
+    assert spectral.circle_part(curve) == spectral.CirclePart(**circle)
 
 
 def test_physics_exclusive_parameterizations(tmp_path):
@@ -567,6 +587,11 @@ def test_verify_linear_fails_on_non_finite_rates(capsys):
          "positive and finite, got -1.0"),
         (["verify-linear", "--tol", "-1"], "--tol: value must be positive "
          "and finite, got -1.0"),
+        # not a number of its kind: `_number` decides, not int() or float()
+        (["kcurve", "--points", "1.5"], "--points: value must be a whole "
+         "number, got 1.5"),
+        (["kcurve", "--amin", "abc"], "--amin: value must be a number, "
+         "got 'abc'"),
     ]
 ])
 def test_an_option_outside_its_domain_is_one_usage_line(tmp_path, capsys,
@@ -578,6 +603,67 @@ def test_an_option_outside_its_domain_is_one_usage_line(tmp_path, capsys,
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "peskin2d %s: error: argument %s\n" % (
         argv[0], message)
+
+
+@pytest.mark.parametrize("argv, dest, value", [
+    pytest.param(argv, dest, value, id="%s-%s-%s" % (
+        argv[0], argv[1].lstrip("-"), label or argv[2]))
+    for argv, dest, value, label in [
+        (["kcurve", "--points", "1e3"], "points", 1000, None),
+        (["lemma-check", "--seed", "2.0"], "seed", 2, None),
+        (["lemma-check", "--seed", "1" + "0" * 400], "seed", 10 ** 400,
+         "400-digits"),  # an int literal keeps its exact value
+        (["verify-linear", "--modes", "2,3.0"], "modes", [2, 3], None),
+        (["constants", "--x", "-0"], "x", -0.0, None),  # read as a float
+    ]
+])
+def test_a_numeric_option_reads_int_and_float_literals(argv, dest, value):
+    out = ["--out", "o"] * (argv[0] != "verify-linear")  # no --out there
+    args = cli.build_parser().parse_args(argv + out)
+    assert repr(getattr(args, dest)) == repr(value)  # the type too
+
+
+def _typed_options():
+    """(command, option, type) of every `build_parser()` action with a type."""
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return [(command, action.option_strings[0], action.type)
+            for command, parser in commands.items()
+            for action in parser._actions if action.type is not None]
+
+
+def test_every_typed_option_carries_its_domain():
+    options = _typed_options()
+    assert len(options) == 16
+    for command, option, kind in options:
+        assert isinstance(getattr(kind, "domain", None), spectral._Domain), (
+            command, option)
+
+
+def _just_outside(domain):
+    """(text, message) of the values just outside `domain`: its finite
+    ends, nan, inf, and 1.5 where a whole number is due."""
+    cases = [(repr(end), "%s, got %r" % (domain.text, end))
+             for end in (domain.low, domain.high) if math.isfinite(end)]
+    wording = "a whole number" if domain.kind is int else domain.text
+    return cases + [(text, "%s, got %s" % (wording, text)) for text in
+                    ["nan", "inf"] + ["1.5"] * (domain.kind is int)]
+
+
+@pytest.mark.parametrize("command, option, text, message", [
+    pytest.param(command, option, text, message, id="%s-%s-%s" % (
+        command, option.lstrip("-"), text))
+    for command, option, kind in _typed_options()
+    for text, message in _just_outside(kind.domain)
+])
+def test_every_option_refuses_the_values_just_outside_its_domain(
+        capsys, command, option, text, message):
+    """Each typed option of the parser, walked: `--opt=<value>`, since
+    argparse reads a bare `-5e-324` as an option."""
+    assert cli.main([command, "%s=%s" % (option, text)]) == 1
+    assert capsys.readouterr().err == (
+        "peskin2d %s: error: argument %s: value must be %s\n"
+        % (command, option, message))
 
 
 def test_degenerate_geometry_outside_a_run_exits_2(capsys, monkeypatch):

@@ -329,8 +329,8 @@ def test_closed_form_frame_matches_per_mode_matrices(seed, m):
 
 
 def test_circle_decompose_recovers_parameters():
-    cp = pk.CirclePart(1.0, 0.0, 0.3, -0.2)
-    circle, dev = pk.circle_decompose(cp.as_curve(6, 24))
+    circle, dev = pk.circle_decompose(
+        pk.circle_curve(1.0, 0.0, 0.3, -0.2, max_mode=6, grid_size=24))
     assert (circle.a, circle.b, circle.c, circle.d) == pytest.approx(
         (1.0, 0.0, 0.3, -0.2)
     )
@@ -339,8 +339,7 @@ def test_circle_decompose_recovers_parameters():
 
 def test_circle_decompose_splits_deviation():
     rng = np.random.default_rng(6)
-    cp = pk.CirclePart(0.9, 0.1, -0.4, 0.25)
-    base = cp.as_curve(8, 32)
+    base = pk.circle_curve(0.9, 0.1, -0.4, 0.25, max_mode=8, grid_size=32)
     c = base.coeffs.copy()
     add = 0.02 * (rng.normal(size=2) + 1j * rng.normal(size=2))
     c[8 + 3] += add
@@ -352,7 +351,8 @@ def test_circle_decompose_splits_deviation():
     assert np.allclose(dev.mode(3), add, atol=1e-14)
     assert abs(pk.to_Y(dev).coeffs[8][0]) < 1e-15  # no zero mode left
     # and recombining gives back the curve
-    recon = circle.as_curve(8, 32).coeffs + dev.coeffs
+    recon = pk.circle_curve(circle.a, circle.b, circle.c, circle.d,
+                             max_mode=8, grid_size=32).coeffs + dev.coeffs
     assert np.max(np.abs(recon - c)) < 1e-14
 
 
