@@ -37,11 +37,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _option(domain):
-    """An argparse `type=` that carries its `domain`: the text read as a
-    `domain.kind` literal, else as a float literal, else as itself, then
-    checked by `_number`, whose refusal argparse prints as one usage line."""
+    """An argparse `type=` that carries its `domain`: the text read as an int
+    literal, else as a float literal, else as itself, then checked by
+    `_number`, whose refusal argparse prints as one usage line."""
     def parse(text):
-        for read in (domain.kind, float):
+        for read in (int, float):
             with contextlib.suppress(ValueError):
                 text = read(text)
                 break
@@ -165,17 +165,21 @@ def load_config(path):
     return params, curve, stepper
 
 
+def _out(args, name):
+    """The path of `name` in the directory args.out, made if it is missing."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
 def cmd_simulate(args):
     params, curve, stepper = load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
+    csv, txt = _out(args, "trajectory.csv"), _out(args, "final_state.txt")
     with warnings.catch_warnings():  # each warning of run as one line
         warnings.showwarning = lambda message, *_: print(
             "warning: %s" % message, file=sys.stderr)
         rec = evolution.run(curve, params, stepper)
-    rec.to_csv(os.path.join(args.out, "trajectory.csv"))
-    evolution.write_final_state(
-        os.path.join(args.out, "final_state.txt"), rec.final_state
-    )
+    rec.to_csv(csv)
+    evolution.write_final_state(txt, rec.final_state)
     if rec.failure:
         print("DEGENERATE: %s" % rec.failure)
         return 2
@@ -197,8 +201,7 @@ def cmd_simulate(args):
 def cmd_kcurve(args):
     grid = np.linspace(args.amin, args.amax, args.points)
     results = [k_threshold(a) for a in grid]
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "kcurve.csv")
+    path = _out(args, "kcurve.csv")
     with open(path, "w") as fh:
         fh.write("a_mu,k,k_lower_bound\n")
         for a, res in zip(grid, results):
@@ -247,8 +250,7 @@ def cmd_lemma_check(args):
         return k, ks, num, exact, abs(exact - quad), bound - abs(num)
 
     rows = [one(item) for item in tuples]
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "lemma_check.csv")
+    path = _out(args, "lemma_check.csv")
     failed = nonfinite = 0
     with open(path, "w") as fh:
         fh.write("n,k_tuple,numeric,exact,abs_err,bound_margin\n")
@@ -275,8 +277,7 @@ def cmd_constants(args):
         return 3
     text = json.dumps(rep.as_flat_dict(), indent=2)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "constants.json")
+        path = _out(args, "constants.json")
         with open(path, "w") as fh:
             fh.write(text + "\n")
         print("wrote %s" % path)

@@ -18,7 +18,7 @@ nu_m = 0; below it the certificate applies.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,11 +52,11 @@ class ConstantsReport:
     tilde_C: float | None         # center-drift constant; None if margin <= 0
 
     def as_flat_dict(self):
-        out = {"x": self.x, "a_mu": self.a_mu, "nu_m": self.nu_m}
-        out.update({"C%d" % i: v for i, v in sorted(self.C.items())})
-        out.update({"D%d" % i: v for i, v in sorted(self.D.items())})
-        out["script_C"] = self.script_C
-        out["tilde_C"] = self.tilde_C
+        out = {}  # the fields in order, C and D spelled out as C1.. and D1..
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out.update({f.name + str(i): v for i, v in sorted(value.items())}
+                       if isinstance(value, dict) else {f.name: value})
         return out
 
 

@@ -174,26 +174,20 @@ def _apply(factors, coeffs):
     return lo * coeffs + gap * (coeffs + _j_action(coeffs))
 
 
-def step(state, cfg, nonlinearity=None, h=None):
+def step(state, cfg, h=None):
     """One step of exponential Euler, c1 = E c + Phi1 n, or ETDRK2, which
-    adds Phi2 (n_mid - n), with the cached `_step_factors` (E, Phi1, Phi2).
-
-    `nonlinearity` may be injected (signature (curve, params) -> coefficient
-    container) to validate the linear part in isolation; default is
-    rhs_nonlinear.  `h` overrides the step length cfg.dt (the schemes
-    integrate the stiff factor exactly for any h).
-    """
-    nl = nonlinearity if nonlinearity is not None else (
-        lambda c, p: rhs_nonlinear(c, p, arc_chord_floor=cfg.arc_chord_floor)
-    )
-    curve, params = state.curve, state.params
+    adds Phi2 (n_mid - n), with the cached `_step_factors` (E, Phi1, Phi2)
+    and n = `rhs_nonlinear` behind the guard at cfg.arc_chord_floor.  `h`
+    overrides the step length cfg.dt (the schemes integrate the stiff factor
+    exactly for any h)."""
+    curve, params, floor = state.curve, state.params, cfg.arc_chord_floor
     h = cfg.dt if h is None else h
     decay, phi1, phi2 = _step_factors(curve.max_mode, params.a_e, h)
-    nx = nl(curve, params).coeffs
+    nx = rhs_nonlinear(curve, params, floor).coeffs
     c1 = _apply(decay, curve.coeffs) + _apply(phi1, nx)
     if cfg.scheme == "etdrk2":
         mid = _symmetric_curve(c1, curve.grid_size)
-        c1 = c1 + _apply(phi2, nl(mid, params).coeffs - nx)
+        c1 = c1 + _apply(phi2, rhs_nonlinear(mid, params, floor).coeffs - nx)
     new_curve = _symmetric_curve(c1, curve.grid_size)
     return SimulationState.make(state.t + h, new_curve, params)
 
@@ -220,8 +214,8 @@ class TrajectoryRecord:
     def to_csv(self, path):
         cols = np.column_stack([getattr(self, name) for name in _COLUMNS])
         with open(path, "w") as fh:
-            fh.write("# x0=%r script_C=%r failure=%r\n"
-                     % (self.x0, self.script_C, self.failure))
+            fh.write("# %s\n" % " ".join("%s=%r" % (name, getattr(self, name))
+                                         for name in _NOTES))
             fh.write(CSV_HEADER + "\n")
             np.savetxt(fh, cols, delimiter=",", fmt="%.16e")
 
@@ -230,19 +224,23 @@ class TrajectoryRecord:
         # "# x0=... script_C=... failure=...", the header, then data rows
         with open(path) as fh:
             comment, _, *lines = fh.read().splitlines()
-        x0, script_c, failure = (
-            field.partition("=")[2] for field in comment.split(" ", 3)[1:])
+        notes = dict(note.partition("=")[::2]
+                     for note in comment[2:].split(" ", len(_NOTES) - 1))
         rows = [r.split(",") for r in lines]
         data = np.array(rows, dtype=float).reshape(-1, len(_COLUMNS))
         return cls(**{n: data[:, i] for i, n in enumerate(_COLUMNS)},
-                   x0=float(x0), script_C=float(script_c),
-                   failure=ast.literal_eval(failure))
+                   **{n: read(notes[n]) for n, read in _NOTES.items()})
 
 
 # the CSV columns: the record's array fields, in their order
 _COLUMNS = tuple(f.name for f in fields(TrajectoryRecord)
                  if f.type is np.ndarray)
 CSV_HEADER = ",".join(_COLUMNS)
+# the comment row's notes, each with its reader; only the last may hold spaces
+_NOTES = {"x0": float, "script_C": float, "failure": ast.literal_eval}
+# final_state.txt's scalars and formats, of a state, its curve or its params
+_SCALARS = {"t": "%.16e", "max_mode": "%d", "grid_size": "%d",
+            **{f.name: "%.16e" for f in fields(PhysicsParams)}}
 
 
 def run(curve, params, cfg):
@@ -274,16 +272,16 @@ def run(curve, params, cfg):
         warnings.warn("constants chain out of regime at x0 = %.3e" % x0,
                       RuntimeWarning)
 
-    rows = []
+    cols = {name: [] for name in _COLUMNS}  # the energy columns stay empty
 
     def record(st):
         nu = cfg.nu_max * st.t / (1.0 + st.t)
         diag = geometry_diagnostics(st.curve, arc_chord_floor=cfg.arc_chord_floor)
-        rows.append(
-            (st.t, fnorm(st.deviation, 1, nu), fnorm(st.deviation, 2, nu),
-             st.circle.radius, diag["area"], diag["arc_chord"],
-             st.circle.c, st.circle.d)
-        )
+        for name, value in dict(  # diag's keys are "area" and "arc_chord"
+                t=st.t, norm_f11=fnorm(st.deviation, 1, nu),
+                norm_f21=fnorm(st.deviation, 2, nu), radius=st.circle.radius,
+                **diag, center_x=st.circle.c, center_y=st.circle.d).items():
+            cols[name].append(value)
 
     # a rest below 1e-9 dt after whole steps is their round-off, not a step
     n_steps = math.floor(cfg.t_final / cfg.dt + 1e-9)
@@ -300,49 +298,51 @@ def run(curve, params, cfg):
         failure = str(exc)
 
     # degenerate before the first diagnostic: empty columns keep it usable
-    names = _COLUMNS[:-2]  # the measured columns
-    cols = dict(zip(names,
-                    np.array(rows, dtype=float).reshape(-1, len(names)).T))
-    return TrajectoryRecord(
-        **cols,
-        energy_lhs=balance_lhs(cols["t"], cols["norm_f11"], cols["norm_f21"],
-                               0.25 * params.a_e * script_c),
-        energy_rhs=np.full(len(rows), x0),
-        x0=x0, script_C=script_c, failure=failure, final_state=state)
+    cols = {name: np.array(col, dtype=float) for name, col in cols.items()}
+    cols["energy_lhs"] = balance_lhs(cols["t"], cols["norm_f11"],
+                                     cols["norm_f21"], 0.25 * params.a_e * script_c)
+    cols["energy_rhs"] = np.full(len(cols["t"]), x0)
+    return TrajectoryRecord(**cols, x0=x0, script_C=script_c, failure=failure,
+                            final_state=state)
 
 
 def write_final_state(path, state):
     """Interface snapshot as structured text: scalars, then coefficient rows."""
-    p = state.params
-    m = state.curve.max_mode
+    curve, m = state.curve, state.curve.max_mode
     with open(path, "w") as fh:
-        fh.write("t %.16e\n" % state.t)
-        fh.write("max_mode %d\n" % m)
-        fh.write("grid_size %d\n" % state.curve.grid_size)
-        fh.write("mu1 %.16e\nmu2 %.16e\nk0 %.16e\n" % (p.mu1, p.mu2, p.k0))
+        for name, fmt in _SCALARS.items():
+            owner = (state if hasattr(state, name) else curve
+                     if hasattr(curve, name) else state.params)
+            fh.write(("%s " + fmt + "\n") % (name, getattr(owner, name)))
         fh.write("k re1 im1 re2 im2\n")
         fh.writelines("%d %.16e %.16e %.16e %.16e\n"
                       % (k, c1.real, c1.imag, c2.real, c2.imag)
-                      for k, (c1, c2) in enumerate(state.curve.coeffs.tolist(), -m))
+                      for k, (c1, c2) in enumerate(curve.coeffs.tolist(), -m))
 
 
 def read_final_state(path):
-    """Inverse of write_final_state; returns (t, params, curve)."""
-    scalars = {}
-    rows = []
+    """Inverse of write_final_state: the SimulationState it was given.  A
+    missing scalar, or a line neither "<scalar> <value>" nor a mode row
+    "k re1 im1 re2 im2" with |k| <= max_mode, is a one-line ValueError."""
+    scalars, rows = {}, []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             parts = line.split()
-            if not parts or parts[0] == "k":
-                continue
-            if parts[0] in ("t", "max_mode", "grid_size", "mu1", "mu2", "k0"):
+            if len(parts) == 2 and parts[0] in _SCALARS:
                 scalars[parts[0]] = float(parts[1])
-            else:
-                rows.append([float(v) for v in parts])
+            elif parts[:1] not in ([], ["k"]):
+                rows.append((number, parts))
+    missing = [name for name in _SCALARS if name not in scalars]
+    if missing:
+        raise ValueError("%s: missing scalar %r" % (path, missing[0]))
     m = int(scalars["max_mode"])
     coeffs = np.zeros((2 * m + 1, 2), dtype=complex)
-    for k, r1, i1, r2, i2 in rows:
-        coeffs[int(k) + m] = (r1 + 1j * i1, r2 + 1j * i2)
+    for number, parts in rows:
+        if len(parts) != 5 or abs(int(parts[0])) > m:
+            raise ValueError("%s: line %d: %r is not 'k re1 im1 re2 im2', "
+                             "|k| <= %d" % (path, number, " ".join(parts), m))
+        r1, i1, r2, i2 = map(float, parts[1:])
+        coeffs[int(parts[0]) + m] = r1 + 1j * i1, r2 + 1j * i2
     curve = FourierCurve(coeffs, int(scalars["grid_size"]))
-    params = PhysicsParams(scalars["mu1"], scalars["mu2"], scalars["k0"])
-    return scalars["t"], params, curve
+    params = PhysicsParams(*(scalars[f.name] for f in fields(PhysicsParams)))
+    return SimulationState.make(scalars["t"], curve, params)

@@ -41,7 +41,7 @@ tables (g, c, e), B = 1/2 (g I + c diag(1, -1)) + e [[0, 1], [1, 0]] per
 pair (V's g reads a weight with e = exp(1) folded in), valid until the next
 sweep on its (M, N) that writes it.  A force is its (N, 2) grid samples,
 the Nystrom unknowns (its band-M coefficients are `analyze(f, M)`); forces,
-velocities and the blocks of `s_operator_matrix` are arrays of their own.
+velocities and the dense S of `s_operator_matrix` are arrays of their own.
 """
 
 import functools
@@ -222,14 +222,9 @@ def _pair_geometry(curve, arc_chord_floor=1e-8, with_s=False, with_v=False):
 
 
 def s_operator_matrix(curve):
-    """S(., X) including quadrature weight, as three (N, N) blocks
-    (sxx, sxy, syy): S(F)_x = sxx F_x + sxy F_y, S(F)_y = sxy F_x + syy F_y.
-
-    They are arrays of their own, (1/2 (g + c), e, 1/2 (g - c)) from the
-    (g, c, e) tables of a sweep behind the degeneracy guard at floor 1e-8.
-    """
-    g, c, e = _pair_geometry(curve, with_s=True)[1]
-    return 0.5 * (g + c), e.copy(), 0.5 * (g - c)
+    """S(., X) with quadrature weight: the dense (2N, 2N) Nystrom matrix on
+    interleaved (x, y) samples, its own array, behind the guard at 1e-8."""
+    return _dense(_pair_geometry(curve, with_s=True)[1])
 
 
 def _apply_blocks(blocks, f):
@@ -246,14 +241,18 @@ def _apply_blocks(blocks, f):
     return out.reshape(f.shape)
 
 
-def _dense_system(blocks, a_mu):
+def _dense(s):
+    """S's (2N, 2N) matrix on interleaved samples from its (g, c, e) tables."""
+    g, c, e = s
+    mat = np.empty((len(g), 2, len(g), 2))
+    mat[:, 0, :, 0], mat[:, 1, :, 1] = 0.5 * (g + c), 0.5 * (g - c)
+    mat[:, 0, :, 1] = mat[:, 1, :, 0] = e
+    return mat.reshape(2 * len(g), -1)
+
+
+def _dense_system(s, a_mu):
     """The dense (2N, 2N) I - 2 a_mu S on interleaved samples, S as (g, c, e)."""
-    g, c, e = blocks
-    n = g.shape[0]
-    mat = np.empty((n, 2, n, 2))
-    mat[:, 0, :, 0], mat[:, 1, :, 1] = g + c, g - c
-    mat[:, 0, :, 1] = mat[:, 1, :, 0] = 2.0 * e
-    return np.eye(2 * n) - a_mu * mat.reshape(2 * n, 2 * n)
+    return np.eye(2 * len(s[0])) - 2.0 * a_mu * _dense(s)
 
 
 def _circle_preconditioner(curve, a_mu):

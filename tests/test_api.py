@@ -5,6 +5,7 @@ import glob
 import os
 import re
 import types
+from dataclasses import fields
 
 import peskin2d as pk
 from peskin2d import constants, evolution, force, kernels, multipliers, spectral
@@ -170,3 +171,31 @@ def test_the_domain_check_lives_only_in_spectral_number():
                   for node in _range_tests(tree) if id(node) not in inside]
     assert found == []
     assert len(kept) == 1  # low < value < high
+
+
+def _tree(name):
+    with open(os.path.join(SRC, name)) as fh:
+        return ast.parse(fh.read())
+
+
+def _strings(tree):
+    """The string constants of `tree`, with their lines."""
+    return [(node.value, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+def test_evolution_reads_the_params_fields_from_the_dataclass():
+    """final_state.txt's scalars name the PhysicsParams fields through
+    `dataclasses.fields`; a field spelled as a string in evolution.py
+    fails here."""
+    names = {field.name for field in fields(force.PhysicsParams)}
+    assert [s for s in _strings(_tree("evolution.py")) if s[0] in names] == []
+
+
+def test_as_flat_dict_names_no_key_by_hand():
+    """`ConstantsReport.as_flat_dict` reads its keys from the report's
+    fields; a key written as a string constant fails here."""
+    (flat,) = [node for node in ast.walk(_tree("constants.py"))
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "as_flat_dict"]
+    assert [s for s in _strings(flat) if s[0].isidentifier()] == []

@@ -571,6 +571,9 @@ def test_verify_linear_fails_on_non_finite_rates(capsys):
      "number >= 1, got 0"),
     (["lemma-check", "--seed", "-1"], "--seed: value must be nonnegative "
      "and finite, got -1"),
+    # an int literal too large for a float is refused as in a config
+    pytest.param(["constants", "--x", "1" + "0" * 400], "--x: value is too "
+                 "large for a float", id="constants-x-400-digits"),
 ] + [
     pytest.param(argv, message, id="%s-%s-%s" % (
         argv[0], argv[-2].lstrip("-"), argv[-1]))
@@ -614,7 +617,7 @@ def test_an_option_outside_its_domain_is_one_usage_line(tmp_path, capsys,
         (["lemma-check", "--seed", "1" + "0" * 400], "seed", 10 ** 400,
          "400-digits"),  # an int literal keeps its exact value
         (["verify-linear", "--modes", "2,3.0"], "modes", [2, 3], None),
-        (["constants", "--x", "-0"], "x", -0.0, None),  # read as a float
+        (["constants", "--x", "-0"], "x", 0.0, None),  # read as an int
     ]
 ])
 def test_a_numeric_option_reads_int_and_float_literals(argv, dest, value):

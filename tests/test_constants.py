@@ -179,11 +179,8 @@ def test_property_margin_is_the_reports_script_C(x, a_mu, nu_m, a_e):
 
 def test_flat_dict_keys():
     d = pk.constants_chain(1e-4, 0.2, 0.0, a_e=1.0).as_flat_dict()
-    for i in range(1, 18):
-        assert f"C{i}" in d
-    for i in range(1, 6):
-        assert f"D{i}" in d
-    assert "script_C" in d and "tilde_C" in d
+    assert list(d) == ["x", "a_mu", "nu_m", *("C%d" % i for i in range(1, 18)),
+                       *("D%d" % i for i in range(1, 6)), "script_C", "tilde_C"]
     assert d["tilde_C"] == pytest.approx(
         d["D5"] / ((1 - 0.2) * d["script_C"]), rel=1e-12)
 

@@ -3,6 +3,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -321,8 +322,10 @@ def test_step_factors_match_the_frame_change(seed, m, a_e, h, log_scale):
     cfg = pk.StepperConfig(dt=h, t_final=1.0, scheme="etdrk2")
     p = pk.PhysicsParams.from_contrast(0.0, a_e)
     state = pk.SimulationState.make(0.0, _symmetric_curve(c, 4 * m), p)
-    out = pk.step(state, cfg, nonlinearity=lambda curve, p: curve.with_coeffs(
-        nx + 1e-3 * curve.coeffs)).curve.coeffs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pk.evolution, "rhs_nonlinear", lambda curve, p, floor:
+                      curve.with_coeffs(nx + 1e-3 * curve.coeffs))
+        out = pk.step(state, cfg).curve.coeffs
     assert (out[::-1] + 0.0).tobytes() == (np.conj(out) + 0.0).tobytes()
 
 
@@ -412,16 +415,17 @@ def test_run_reads_only_force_samples(monkeypatch, scheme):
     assert counts[1] == (rhs, 0)
 
 
-def test_exponential_euler_is_exact_for_pure_linear():
+def test_exponential_euler_is_exact_for_pure_linear(monkeypatch):
     """With the nonlinearity forced to zero the stepper must reproduce
     exp(lambda t) decay to machine precision, independent of dt."""
     p = pk.PhysicsParams.from_contrast(0.5, 1.0)
     c = small_deviation_curve(1e-3, mode=3)
     cfg = pk.StepperConfig(dt=0.25, t_final=1.0)
     state = pk.SimulationState.make(0.0, c, p)
-    zero = lambda curve, params: curve.with_coeffs(np.zeros_like(curve.coeffs))
+    monkeypatch.setattr(pk.evolution, "rhs_nonlinear", lambda curve, p, floor:
+                        curve.with_coeffs(np.zeros_like(curve.coeffs)))
     for _ in range(4):
-        state = pk.step(state, cfg, nonlinearity=zero)
+        state = pk.step(state, cfg)
     dev0 = pk.circle_decompose(c)[1]
     y0 = pk.to_Y(dev0)
     yT = pk.to_Y(state.deviation)
@@ -733,35 +737,73 @@ def test_simulation_state_splits_circle_lazily():
 
 
 def test_record_csv_roundtrip(tmp_path):
+    """to_csv / from_csv give back every field but final_state bit for bit,
+    a failure text with spaces and "=" and a NaN script_C included."""
     p = pk.PhysicsParams.from_contrast(0.0, 1.0)
     c = small_deviation_curve(1e-4)
     cfg = pk.StepperConfig(dt=1e-2, t_final=0.1, record_every=2)
     rec = pk.run(c, p, cfg)
+    assert np.isfinite(rec.script_C) and rec.failure is None
     path = tmp_path / "traj.csv"
-    rec.to_csv(path)
-    first = path.read_text().splitlines()
-    assert first[0].startswith("# x0=")
-    assert first[1] == pk.CSV_HEADER
-    back = pk.TrajectoryRecord.from_csv(path)
-    assert np.allclose(back.t, rec.t)
-    assert np.allclose(back.norm_f11, rec.norm_f11)
-    assert np.allclose(back.energy_lhs, rec.energy_lhs)
-    assert (back.x0, back.script_C) == (rec.x0, rec.script_C)
-    assert np.isfinite(back.script_C) and back.failure is None
+    for failure, script_c in ((None, rec.script_C),
+                              ("x0=1 script_C = 'a b'", float("nan"))):
+        rec.failure, rec.script_C = failure, script_c
+        rec.to_csv(path)
+        first = path.read_text().splitlines()
+        assert first[0] == "# x0=%r script_C=%r failure=%r" % (
+            rec.x0, script_c, failure)
+        assert first[1] == pk.CSV_HEADER
+        back = pk.TrajectoryRecord.from_csv(path)
+        for name in pk.CSV_HEADER.split(","):
+            assert getattr(back, name).tobytes() == getattr(rec, name).tobytes()
+        assert np.array([back.x0, back.script_C]).tobytes() == (
+            np.array([rec.x0, script_c]).tobytes())
+        assert back.failure == failure and back.final_state is None
 
 
 def test_final_state_roundtrip(tmp_path):
-    p = pk.PhysicsParams.from_contrast(0.4, 2.0)
-    c = small_deviation_curve(1e-3)
-    state = pk.SimulationState.make(1.25, c, p)
+    """read_final_state gives back the SimulationState that
+    write_final_state took, every field bit for bit: t, each PhysicsParams
+    field, the coefficients (negative ones among them) and the grid of a
+    run's final state."""
+    p = pk.PhysicsParams(0.1 + 0.2, 1.0 / 3.0, 2.0 ** 0.5)
+    cfg = pk.StepperConfig(dt=0.01, t_final=0.03, scheme="etdrk2")
+    curve = small_deviation_curve(1e-4, max_mode=6, grid_size=29)
+    state = pk.run(curve, p, cfg).final_state
+    assert np.signbit(state.curve.coeffs.view(float)).any()
     path = tmp_path / "final_state.txt"
     pk.write_final_state(path, state)
-    t, p2, c2 = pk.read_final_state(path)
-    assert t == pytest.approx(1.25)
-    assert p2.a_mu == pytest.approx(0.4)
-    assert p2.a_e == pytest.approx(2.0)
-    assert np.allclose(c2.coeffs, c.coeffs)
-    assert c2.grid_size == c.grid_size
+    back = pk.read_final_state(path)
+    assert type(back) is pk.SimulationState
+    assert back.t.hex() == state.t.hex()
+    for field in fields(pk.PhysicsParams):
+        assert getattr(back.params, field.name).hex() == (
+            getattr(p, field.name).hex())
+    assert back.curve.coeffs.tobytes() == state.curve.coeffs.tobytes()
+    assert back.curve.grid_size == 29
+
+
+@pytest.mark.parametrize("edit, fault", [
+    pytest.param(lambda lines: [r for r in lines if not r.startswith("k0 ")],
+                 r"missing scalar 'k0'", id="missing-scalar"),
+    pytest.param(lambda lines: lines + ["5 0.0 0.0 0.0 0.0"],
+                 r"line 17: '5 0.0 0.0 0.0 0.0' is not 'k re1 im1 re2 im2', "
+                 r"\|k\| <= 4", id="mode-above-max-mode"),
+    pytest.param(lambda lines: lines[:-1] + [lines[-1].rpartition(" ")[0]],
+                 r"line 16: '4( \S+){3}' is not 'k re1 im1 re2 im2', \|k\| <= 4",
+                 id="short-row"),
+])
+def test_a_malformed_final_state_is_one_value_error(tmp_path, edit, fault):
+    """Six scalars and the header, then the rows of k = -4..4 on lines
+    8..16: each fault is refused as one line naming it."""
+    path = tmp_path / "final_state.txt"
+    state = pk.SimulationState.make(0.5, small_deviation_curve(1e-3, max_mode=4),
+                                    pk.PhysicsParams.from_contrast(0.2, 1.0))
+    pk.write_final_state(path, state)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match="^%s: %s$" % (re.escape(str(path)),
+                                                       fault)):
+        pk.read_final_state(path)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

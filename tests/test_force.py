@@ -9,19 +9,10 @@ from peskin2d.force import (_apply_blocks, _dense_system, _pair_geometry,
 from peskin2d.spectral import hermitize
 
 
-def dense(blocks):
-    """The (2N, 2N) Nystrom matrix on interleaved (x, y) samples from the
-    (sxx, sxy, syy) blocks of `s_operator_matrix`."""
-    sxx, sxy, syy = blocks
-    n = len(sxx)
-    rows = [np.stack([sxx, sxy], axis=-1), np.stack([sxy, syy], axis=-1)]
-    return np.stack(rows, axis=1).reshape(2 * n, 2 * n)  # [t, i, e, j]
-
-
 def apply_s(curve, force):
     """S(F, X) on the grid: the Nystrom matrix applied to the (N, 2) samples
     of F."""
-    return (dense(pk.s_operator_matrix(curve)) @ force.reshape(-1)).reshape(-1, 2)
+    return (pk.s_operator_matrix(curve) @ force.reshape(-1)).reshape(-1, 2)
 
 
 def direct_solve(curve, params):
@@ -126,7 +117,7 @@ def test_s_operator_on_circles_has_rank_four(radius, phase, cx, cy, n, seed):
     """-1/2 on the constants and e_t, +1/2 on e_r, zero on the rest."""
     c = pk.circle_curve(radius * np.cos(phase), radius * np.sin(phase), cx, cy,
                         max_mode=n // 4, grid_size=n)
-    mat = dense(pk.s_operator_matrix(c))
+    mat = pk.s_operator_matrix(c)
     th = pk.theta_grid(n) + phase
     er = np.stack([np.cos(th), np.sin(th)], axis=1).reshape(-1)
     et = np.stack([-np.sin(th), np.cos(th)], axis=1).reshape(-1)
@@ -188,7 +179,7 @@ def test_s_operator_matches_dense_reference(seed, n, eps):
     several (four full ones at N 256; at N 300 the last of six is partial)."""
     c = perturbed_circle(eps, seed=seed, max_mode=n // 4, grid_size=n)
     ref = dense_s_reference(c)
-    mat = dense(pk.s_operator_matrix(c))
+    mat = pk.s_operator_matrix(c)
     assert np.max(np.abs(mat - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -257,7 +248,7 @@ def test_combined_sweep_writes_the_tables_of_single_sweeps(n):
 def test_results_do_not_alias_the_workspace(monkeypatch, a_mu, method):
     """The S and V tables of a grid size are reused from call to call, but
     the force (of the Richardson iteration, or of its dense LU fallback
-    when `method` is "direct"), the velocity and the blocks of
+    when `method` is "direct"), the velocity and the matrix of
     `s_operator_matrix` are arrays of their own: the same calls on a second
     curve of the grid leave them unchanged.  The sweep's S tables are
     read-only, and a sweep writes only the tables its caller reads: one for
@@ -277,8 +268,8 @@ def test_results_do_not_alias_the_workspace(monkeypatch, a_mu, method):
     for now, before in zip((f1, u1), kept):
         assert np.array_equal(now, before)
     ws = _workspace(c1.max_mode, c1.grid_size)
-    for block in pk.s_operator_matrix(c1):
-        assert not any(np.shares_memory(block, t) for t in (ws.s, ws.v))
+    mat = pk.s_operator_matrix(c1)
+    assert not any(np.shares_memory(mat, t) for t in (ws.s, ws.v))
     tables = _pair_geometry(c1, with_s=True)[1]
     kept = [t.copy() for t in tables]
     pk.velocity_on_curve(c2, f2)
@@ -412,12 +403,12 @@ def test_a_residual_above_tolerance_raises_solver_error(monkeypatch):
         pk.solve_force(curve, p)
 
 
-def test_run_with_direct_and_default_force_agree():
+def test_run_with_direct_and_default_force_agree(monkeypatch):
     p = pk.PhysicsParams.from_contrast(-0.5, 1.0)
     c = perturbed_circle(5e-5, max_mode=8, grid_size=32)  # below k(-0.5)
     cfg = pk.StepperConfig(dt=1e-2, t_final=0.2, scheme="etdrk2")
 
-    def direct(curve, params):
+    def direct(curve, params, arc_chord_floor):
         """The right-hand side u + (a_e/2)(|k| c + J c) of the dense
         reference force, with J(k) = [[0, -i sgn k], [i sgn k, 0]]."""
         f = direct_solve(curve, params)
@@ -428,8 +419,10 @@ def test_run_with_direct_and_default_force_agree():
         return curve.with_coeffs(u.coeffs + 0.5 * params.a_e * lc)
 
     state = pk.SimulationState.make(0.0, c, p)
-    for _ in range(20):
-        state = pk.step(state, cfg, nonlinearity=direct)
+    with monkeypatch.context() as patch:  # pk.run below takes the default
+        patch.setattr(pk.evolution, "rhs_nonlinear", direct)
+        for _ in range(20):
+            state = pk.step(state, cfg)
     default = pk.run(c, p, cfg).final_state
     assert state.t == pytest.approx(default.t, abs=1e-15)
     assert np.max(np.abs(state.curve.coeffs - default.curve.coeffs)) <= 1e-12
